@@ -46,7 +46,7 @@ from .quadrature import (
     norm_constant_limit,
     upper_bound_constant,
 )
-from .spectral import count_outliers, dense_sym_eigs, min_eig_normalized, preconditioned_spectrum
+from .spectral import count_outliers, min_eig_normalized, preconditioned_spectra
 from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, assemble_dense, coeffs_via_fft
 
 __all__ = ["RunConfig", "CliError", "parse_sizes", "run", "main"]
@@ -165,7 +165,7 @@ def _scaled_coeffs(n, tol):
     return ToeplitzCoeffs(n, c.a / n)
 
 
-def _build_preconditioner(kind, scaled, dense=None):
+def _build_preconditioner(kind, scaled):
     n = scaled.n
     if kind is PrecKind.IDENTITY:
         return build_identity(n)
@@ -176,7 +176,7 @@ def _build_preconditioner(kind, scaled, dense=None):
     if kind is PrecKind.NATURAL_TAU:
         return build_natural_tau(scaled)
     if kind is PrecKind.FROBENIUS_TAU:
-        return build_frobenius_tau(dense if dense is not None else scaled)
+        return build_frobenius_tau(scaled)
     if kind is PrecKind.LAPLACIAN:
         return build_laplacian(n)
     raise CliError(f"unknown preconditioner kind {kind!r}")
@@ -257,10 +257,9 @@ def _cmd_spectrum(config):
     rows = []
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
-        A = assemble_dense(scaled)
-        for kind in precs:
-            P = _build_preconditioner(kind, scaled, dense=A)
-            s = preconditioned_spectrum(A, P)
+        spectra = preconditioned_spectra(
+            assemble_dense(scaled), [_build_preconditioner(kind, scaled) for kind in precs])
+        for kind, s in zip(precs, spectra):
             rows.append([str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
 
@@ -270,10 +269,9 @@ def _cmd_outliers(config):
     rows = []
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
-        A = assemble_dense(scaled)
-        for kind in precs:
-            P = _build_preconditioner(kind, scaled, dense=A)
-            s = preconditioned_spectrum(A, P)
+        spectra = preconditioned_spectra(
+            assemble_dense(scaled), [_build_preconditioner(kind, scaled) for kind in precs])
+        for kind, s in zip(precs, spectra):
             for eps in config.eps:
                 rep = count_outliers(s, eps)
                 rows.append([

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, assemble_dense
+from .toeplitz import ToeplitzCoeffs
 from .transforms import dst1, fft_forward, fft_inverse
 
 __all__ = [
@@ -125,12 +125,38 @@ def build_frobenius_circulant(c):
     return _checked(PrecKind.FROBENIUS_CIRCULANT, n, _real_fft_spectrum(col))
 
 
+def _cosine_sums(w):
+    """sum_{k=1}^{n-1} w_k cos(j k pi/(n+1)) for j = 1..n, n = len(w),
+    via an FFT of length 2(n+1); w[0] is ignored."""
+    n = len(w)
+    ext = np.zeros(2 * (n + 1))
+    ext[1:n] = w[1:]
+    return np.fft.fft(ext).real[1 : n + 1]
+
+
 def _natural_tau_spectrum(a):
+    # d_j = a0 + 2 sum_k a_k cos(j k pi/(n+1))
+    return a[0] + 2.0 * _cosine_sums(a)
+
+
+def _frobenius_tau_spectrum(a):
+    """diag(Q T Q) of the symmetric Toeplitz matrix T with first column a.
+
+    With theta = pi/(n+1) and the stride-2 suffix sums
+    s_l = sum_{k >= l, k = l mod 2} a_k,
+    d_j = a0 + 2/(n+1) [sum_k ((n-k) a_k + 2 s_k) cos(j k theta)
+                        + sum_{even k >= 2} a_k]
+    (Bini and Di Benedetto, SPAA 1990): summing sin(j p theta)
+    sin(j (p+k) theta) over the k-th diagonal leaves (n-k) cos(j k theta)
+    minus cosines of the same parity as k, whose sum over a full period
+    vanishes.
+    """
     n = len(a)
-    # d_j = a0 + 2 sum_k a_k cos(j k pi/(n+1)) via an FFT of length 2(n+1)
-    w = np.zeros(2 * (n + 1))
-    w[1:n] = a[1:]
-    return a[0] + 2.0 * np.fft.fft(w).real[1 : n + 1]
+    s = np.empty(n)
+    for p in (0, 1):
+        s[p::2] = np.cumsum(a[p::2][::-1])[::-1]
+    k = np.arange(n)
+    return a[0] + 2.0 / (n + 1) * (_cosine_sums((n - k) * a + 2.0 * s) + s[0] - a[0])
 
 
 def build_natural_tau(c):
@@ -150,18 +176,13 @@ def build_frobenius_tau(A):
     """Frobenius-optimal tau matrix of a symmetric matrix: since Q is
     orthogonal, the minimizer over Q diag(d) Q has d = diag(Q A Q).
 
-    Accepts a dense symmetric matrix, or ToeplitzCoeffs in which case
-    the diagonal is accumulated through fast Toeplitz products with the
-    sine basis instead of dense assembly.
+    Accepts ToeplitzCoeffs, for which d has a closed form computed in
+    O(n log n) by one FFT, or a dense symmetric matrix, for which
+    diag(Q A Q) is formed by two dense sine transforms (the oracle).
     """
     if isinstance(A, ToeplitzCoeffs):
         n = A.n
-        op = ToeplitzOperator(A)
-        j = np.arange(1, n + 1)
-        d = np.empty(n)
-        for i in range(n):
-            q = np.sqrt(2.0 / (n + 1)) * np.sin(j * (i + 1) * np.pi / (n + 1))
-            d[i] = q @ op(q)
+        d = _frobenius_tau_spectrum(A.a)
     else:
         A = np.asarray(A, dtype=float)
         n = A.shape[0]

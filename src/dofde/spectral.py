@@ -3,8 +3,16 @@
 Dense symmetric spectra are the authoritative path for every tabulated
 quantity; a fully reorthogonalized Lanczos sweep is available as a
 matrix-free cross-check of the extremes.  Preconditioned spectra are
-formed symmetrically as P^(-1/2) A P^(-1/2), which shares eigenvalues
-with P^(-1) A.
+those of P^(-1/2) A P^(-1/2), which shares eigenvalues with P^(-1) A.
+
+Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
+commutes with the flip J, and so do the circulant and sine-transform
+preconditioners.  Each eigenproblem therefore splits into a flip-even
+and a flip-odd block of half the order (Cantoni and Butler, Linear
+Algebra Appl. 13, 1976), which are solved separately and merged.  A
+sine-domain preconditioner Q diag(d) Q is handled in its transform
+domain, where P^(-1/2) A P^(-1/2) is orthogonally similar to
+D^(-1/2) (Q A Q) D^(-1/2) and the sine vectors alternate in parity.
 """
 
 from __future__ import annotations
@@ -14,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .preconditioners import apply_inverse_sqrt
+from .preconditioners import _SINE, PrecKind, apply_inverse_sqrt
 from .toeplitz import assemble_dense, coeffs_via_fft
+from .transforms import dst1
 
 __all__ = [
     "SpectrumReport",
@@ -24,6 +33,7 @@ __all__ = [
     "lanczos_extremes",
     "min_eig_normalized",
     "preconditioned_spectrum",
+    "preconditioned_spectra",
     "count_outliers",
 ]
 
@@ -49,14 +59,48 @@ class OutlierReport:
     percent: float
 
 
-def _check_symmetric(A):
+def _check_symmetric(A, centro=False):
+    """A as a float array; raises ValueError unless it is square and
+    symmetric and, with centro=True, also commutes with the flip J."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(A).max() or 1.0
     if np.abs(A - A.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix must be symmetric")
+    if centro and np.abs(A - A[::-1, ::-1]).max() > _SYMMETRY_RTOL * scale:
+        raise ValueError("matrix must commute with the flip (J A J = A)")
     return A
+
+
+def _flip_blocks(M):
+    """The flip-even and flip-odd blocks of a centrosymmetric n x n
+    matrix, given its leading ceil(n/2) rows M (or all of it).
+
+    With m = n // 2 and M12 = M[:m, n-m:], the flip-odd eigenvectors
+    [x; (0); -Jx] see M11 - M12 J, and the flip-even ones [x; (t); Jx]
+    see M11 + M12 J, bordered for odd n by sqrt(2) M[:m, m] and M[m, m].
+    The blocks are symmetrized.
+    """
+    n = M.shape[1]
+    m = n // 2
+    m11 = M[:m, :m]
+    m12j = M[:m, n - m :][:, ::-1]
+    odd = m11 - m12j
+    if n % 2:
+        even = np.empty((m + 1, m + 1))
+        even[:m, :m] = m11 + m12j
+        even[:m, m] = np.sqrt(2.0) * M[:m, m]
+        even[m, :m] = even[:m, m]
+        even[m, m] = M[m, m]
+    else:
+        even = m11 + m12j
+    return [0.5 * (b + b.T) for b in (even, odd)]
+
+
+def _merged_spectrum(blocks):
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    return SpectrumReport(w, float(w[0]), float(w[-1]))
 
 
 def dense_sym_eigs(A):
@@ -120,23 +164,52 @@ def lanczos_extremes(apply_A, n, iters):
 
 def min_eig_normalized(n, stabilization_tol=1e-10):
     """n times the smallest eigenvalue of the order-n stiffness matrix,
-    computed along the dense path."""
+    computed by dense eigensolves of its two flip-parity blocks."""
     if n < 4:
         raise ValueError("n must be at least 4")
     A = assemble_dense(coeffs_via_fft(n, stabilization_tol=stabilization_tol))
-    return n * dense_sym_eigs(A).lambda_min
+    return n * _merged_spectrum(_flip_blocks(A)).lambda_min
+
+
+def preconditioned_spectra(A, precs):
+    """Spectra of P^(-1/2) A P^(-1/2), one per P in precs, for a
+    symmetric A that commutes with the flip J (A symmetric Toeplitz).
+
+    Sine-domain kinds share one B = Q A Q: for P = Q diag(d) Q the
+    spectrum is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed
+    rows and columns form the two parity blocks.  Circulant kinds form
+    the leading ceil(n/2) columns of M = P^(-1/2) A P^(-1/2) by
+    transforms and fold them into the parity blocks; the identity folds
+    A itself.  Raises ValueError when A is not symmetric, does not
+    commute with J, or has the wrong order.
+    """
+    A = _check_symmetric(A, centro=True)
+    n = A.shape[0]
+    B = None
+    reports = []
+    for P in precs:
+        if P.n != n:
+            raise ValueError("preconditioner order must match the matrix")
+        if P.kind in _SINE:
+            if B is None:
+                B = dst1(dst1(A, axis=0), axis=1)
+                B = 0.5 * (B + B.T)
+            s = 1.0 / np.sqrt(P.spectrum)
+            blocks = [s[p::2, None] * B[p::2, p::2] * s[None, p::2] for p in (0, 1)]
+        elif P.kind is PrecKind.IDENTITY:
+            blocks = _flip_blocks(A)
+        else:
+            half = apply_inverse_sqrt(P, A)
+            # M is symmetric, so its leading columns are its leading rows
+            blocks = _flip_blocks(apply_inverse_sqrt(P, half[: n - n // 2].T).T)
+        reports.append(_merged_spectrum(blocks))
+    return reports
 
 
 def preconditioned_spectrum(A, P):
-    """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A.
-
-    The inverse square root is applied to A's columns and then to its
-    rows, and the result is symmetrized before the dense eigensolve.
-    """
-    A = _check_symmetric(A)
-    half = apply_inverse_sqrt(P, A)
-    full = apply_inverse_sqrt(P, half.T)
-    return dense_sym_eigs(0.5 * (full + full.T))
+    """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A;
+    the one-preconditioner case of preconditioned_spectra."""
+    return preconditioned_spectra(A, [P])[0]
 
 
 def count_outliers(s, eps):

@@ -33,9 +33,10 @@ def dst1(x, axis=-1):
     """Orthonormal DST-I: multiply by Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
 
     Q is symmetric and involutory, so dst1 is its own inverse.  Computed
-    through the imaginary part of an FFT of the odd extension
-    [0, x, 0, -reversed(x)] of length 2(n+1); accepts any real ndarray
-    and transforms along `axis`.
+    through the imaginary part of a real FFT of the odd extension
+    [0, x, 0, -reversed(x)] of length 2(n+1), which keeps only the
+    n+2 non-negative frequencies; accepts any real ndarray and
+    transforms along `axis`.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[axis]
@@ -46,6 +47,6 @@ def dst1(x, axis=-1):
     ext = np.zeros(ext_shape)
     ext[..., 1 : n + 1] = x
     ext[..., n + 2 :] = -x[..., ::-1]
-    spec = np.fft.fft(ext)
+    spec = np.fft.rfft(ext)
     out = -0.5 * np.sqrt(2.0 / (n + 1)) * spec[..., 1 : n + 1].imag
     return np.moveaxis(out, -1, axis)

@@ -58,7 +58,7 @@ def build_prec(kind, n):
         PrecKind.STRANG_CIRCULANT: lambda: build_strang(scaled),
         PrecKind.FROBENIUS_CIRCULANT: lambda: build_frobenius_circulant(scaled),
         PrecKind.NATURAL_TAU: lambda: build_natural_tau(scaled),
-        PrecKind.FROBENIUS_TAU: lambda: build_frobenius_tau(np.asarray(dense_scaled(n))),
+        PrecKind.FROBENIUS_TAU: lambda: build_frobenius_tau(scaled),
         PrecKind.LAPLACIAN: lambda: build_laplacian(n),
     }
     return builders[kind]()

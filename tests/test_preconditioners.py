@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import conftest as shared
 from dofde import (
@@ -146,6 +149,26 @@ class TestFrobeniusTau:
         M = np.arange(16.0).reshape(4, 4)
         with pytest.raises(ValueError):
             build_frobenius_tau(M)
+
+    @settings(deadline=None)
+    @given(
+        tail=st.integers(0, 299).flatmap(
+            lambda m: arrays(np.float64, m, elements=st.floats(-1.0, 1.0))
+        ),
+        margin=st.floats(1e-3, 1.0),
+        alpha=st.floats(1e-3, 1e3),
+    )
+    @example(tail=np.empty(0), margin=0.5, alpha=3.0)
+    @example(tail=np.array([-0.7]), margin=1e-3, alpha=0.25)
+    def test_closed_form_matches_dense_oracle(self, tail, margin, alpha):
+        # a0 above 2 sum |a_k| keeps the Toeplitz matrix, and so diag(QAQ), positive
+        a = np.concatenate([[2.0 * np.abs(tail).sum() + margin], tail])
+        c = ToeplitzCoeffs(len(a), a)
+        d = build_frobenius_tau(c).spectrum
+        oracle = build_frobenius_tau(assemble_dense(c)).spectrum
+        assert np.abs(d - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        d_alpha = build_frobenius_tau(ToeplitzCoeffs(len(a), alpha * a)).spectrum
+        assert np.abs(d_alpha - alpha * d).max() <= 1e-13 * alpha * np.abs(d).max()
 
 
 class TestLaplacian:

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import conftest as shared
 from dofde import (
     PrecKind,
     SpectrumReport,
+    ToeplitzCoeffs,
     apply_inverse,
+    apply_inverse_sqrt,
+    assemble_dense,
+    build_frobenius_circulant,
+    build_frobenius_tau,
+    build_identity,
     build_laplacian,
+    build_natural_tau,
+    build_strang,
+    coeffs_via_fft,
     count_outliers,
     dense_sym_eigs,
     lanczos_extremes,
     min_eig_normalized,
+    preconditioned_spectra,
     preconditioned_spectrum,
 )
 
@@ -146,6 +159,69 @@ class TestPreconditionedSpectrum:
         c_big = ToeplitzCoeffs(n, 3.7 * c.a)
         scaled = preconditioned_spectrum(assemble_dense(c_big), build_natural_tau(c_big))
         np.testing.assert_allclose(base.eigenvalues, scaled.eigenvalues, rtol=1e-10)
+
+
+def explicit_preconditioned(A, P):
+    # P^(-1/2) A P^(-1/2) in full: inverse square root on the columns,
+    # then on the rows, then symmetrized
+    half = apply_inverse_sqrt(P, A)
+    full = apply_inverse_sqrt(P, half.T)
+    return 0.5 * (full + full.T)
+
+
+class TestParitySpectra:
+    """The flip-parity, transform-domain spectra against the explicit
+    full-size P^(-1/2) A P^(-1/2) and the full-size dense eigensolve."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        tail=st.integers(1, 199).flatmap(
+            lambda m: arrays(np.float64, m, elements=st.floats(-1.0, 1.0))
+        ),
+        margin=st.floats(1e-2, 1.0),
+    )
+    @example(tail=np.array([0.5]), margin=0.1)
+    @example(tail=np.array([0.5, -0.25]), margin=0.1)
+    def test_six_kinds_match_explicit_matrix(self, tail, margin):
+        # a0 above 2 sum |a_k| keeps A and every circulant and tau SPD
+        a = np.concatenate([[2.0 * np.abs(tail).sum() + margin], tail])
+        n = len(a)
+        c = ToeplitzCoeffs(n, a)
+        A = assemble_dense(c)
+        precs = [
+            build_identity(n),
+            build_strang(c),
+            build_frobenius_circulant(c),
+            build_natural_tau(c),
+            build_frobenius_tau(c),
+            build_laplacian(n),
+        ]
+        batch = preconditioned_spectra(A, precs)
+        for P, rep in zip(precs, batch):
+            oracle = dense_sym_eigs(explicit_preconditioned(A, P)).eigenvalues
+            single = preconditioned_spectrum(A, P).eigenvalues
+            np.testing.assert_array_equal(single, rep.eigenvalues)
+            assert rep.eigenvalues.shape == (n,)
+            assert np.abs(rep.eigenvalues - oracle).max() <= 1e-12 * oracle.max(), P.kind
+            assert (rep.lambda_min, rep.lambda_max) == (rep.eigenvalues[0], rep.eigenvalues[-1])
+
+    @settings(deadline=None, max_examples=20)
+    @given(n=st.integers(4, 200))
+    @example(n=4)
+    @example(n=5)
+    def test_min_eig_matches_full_eigensolve(self, n):
+        oracle = n * dense_sym_eigs(assemble_dense(coeffs_via_fft(n))).lambda_min
+        assert min_eig_normalized(n) == pytest.approx(oracle, rel=1e-10)
+
+    def test_rejects_symmetric_matrix_that_does_not_commute_with_flip(self):
+        A = np.diag([4.0, 3.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+        dense_sym_eigs(A)  # symmetric, so the generic eigensolver accepts it
+        with pytest.raises(ValueError):
+            preconditioned_spectrum(A, build_identity(3))
+
+    def test_rejects_order_mismatch(self):
+        with pytest.raises(ValueError):
+            preconditioned_spectra(np.eye(4), [build_identity(5)])
 
 
 class TestOutliers:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dofde
 from dofde import dst1, fft_forward, fft_inverse
 
 
@@ -66,3 +72,16 @@ class TestDst1:
         np.testing.assert_allclose(
             dst1(2.0 * x - 3.0 * y), 2.0 * dst1(x) - 3.0 * dst1(y), atol=1e-13
         )
+
+
+class TestImportCost:
+    def test_package_import_leaves_scipy_fft_unloaded(self):
+        # importing scipy.fft adds about a quarter to the package's import
+        # time, so no module may load it at import time
+        env = dict(os.environ)
+        src = str(Path(dofde.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, dofde, dofde.cli; print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
