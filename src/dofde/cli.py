@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,16 +30,7 @@ from .multigrid import (
     tgm,
     vcycle,
 )
-from .preconditioners import (
-    NotSPDError,
-    PrecKind,
-    build_frobenius_circulant,
-    build_frobenius_tau,
-    build_identity,
-    build_laplacian,
-    build_natural_tau,
-    build_strang,
-)
+from .preconditioners import PrecKind, build_preconditioner
 from .quadrature import (
     lower_bound_constant,
     norm_constant,
@@ -165,23 +156,6 @@ def _scaled_coeffs(n, tol):
     return ToeplitzCoeffs(n, c.a / n)
 
 
-def _build_preconditioner(kind, scaled):
-    n = scaled.n
-    if kind is PrecKind.IDENTITY:
-        return build_identity(n)
-    if kind is PrecKind.STRANG_CIRCULANT:
-        return build_strang(scaled)
-    if kind is PrecKind.FROBENIUS_CIRCULANT:
-        return build_frobenius_circulant(scaled)
-    if kind is PrecKind.NATURAL_TAU:
-        return build_natural_tau(scaled)
-    if kind is PrecKind.FROBENIUS_TAU:
-        return build_frobenius_tau(scaled)
-    if kind is PrecKind.LAPLACIAN:
-        return build_laplacian(n)
-    raise CliError(f"unknown preconditioner kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each returns (columns, rows, extras)
 
@@ -199,8 +173,10 @@ def _cmd_bounds(config):
         "k2": lower.evaluations,
         "c_infinity": limit.evaluations,
     }}
-    summary = ", ".join(f"{name}={float(val):.4f}" for name, val, _ in rows)
-    return ["constant", "value", "error_estimate"], rows, extras, summary
+    if config.output_path is None and config.format == "csv":
+        # a one-line summary ahead of the CSV, on stdout only
+        sys.stdout.write(", ".join(f"{name}={float(val):.4f}" for name, val, _ in rows) + "\n")
+    return ["constant", "value", "error_estimate"], rows, extras
 
 
 def _cmd_cn(config):
@@ -244,7 +220,7 @@ def _cmd_pcg(config):
         stop = StoppingRule(tol=config.tol)
         row = [str(n)]
         for kind in precs:
-            P = _build_preconditioner(kind, scaled)
+            P = build_preconditioner(kind, scaled)
             report = pcg(op, P, b, stop=stop)
             row.append(str(report.iterations))
             histories[f"n={n},{kind.value}"] = [float(r) for r in report.residual_history]
@@ -258,7 +234,7 @@ def _cmd_spectrum(config):
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
         spectra = preconditioned_spectra(
-            assemble_dense(scaled), [_build_preconditioner(kind, scaled) for kind in precs])
+            assemble_dense(scaled), [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
             rows.append([str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
@@ -270,7 +246,7 @@ def _cmd_outliers(config):
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
         spectra = preconditioned_spectra(
-            assemble_dense(scaled), [_build_preconditioner(kind, scaled) for kind in precs])
+            assemble_dense(scaled), [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
             for eps in config.eps:
                 rep = count_outliers(s, eps)
@@ -302,6 +278,7 @@ def _cmd_mgm(config):
 
 
 _RUNNERS = {
+    "bounds": _cmd_bounds,
     "cn": _cmd_cn,
     "mineig": _cmd_mineig,
     "coeffs": _cmd_coeffs,
@@ -354,26 +331,8 @@ def _default_sizes(command):
 
 
 def _run_one(config, command):
-    cfg_sizes = config.sizes or _default_sizes(command)
-    sub = RunConfig(
-        command=command,
-        sizes=cfg_sizes,
-        preconditioners=config.preconditioners,
-        eps=config.eps,
-        case=config.case,
-        tol=config.tol,
-        quad_tol=config.quad_tol,
-        output_path=config.output_path,
-        format=config.format,
-    )
+    sub = replace(config, command=command, sizes=config.sizes or _default_sizes(command))
     start = time.perf_counter()
-    if command == "bounds":
-        columns, rows, extras, summary = _cmd_bounds(sub)
-        wall = time.perf_counter() - start
-        if sub.output_path is None and sub.format == "csv":
-            sys.stdout.write(summary + "\n")
-        _emit(sub, "bounds", columns, rows, extras, wall)
-        return
     columns, rows, extras = _RUNNERS[command](sub)
     wall = time.perf_counter() - start
     _emit(sub, command, columns, rows, extras, wall)
@@ -389,23 +348,13 @@ def run(config):
         if config.command == "all":
             if not config.output_path:
                 raise CliError("'all' needs --out DIR")
+            if config.sizes:
+                raise CliError("'all' runs every command at its default sizes; "
+                               "--sizes applies to one command")
             for command in _COMMANDS[:-1]:
-                base = RunConfig(
-                    command=command,
-                    preconditioners=config.preconditioners,
-                    eps=config.eps,
-                    case=config.case,
-                    tol=config.tol,
-                    quad_tol=config.quad_tol,
-                    output_path=config.output_path,
-                    format=config.format,
-                )
-                _run_one(base, command)
+                _run_one(config, command)
         else:
             _run_one(config, config.command)
-    except NotSPDError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -418,14 +367,13 @@ def main(argv=None):
         description="Distributed-order stiffness matrices: bounds, spectra, solvers.",
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--sizes", help="comma list or a..b range (32..2048, 31..2047)")
+    parser.add_argument("--sizes", help="comma list or a..b range (32..2048, 31..2047); "
+                        "not with 'all', which uses each command's defaults")
     parser.add_argument("--precs", help="comma list of preconditioner names, or 'all'")
     parser.add_argument("--eps", help="comma list of outlier half-widths", default="1e-1,1e-2")
     parser.add_argument("--case", choices=sorted(_CASE_FACTORIES) + ["all"], default="all")
     parser.add_argument("--tol", type=float, default=1e-7, help="solver stopping tolerance")
     parser.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature tolerance")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; experiments use a deterministic right-hand side")
     parser.add_argument("--out", help="output directory (required for 'all')")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)

@@ -1,9 +1,9 @@
 """Conjugate gradient solvers for the preconditioned experiments.
 
-Standard (P)CG with the scaled-residual stopping rule ||r||/||b|| < tol,
-plus a fixed-step variant used as a multigrid smoother.  Iteration
-counts under the five preconditioners are the package's main solver
-experiment.
+Standard (P)CG with the scaled-residual stopping rule ||r||/||b|| < tol;
+the multigrid smoother is the same loop run for a fixed number of steps.
+Iteration counts under the five preconditioners are the package's main
+solver experiment.
 """
 
 from __future__ import annotations
@@ -110,42 +110,12 @@ def pcg(apply_A, P, b, x0=None, stop=None):
 
 
 def cg_smooth_step(apply_A, P, x, b, steps=1):
-    """Run a fixed number of PCG iterations from the iterate x and
-    return the update; the Krylov space is built afresh on every call,
-    which is what makes this usable as a multigrid smoother.
+    """Run `steps` PCG iterations from the iterate x and return the
+    update; the Krylov space is built afresh on every call, which is
+    what makes this usable as a multigrid smoother.
 
-    Reaching the exact solution early (zero residual) returns it
-    immediately.
+    The smallest positive tolerance leaves only a zero residual to stop
+    the loop early, so reaching the exact solution returns it.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    b = np.asarray(b, dtype=float)
-    x = np.array(x, dtype=float)
-
-    r = b - np.asarray(apply_A(x), dtype=float)
-    if not np.any(r):
-        return x
-    z = apply_inverse(P, r)
-    rho = float(r @ z)
-    if rho <= 0.0:
-        raise BreakdownError("preconditioned inner product <= 0")
-    p = z.copy()
-
-    for _ in range(steps):
-        q = np.asarray(apply_A(p), dtype=float)
-        curvature = float(p @ q)
-        if curvature <= 0.0:
-            raise BreakdownError("operator inner product <= 0")
-        alpha = rho / curvature
-        x = x + alpha * p
-        r = r - alpha * q
-        z = apply_inverse(P, r)
-        rho_new = float(r @ z)
-        if rho_new == 0.0:
-            break
-        if rho_new < 0.0:
-            raise BreakdownError("preconditioned inner product <= 0")
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-
-    return x
+    stop = StoppingRule(tol=np.finfo(float).tiny, max_iterations=steps)
+    return pcg(apply_A, P, b, x0=x, stop=stop).solution

@@ -3,9 +3,10 @@
 Coarsening is pure Galerkin: a 3-point [1, 2, 1] restriction (no
 scaling) projects each level onto half the odd grid, the coarse
 operator is R A R^T, and the coarsest system is solved by a dense
-Cholesky factorization.  Smoothers are Gauss-Seidel sweeps or
-single restarted PCG steps with the sine-transform and discrete
-Laplacian preconditioners, combined into the five named cases.
+Cholesky factorization.  Smoothers are Gauss-Seidel sweeps or a fixed
+number of restarted PCG steps (`pcg` run by `cg_smooth_step`) with the
+sine-transform and discrete Laplacian preconditioners, combined into
+the five named cases.
 """
 
 from __future__ import annotations

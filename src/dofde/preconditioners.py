@@ -3,10 +3,12 @@
 Five SPD preconditioners, each diagonal in a fast transform domain:
 two circulants (Strang and Frobenius-optimal, FFT domain), two tau
 matrices (natural and Frobenius-optimal, DST-I domain), and the
-tridiagonal finite-difference Laplacian (DST-I domain, with a direct
-Thomas solve as the default inverse).  All builders are scale
-equivariant: coefficients scaled by alpha produce spectra scaled by
-alpha, so preconditioned spectra are invariant under system rescaling.
+tridiagonal finite-difference Laplacian, itself a tau matrix (DST-I
+domain), plus the identity.  Every inverse is applied by dividing in the
+transform domain, and `build_preconditioner` maps each kind to its
+builder.  All builders are scale equivariant: coefficients scaled by
+alpha produce spectra scaled by alpha, so preconditioned spectra are
+invariant under system rescaling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import ToeplitzCoeffs
-from .transforms import dst1, fft_forward, fft_inverse
+from .transforms import dst1
 
 __all__ = [
     "PrecKind",
@@ -29,6 +31,7 @@ __all__ = [
     "build_natural_tau",
     "build_frobenius_tau",
     "build_laplacian",
+    "build_preconditioner",
     "apply_inverse",
     "apply_inverse_sqrt",
 ]
@@ -81,7 +84,7 @@ def _checked(kind, n, spectrum):
 
 
 def _real_fft_spectrum(col):
-    spec = fft_forward(col)
+    spec = np.fft.fft(col)
     scale = max(1.0, float(np.max(np.abs(spec.real))))
     if np.max(np.abs(spec.imag)) > 1e-10 * scale:
         raise NotSPDError("circulant first column is not symmetric")
@@ -202,21 +205,22 @@ def build_laplacian(n):
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=d)
 
 
-def _thomas_laplacian(b):
-    """Direct tridiag(-1,2,-1) solve by Thomas elimination, O(n);
-    accepts a vector or a matrix of column right-hand sides."""
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    # L D L^T factors of the constant tridiagonal are analytic: D_i = (i+1)/i
-    z = np.empty_like(b)
-    z[0] = b[0]
-    for i in range(1, n):
-        z[i] = b[i] + (i / (i + 1.0)) * z[i - 1]
-    x = np.empty_like(b)
-    x[n - 1] = z[n - 1] * (n / (n + 1.0))
-    for i in range(n - 2, -1, -1):
-        x[i] = ((i + 1.0) / (i + 2.0)) * (z[i] + x[i + 1])
-    return x
+# Builders are looked up at call time, so a wrapper installed on the
+# module-level name (a tracer, a test's monkeypatch) sees every build.
+_BUILDERS = {
+    PrecKind.IDENTITY: lambda c: build_identity(c.n),
+    PrecKind.STRANG_CIRCULANT: lambda c: build_strang(c),
+    PrecKind.FROBENIUS_CIRCULANT: lambda c: build_frobenius_circulant(c),
+    PrecKind.NATURAL_TAU: lambda c: build_natural_tau(c),
+    PrecKind.FROBENIUS_TAU: lambda c: build_frobenius_tau(c),
+    PrecKind.LAPLACIAN: lambda c: build_laplacian(c.n),
+}
+
+
+def build_preconditioner(kind, c):
+    """Build the preconditioner of the given PrecKind for the Toeplitz
+    coefficients c (the identity and the Laplacian use only c.n)."""
+    return _BUILDERS[kind](c)
 
 
 def _check_len(P, x):
@@ -231,29 +235,17 @@ def _divide_in_transform(P, x, denom):
     acting on the leading axis."""
     denom = denom.reshape(denom.shape + (1,) * (x.ndim - 1))
     if P.kind in _CIRCULANT:
-        spec = fft_forward(x.T).T / denom
-        return np.real(fft_inverse(spec.T).T)
+        spec = np.fft.fft(x.T).T / denom
+        return np.real(np.fft.ifft(spec.T).T)
     return dst1(dst1(x, axis=0) / denom, axis=0)
 
 
-def apply_inverse(P, x, route=None):
-    """Apply P^{-1} through the diagonalizing transform (or, for the
-    Laplacian, a direct Thomas solve).
-
-    x may be a vector or a matrix whose columns are transformed.  For
-    the Laplacian, route="direct" (default) uses Thomas elimination and
-    route="spectral" the DST path; they agree to 1e-11.
-    """
+def apply_inverse(P, x):
+    """Apply P^{-1} through the diagonalizing transform; x may be a
+    vector or a matrix whose columns are transformed."""
     x = _check_len(P, x)
     if P.kind is PrecKind.IDENTITY:
         return x.copy()
-    if P.kind is PrecKind.LAPLACIAN:
-        if route in (None, "direct"):
-            return _thomas_laplacian(x)
-        if route != "spectral":
-            raise ValueError(f"unknown route {route!r}")
-    elif route is not None and route != "spectral":
-        raise ValueError(f"route {route!r} only applies to the Laplacian")
     return _divide_in_transform(P, x, P.spectrum)
 
 

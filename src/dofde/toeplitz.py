@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import dist_order_symbol, fold_angle
-from .transforms import fft_forward, fft_inverse
 
 __all__ = [
     "ToeplitzCoeffs",
@@ -113,7 +112,7 @@ def coeffs_via_fft(n, samples=None, stabilization_tol=1e-10, symbol=None):
             vals = np.asarray(symbol(theta), dtype=float)
         else:
             vals = dist_order_symbol(n, theta) - beta * theta**2
-        spec = fft_forward(vals)[:n]
+        spec = np.fft.fft(vals)[:n]
         if np.max(np.abs(spec.imag)) > 1e-12 * max(1.0, np.max(np.abs(spec.real))):
             raise CoeffStabilizationError("sampled symbol is not even")
         a = spec.real / m
@@ -169,7 +168,7 @@ class ToeplitzOperator:
         col[: c.n] = c.a
         if c.n > 1:
             col[m - c.n + 1 :] = c.a[1:][::-1]
-        self._spectrum = fft_forward(col)
+        self._spectrum = np.fft.fft(col)
         self._m = m
 
     def __call__(self, x):
@@ -178,7 +177,7 @@ class ToeplitzOperator:
             raise ValueError("vector length must match matrix order")
         xp = np.zeros(self._m)
         xp[: self.n] = x
-        return fft_inverse(self._spectrum * fft_forward(xp))[: self.n].real
+        return np.fft.ifft(self._spectrum * np.fft.fft(xp))[: self.n].real
 
 
 def toeplitz_matvec(c, x):

@@ -1,32 +1,16 @@
-"""Trigonometric transforms: complex FFT and the orthonormal DST-I.
+"""The orthonormal DST-I, the sine transform of the tau algebra.
 
-Conventions are fixed once here for the whole package: the forward FFT
-is unnormalized, X_k = sum_j x_j exp(-2*pi*i*j*k/N), the inverse carries
-the 1/N factor, and the DST-I matrix is the symmetric involutory
-Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).
+The DST-I matrix is the symmetric involutory
+Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).  Complex FFTs are numpy's own
+(np.fft.fft unnormalized, np.fft.ifft with the 1/N factor), called
+directly where they are needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fft_forward", "fft_inverse", "dst1"]
-
-
-def fft_forward(x):
-    """Unnormalized forward DFT of a complex vector of any length."""
-    x = np.asarray(x)
-    if x.shape[-1] < 1:
-        raise ValueError("empty input")
-    return np.fft.fft(x)
-
-
-def fft_inverse(x):
-    """Inverse DFT with the 1/N normalization; fft_inverse(fft_forward(x)) == x."""
-    x = np.asarray(x)
-    if x.shape[-1] < 1:
-        raise ValueError("empty input")
-    return np.fft.ifft(x)
+__all__ = ["dst1"]
 
 
 def dst1(x, axis=-1):

@@ -11,15 +11,9 @@ import numpy as np
 import pytest
 
 from dofde import (
-    PrecKind,
     ToeplitzCoeffs,
     assemble_dense,
-    build_frobenius_circulant,
-    build_frobenius_tau,
-    build_identity,
-    build_laplacian,
-    build_natural_tau,
-    build_strang,
+    build_preconditioner,
     coeffs_via_fft,
     preconditioned_spectrum,
     toeplitz_matvec,
@@ -52,16 +46,7 @@ def dense_unscaled(n):
 
 
 def build_prec(kind, n):
-    scaled = scaled_coeffs(n)
-    builders = {
-        PrecKind.IDENTITY: lambda: build_identity(n),
-        PrecKind.STRANG_CIRCULANT: lambda: build_strang(scaled),
-        PrecKind.FROBENIUS_CIRCULANT: lambda: build_frobenius_circulant(scaled),
-        PrecKind.NATURAL_TAU: lambda: build_natural_tau(scaled),
-        PrecKind.FROBENIUS_TAU: lambda: build_frobenius_tau(scaled),
-        PrecKind.LAPLACIAN: lambda: build_laplacian(n),
-    }
-    return builders[kind]()
+    return build_preconditioner(kind, scaled_coeffs(n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,0 +1,43 @@
+"""The benchmark's per-layer metrics name functions of the package.
+
+The traced benchmark wraps every function in `dofde.__all__` and reports
+`<layer>.<fn>.s` and `<layer>.<fn>.calls` for each.  A metric whose
+function was deleted or renamed makes every traced run fail, so each such
+name in BENCHMARK.json must still resolve.  The file is only read here.
+"""
+
+import json
+import pkgutil
+from pathlib import Path
+
+import dofde
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+# `toeplitz.matvec` is ToeplitzOperator.__call__, and the `cli.*` spans
+# are opened by the benchmark itself around each command.
+NOT_FUNCTIONS = {"matvec"}
+NOT_LIBRARY_LAYERS = {"cli"}
+
+
+def function_metrics():
+    modules = {m.name for m in pkgutil.iter_modules(dofde.__path__)}
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    for name in names:
+        parts = name.split(".")
+        if len(parts) != 3 or parts[2] not in ("s", "calls"):
+            continue
+        layer, fn, _ = parts
+        if layer in modules and layer not in NOT_LIBRARY_LAYERS and fn not in NOT_FUNCTIONS:
+            yield name, layer, fn
+
+
+def test_per_layer_metrics_name_exported_functions():
+    found = list(function_metrics())
+    assert "krylov.cg_smooth_step.calls" in {name for name, _, _ in found}
+    missing = [
+        name for name, layer, fn in found
+        if fn not in dofde.__all__
+        or getattr(getattr(dofde, fn, None), "__module__", None) != f"dofde.{layer}"
+    ]
+    assert not missing, f"BENCHMARK.json names functions dofde does not export: {missing}"

@@ -142,13 +142,21 @@ class TestErrorPaths:
         assert main(["all"]) == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_all_rejects_sizes(self, capsys, tmp_path):
+        # 'all' runs every command at its own default sizes, so a size
+        # list would be silently ignored
+        out = tmp_path / "out"
+        assert main(["all", "--sizes", "32", "--out", str(out)]) == 2
+        assert "--sizes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_not_spd_surfaced_with_kind_name(self, capsys, monkeypatch):
         import dofde.cli as cli_mod
 
-        def explode(kind, scaled, dense=None):
+        def explode(kind, scaled):
             raise NotSPDError("strang preconditioner of order 32 is not SPD")
 
-        monkeypatch.setattr(cli_mod, "_build_preconditioner", explode)
+        monkeypatch.setattr(cli_mod, "build_preconditioner", explode)
         assert main(["pcg", "--sizes", "32", "--precs", "strang"]) == 2
         err = capsys.readouterr().err
         assert "strang" in err and "not SPD" in err

@@ -7,37 +7,12 @@ import numpy as np
 import pytest
 
 import dofde
-from dofde import dst1, fft_forward, fft_inverse
-
-
-def naive_dft(x):
-    n = len(x)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            out[k] += x[j] * np.exp(-2j * np.pi * j * k / n)
-    return out
+from dofde import dst1
 
 
 def sine_matrix(n):
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
-
-
-class TestFFT:
-    def test_against_naive_dft(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(fft_forward(x), naive_dft(x), atol=1e-12)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(33)
-        np.testing.assert_allclose(fft_inverse(fft_forward(x)), x, atol=1e-13)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            fft_forward(np.array([]))
 
 
 class TestDst1:
