@@ -265,9 +265,8 @@ def _cmd_mgm(config):
         if (n + 1) & n or n < 3:
             raise CliError(f"mgm needs sizes one less than a power of two, got {n}")
         scaled = _scaled_coeffs(n, 1e-10)
-        A = assemble_dense(scaled)
-        h_two = build_hierarchy(A, coarsest_threshold=max((n - 1) // 2, 1))
-        h_full = build_hierarchy(A)
+        h_two = build_hierarchy(scaled, coarsest_threshold=max((n - 1) // 2, 1))
+        h_full = build_hierarchy(scaled)
         b = np.ones(n)
         stop = StoppingRule(tol=config.tol)
         for name, case in cases:

@@ -1,36 +1,50 @@
-"""Algebraic two-grid and V-cycle solvers.
+"""Algebraic two-grid and V-cycle solvers on Toeplitz coefficient vectors.
 
-Coarsening is pure Galerkin: a 3-point [1, 2, 1] restriction (no
-scaling) projects each level onto half the odd grid, the coarse
-operator is R A R^T, and the coarsest system is solved by a dense
-Cholesky factorization.  Smoothers are Gauss-Seidel sweeps or a fixed
-number of restarted PCG steps (`pcg` run by `cg_smooth_step`) with the
-sine-transform and discrete Laplacian preconditioners, combined into
-the five named cases.
+Coarsening is pure Galerkin: the unscaled [1, 2, 1] restriction R
+projects each level onto half the odd grid, and the coarse operator is
+R A R^T.  For a symmetric Toeplitz A with first column a, R A R^T is
+again symmetric Toeplitz, with first column
+
+    b_k = a_|2k-2| + 4 a_|2k-1| + 6 a_2k + 4 a_2k+1 + a_2k+2,
+
+so every level is stored as its first column and built in O(n)
+(Fiorentino and Serra, Calcolo 1991; Chan, Chang and Sun, SIAM J. Sci.
+Comput. 19, 1998).  Level products use a cached circulant embedding,
+restriction and prolongation are stencil slices, and only the coarsest
+level is assembled densely, for its Cholesky factorization.
+
+Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
+steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
+discrete Laplacian preconditioners, combined into the five named cases.
+Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
+first column a.  Its inverse is the lower-triangular Toeplitz matrix of
+the power-series reciprocal of a(z) = sum_k a_k z^k, computed once per
+level by Newton's iteration and applied as an FFT convolution.  When the
+symbol a_0 + 2 sum_k a_k cos(k theta) is nonnegative, Re a(z) >= a_0/2
+on the closed unit disc, so 1/a(z) is bounded there by 2/a_0 and the
+reciprocal series is well conditioned.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .krylov import SolveReport, StoppingRule, cg_smooth_step
-from .preconditioners import (
-    build_frobenius_tau,
-    build_laplacian,
-    build_natural_tau,
-)
-from .toeplitz import ToeplitzCoeffs
+from .preconditioners import PrecKind, build_preconditioner
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, assemble_dense
 
 __all__ = [
     "CaseTag",
     "MgmCase",
+    "GridLevel",
     "Hierarchy",
-    "build_restriction",
+    "restrict",
+    "prolong",
     "build_hierarchy",
     "gauss_seidel_sweep",
     "vcycle",
@@ -94,109 +108,154 @@ def case_finest_only():
     return MgmCase(CaseTag.FINEST_ONLY, 1, 1)
 
 
+def _series_reciprocal(a):
+    """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
+
+    Newton's iteration g <- g - g (a g - 1) doubles the number of
+    correct terms per step.  With g exact to m terms, a g - 1 starts at
+    z^m, so only its terms m..2m-1 (h) are formed and the new terms are
+    -(g h)[:m].  One FFT length L >= 2m serves both products: the
+    wrap-around of a g lands below index m, which is discarded.
+    """
+    n = len(a)
+    g = np.array([1.0 / a[0]])
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        L = _next_pow2(m2)
+        G = np.fft.rfft(g, L)
+        h = np.fft.irfft(np.fft.rfft(a[:m2], L) * G, L)[m:m2]
+        g = np.concatenate([g, -np.fft.irfft(G * np.fft.rfft(h, L), L)[: m2 - m]])
+        m = m2
+    return g
+
+
+class GridLevel:
+    """One level of the hierarchy: a symmetric Toeplitz matrix held as
+    its coefficients, with a cached matvec and, built on first use, the
+    inverse of its lower triangle."""
+
+    def __init__(self, c):
+        self.coeffs = c
+        self.n = c.n
+        self.matvec = ToeplitzOperator(c)
+
+    @functools.cached_property
+    def _lower_inverse_spectrum(self):
+        length = _next_pow2(2 * self.n)
+        return length, np.fft.rfft(_series_reciprocal(self.coeffs.a), length)
+
+    def solve_lower(self, r):
+        """tril(T)^{-1} r: convolution with the reciprocal series."""
+        length, spectrum = self._lower_inverse_spectrum
+        return np.fft.irfft(spectrum * np.fft.rfft(r, length), length)[: self.n]
+
+
 @dataclass(frozen=True)
 class Hierarchy:
-    """Immutable grid hierarchy: dense level matrices, the sparse
-    restriction taking each level to the next, and a Cholesky
-    factorization of the coarsest matrix."""
+    """Immutable grid hierarchy: the levels, finest first, and a
+    Cholesky factorization of the coarsest level's matrix."""
 
-    matrices: tuple
-    restrictions: tuple
+    levels: tuple
     coarsest_factor: tuple
 
     @property
+    def matrices(self):
+        """First column of every level's symmetric Toeplitz matrix."""
+        return tuple(level.coeffs.a for level in self.levels)
+
+    @property
     def depth(self):
-        return len(self.matrices)
+        return len(self.levels)
 
 
-def build_restriction(n):
-    """Sparse (n-1)/2 x n restriction applying [1, 2, 1] around every
-    second fine point.  The prolongation is its transpose; the stencil
-    is deliberately unscaled, which Galerkin coarsening absorbs."""
-    if n < 3 or n % 2 == 0:
+def restrict(x):
+    """R x for the unscaled [1, 2, 1] restriction around every second
+    point: a vector of odd length n >= 3 goes to length (n - 1)/2."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] < 3 or x.shape[0] % 2 == 0:
         raise ValueError("restriction needs an odd size of at least 3")
-    m = (n - 1) // 2
-    rows = np.repeat(np.arange(m), 3)
-    cols = (2 * np.arange(m)[:, None] + np.arange(3)).ravel()
-    vals = np.tile([1.0, 2.0, 1.0], m)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    return x[0:-2:2] + 2.0 * x[1:-1:2] + x[2::2]
+
+
+def prolong(y):
+    """R^T y, the transpose of `restrict`: length m goes to 2m + 1."""
+    y = np.asarray(y, dtype=float)
+    z = np.zeros(2 * y.shape[0] + 1)
+    z[0:-2:2] += y
+    z[1:-1:2] += 2.0 * y
+    z[2::2] += y
+    return z
+
+
+def _galerkin_coarse(a):
+    """First column of R T R^T for the symmetric Toeplitz T with first
+    column a (odd length n); every index 2k + 2 <= n - 1 is in range."""
+    even, odd = a[0::2], a[1::2]
+    b = 6.0 * even[:-1] + 4.0 * odd + even[1:]
+    b[0] += 4.0 * a[1] + a[2]
+    b[1:] += 4.0 * odd[:-1] + even[:-2]
+    return b
 
 
 def _is_pow2_minus_1(n):
     return n >= 3 and ((n + 1) & n) == 0
 
 
-def build_hierarchy(A, coarsest_threshold=15):
-    """Coarsen A = A_0 by the Galerkin products R A R^T until the size
-    drops to coarsest_threshold, factorizing the last level."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not _is_pow2_minus_1(A.shape[0]):
+def build_hierarchy(c, coarsest_threshold=15):
+    """Coarsen the symmetric Toeplitz matrix with coefficients c by the
+    Galerkin recurrence until the size drops to coarsest_threshold,
+    factorizing the last level."""
+    if not isinstance(c, ToeplitzCoeffs):
+        raise TypeError("build_hierarchy takes ToeplitzCoeffs")
+    if not _is_pow2_minus_1(c.n):
         raise ValueError("size must be one less than a power of two")
     if coarsest_threshold < 1:
         raise ValueError("coarsest_threshold must be positive")
 
-    matrices = [A]
-    restrictions = []
-    while matrices[-1].shape[0] > coarsest_threshold:
-        R = build_restriction(matrices[-1].shape[0])
-        coarse = (R @ matrices[-1]) @ R.T
-        coarse = np.asarray(0.5 * (coarse + coarse.T))
-        matrices.append(coarse)
-        restrictions.append(R)
-    return Hierarchy(tuple(matrices), tuple(restrictions), cho_factor(matrices[-1]))
+    levels = [GridLevel(c)]
+    while levels[-1].n > coarsest_threshold:
+        a = _galerkin_coarse(levels[-1].coeffs.a)
+        levels.append(GridLevel(ToeplitzCoeffs(a.shape[0], a)))
+    coarsest = assemble_dense(levels[-1].coeffs)
+    return Hierarchy(tuple(levels), cho_factor(coarsest))
 
 
-def gauss_seidel_sweep(A, x, b, sweeps=1):
-    """Forward Gauss-Seidel: `sweeps` in-order passes over A x = b,
-    returning the updated iterate."""
-    A = np.asarray(A, dtype=float)
-    if np.any(np.diag(A) == 0.0):
+def gauss_seidel_sweep(level, x, b, sweeps=1):
+    """Forward Gauss-Seidel on the GridLevel's system T x = b: `sweeps`
+    updates x <- x + tril(T)^{-1} (b - T x), returning the new iterate."""
+    if level.coeffs.a[0] == 0.0:
         raise ValueError("Gauss-Seidel needs a zero-free diagonal")
-    lower = np.tril(A)
     x = np.array(x, dtype=float)
     for _ in range(sweeps):
-        x = x + solve_triangular(lower, b - A @ x, lower=True)
+        x = x + level.solve_lower(b - level.matvec(x))
     return x
 
 
-def _tau_preconditioner(h, level):
-    A = h.matrices[level]
-    if level == 0:
-        # finest matrix is Toeplitz, so its first row is the coefficient
-        # sequence and the cheap sine-transform form applies
-        return build_natural_tau(ToeplitzCoeffs(A.shape[0], A[0].copy()))
-    return build_frobenius_tau(A)
-
-
 def _assemble_smoothers(h, case):
-    """Per-level (pre, post) smoother callables, signature (A, x, b)."""
-
-    def gs(steps):
-        return lambda A, x, b: gauss_seidel_sweep(A, x, b, steps)
-
-    def pcg_step(P, steps):
-        return lambda A, x, b: cg_smooth_step(lambda v: A @ v, P, x, b, steps)
-
+    """Per-level (pre, post) smoother callables, signature (x, b)."""
     smoothers = []
-    for level in range(h.depth - 1):
-        n_level = h.matrices[level].shape[0]
+    for index, level in enumerate(h.levels[:-1]):
+
+        def gs(steps, level=level):
+            return lambda x, b: gauss_seidel_sweep(level, x, b, steps)
+
+        def pcg_step(kind, steps, level=level):
+            P = build_preconditioner(kind, level.coeffs)
+            return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
+
+        # the finest level is the problem's own Toeplitz matrix; the
+        # coarse Galerkin levels get the Frobenius-optimal tau
+        tau = PrecKind.NATURAL_TAU if index == 0 else PrecKind.FROBENIUS_TAU
         if case.tag is CaseTag.ALPHA:
             pair = (gs(case.nu_pre), gs(case.nu_post))
         elif case.tag is CaseTag.BETA:
-            pair = (gs(case.nu_pre), pcg_step(_tau_preconditioner(h, level), case.nu_post))
+            pair = (gs(case.nu_pre), pcg_step(tau, case.nu_post))
         elif case.tag in (CaseTag.GAMMA, CaseTag.DELTA):
-            pair = (
-                pcg_step(build_laplacian(n_level), case.nu_pre),
-                pcg_step(_tau_preconditioner(h, level), case.nu_post),
-            )
+            pair = (pcg_step(PrecKind.LAPLACIAN, case.nu_pre), pcg_step(tau, case.nu_post))
         elif case.tag is CaseTag.FINEST_ONLY:
-            if level == 0:
-                pair = (
-                    pcg_step(build_laplacian(n_level), case.nu_pre),
-                    pcg_step(_tau_preconditioner(h, level), case.nu_post),
-                )
+            if index == 0:
+                pair = (pcg_step(PrecKind.LAPLACIAN, case.nu_pre), pcg_step(tau, case.nu_post))
             else:
                 pair = (gs(1), gs(1))
         else:
@@ -205,25 +264,25 @@ def _assemble_smoothers(h, case):
     return smoothers
 
 
-def _cycle(h, smoothers, level, b, x):
-    if level == h.depth - 1:
+def _cycle(h, smoothers, index, b, x):
+    if index == h.depth - 1:
         return cho_solve(h.coarsest_factor, b)
-    A = h.matrices[level]
-    pre, post = smoothers[level]
-    x = pre(A, x, b)
-    R = h.restrictions[level]
-    coarse_residual = R @ (b - A @ x)
-    correction = _cycle(h, smoothers, level + 1, coarse_residual,
+    level = h.levels[index]
+    pre, post = smoothers[index]
+    x = pre(x, b)
+    coarse_residual = restrict(b - level.matvec(x))
+    correction = _cycle(h, smoothers, index + 1, coarse_residual,
                         np.zeros(coarse_residual.shape[0]))
-    x = x + R.T @ correction
-    return post(A, x, b)
+    x = x + prolong(correction)
+    return post(x, b)
 
 
 def _mgm_solve(h, case, b, x0, stop):
     if stop is None:
         stop = StoppingRule()
     b = np.asarray(b, dtype=float)
-    n = h.matrices[0].shape[0]
+    finest = h.levels[0]
+    n = finest.n
     if b.shape != (n,):
         raise ValueError("right-hand side length must match the finest level")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -232,16 +291,15 @@ def _mgm_solve(h, case, b, x0, stop):
     if norm_b == 0.0:
         return SolveReport(0, np.zeros(1), True, np.zeros(n))
 
-    A = h.matrices[0]
     smoothers = _assemble_smoothers(h, case)
-    history = [np.linalg.norm(b - A @ x) / norm_b]
+    history = [np.linalg.norm(b - finest.matvec(x)) / norm_b]
     if history[0] < stop.tol:
         return SolveReport(0, np.array(history), True, x)
 
     max_it = stop.resolve_max(n)
     for k in range(1, max_it + 1):
         x = _cycle(h, smoothers, 0, b, x)
-        scaled = np.linalg.norm(b - A @ x) / norm_b
+        scaled = np.linalg.norm(b - finest.matvec(x)) / norm_b
         history.append(scaled)
         if scaled < stop.tol:
             return SolveReport(k, np.array(history), True, x)

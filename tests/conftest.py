@@ -9,6 +9,8 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from dofde import (
     ToeplitzCoeffs,
@@ -52,6 +54,45 @@ def build_prec(kind, n):
 @functools.lru_cache(maxsize=None)
 def prec_spectrum(kind, n):
     return preconditioned_spectrum(np.asarray(dense_scaled(n)), build_prec(kind, n))
+
+
+# ---------------------------------------------------------------------------
+# dense and sparse multigrid oracles: the package coarsens and smooths on
+# Toeplitz coefficient vectors; these form the same operators explicitly
+
+
+def build_restriction(n):
+    """Sparse (n-1)/2 x n restriction applying [1, 2, 1] around every
+    second fine point; the prolongation is its transpose."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("restriction needs an odd size of at least 3")
+    m = (n - 1) // 2
+    rows = np.repeat(np.arange(m), 3)
+    cols = (2 * np.arange(m)[:, None] + np.arange(3)).ravel()
+    vals = np.tile([1.0, 2.0, 1.0], m)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+
+
+def galerkin_dense(A):
+    """The dense Galerkin product R A R^T."""
+    R = build_restriction(A.shape[0])
+    return np.asarray((R @ A) @ R.T)
+
+
+def gauss_seidel_dense(A, x, b):
+    """One forward Gauss-Seidel sweep by dense triangular solve."""
+    return x + solve_triangular(np.tril(A), b - A @ x, lower=True)
+
+
+def nonnegative_symbol_coeffs(n, rng, width=None):
+    """Random symmetric Toeplitz coefficients with a nonnegative symbol:
+    the autocorrelation of a random p gives |p(e^{i theta})|^2 >= 0
+    (Fejer-Riesz), and a positive shift of a_0 makes the matrix SPD."""
+    p = rng.standard_normal(width or n)
+    a = np.correlate(p, p, mode="full")[p.size - 1:][:n]
+    a = np.concatenate([a, np.zeros(n - a.size)])
+    a[0] += rng.uniform(1e-3, 1.0) * a[0]
+    return ToeplitzCoeffs(n, a)
 
 
 @pytest.fixture(scope="session")

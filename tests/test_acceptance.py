@@ -301,9 +301,9 @@ def test_criterion_6_multigrid_counts():
     }
     bad = []
     for n in shared.MGM_SIZES:
-        A = np.asarray(shared.dense_scaled(n))
-        h_two = build_hierarchy(A, coarsest_threshold=(n - 1) // 2)
-        h_full = build_hierarchy(A)
+        c = shared.scaled_coeffs(n)
+        h_two = build_hierarchy(c, coarsest_threshold=(n - 1) // 2)
+        h_full = build_hierarchy(c)
         b = np.ones(n)
         for name, case in cases.items():
             t = tgm(h_two, case, b).iterations

@@ -3,12 +3,15 @@
 The traced benchmark wraps every function in `dofde.__all__` and reports
 `<layer>.<fn>.s` and `<layer>.<fn>.calls` for each.  A metric whose
 function was deleted or renamed makes every traced run fail, so each such
-name in BENCHMARK.json must still resolve.  The file is only read here.
+name in BENCHMARK.json must still resolve.  The counters it reads from
+return values must keep their shape too.  The file is only read here.
 """
 
 import json
 import pkgutil
 from pathlib import Path
+
+import numpy as np
 
 import dofde
 
@@ -41,3 +44,14 @@ def test_per_layer_metrics_name_exported_functions():
         or getattr(getattr(dofde, fn, None), "__module__", None) != f"dofde.{layer}"
     ]
     assert not missing, f"BENCHMARK.json names functions dofde does not export: {missing}"
+
+
+def test_hierarchy_bytes_count_level_coefficients():
+    # the traced benchmark reports `multigrid.hierarchy_bytes` as
+    # sum(m.nbytes for m in hierarchy.matrices), so `matrices` must stay a
+    # tuple holding each level's first column
+    n = 63
+    h = dofde.build_hierarchy(dofde.ToeplitzCoeffs(n, np.eye(n)[0] * 2.0))
+    assert isinstance(h.matrices, tuple)
+    assert [m.shape for m in h.matrices] == [(63,), (31,), (15,)]
+    assert sum(m.nbytes for m in h.matrices) == 8 * (63 + 31 + 15)

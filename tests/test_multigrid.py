@@ -1,134 +1,189 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 from dofde import (
     MgmCase,
     CaseTag,
+    GridLevel,
     StoppingRule,
+    ToeplitzCoeffs,
+    assemble_dense,
     build_hierarchy,
-    build_restriction,
     case_alpha,
     case_beta,
     case_delta,
     case_finest_only,
     case_gamma,
     gauss_seidel_sweep,
+    prolong,
+    restrict,
     tgm,
     vcycle,
 )
 
 
-def laplacian_dense(n):
-    return (
-        np.diag(np.full(n, 2.0))
-        - np.diag(np.ones(n - 1), 1)
-        - np.diag(np.ones(n - 1), -1)
-    )
+def laplacian_coeffs(n):
+    a = np.zeros(n)
+    a[:2] = [2.0, -1.0]
+    return ToeplitzCoeffs(n, a)
 
 
 def two_level(n):
-    return build_hierarchy(
-        np.asarray(shared.dense_scaled(n)), coarsest_threshold=(n - 1) // 2
-    )
+    return build_hierarchy(shared.scaled_coeffs(n), coarsest_threshold=(n - 1) // 2)
 
 
 def full_depth(n):
-    return build_hierarchy(np.asarray(shared.dense_scaled(n)))
+    return build_hierarchy(shared.scaled_coeffs(n))
+
+
+def level(a):
+    a = np.asarray(a, dtype=float)
+    return GridLevel(ToeplitzCoeffs(a.size, a))
+
+
+@st.composite
+def random_system(draw):
+    """n = 2^k - 1, k = 2..9, and random symmetric Toeplitz coefficients
+    of a random bandwidth whose symbol is nonnegative."""
+    n = 2 ** draw(st.integers(2, 9)) - 1
+    width = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shared.nonnegative_symbol_coeffs(n, rng, width)
 
 
 class TestRestriction:
     def test_smallest(self):
-        R = build_restriction(3)
-        np.testing.assert_array_equal(R.toarray(), [[1.0, 2.0, 1.0]])
+        np.testing.assert_array_equal(restrict([1.0, 10.0, 100.0]), [121.0])
 
     def test_stencil_placement(self):
-        R = build_restriction(7).toarray()
+        R = np.column_stack([restrict(e) for e in np.eye(7)])
         assert R.shape == (3, 7)
         expected = np.zeros((3, 7))
         for i in range(3):
             expected[i, 2 * i : 2 * i + 3] = [1.0, 2.0, 1.0]
         np.testing.assert_array_equal(R, expected)
+        P = np.column_stack([prolong(e) for e in np.eye(3)])
+        np.testing.assert_array_equal(P, expected.T)
 
     def test_constant_vector(self):
-        R = build_restriction(15)
-        np.testing.assert_allclose(R @ np.full(15, 3.0), np.full(7, 12.0))
+        np.testing.assert_allclose(restrict(np.full(15, 3.0)), np.full(7, 12.0))
 
     def test_even_size_rejected(self):
         with pytest.raises(ValueError):
-            build_restriction(8)
+            restrict(np.ones(8))
+        with pytest.raises(ValueError):
+            restrict(np.ones(1))
+
+    @settings(deadline=None)
+    @given(k=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_stencils_equal_sparse_oracle(self, k, seed):
+        n = 2**k - 1
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal((n - 1) // 2)
+        R = shared.build_restriction(n)
+        np.testing.assert_array_equal(restrict(x), R @ x)
+        np.testing.assert_array_equal(prolong(y), R.T @ y)
 
 
 class TestHierarchy:
     def test_galerkin_triple_product(self):
-        A = laplacian_dense(7)
-        h = build_hierarchy(A, coarsest_threshold=3)
-        R = h.restrictions[0].toarray()
-        np.testing.assert_allclose(h.matrices[1], R @ A @ R.T, atol=1e-13)
-        coarse = h.matrices[1]
+        c = laplacian_coeffs(7)
+        h = build_hierarchy(c, coarsest_threshold=3)
+        A = assemble_dense(c)
+        R = shared.build_restriction(7).toarray()
+        coarse = assemble_dense(h.levels[1].coeffs)
+        np.testing.assert_allclose(coarse, R @ A @ R.T, atol=1e-13)
         assert np.all(np.diag(coarse) > 0)
         # tridiagonal: nothing beyond the first off-diagonal
         assert abs(coarse[0, 2]) < 1e-14
 
+    @settings(deadline=None, max_examples=60)
+    @given(c=random_system())
+    def test_recurrence_matches_dense_galerkin_oracle(self, c):
+        h = build_hierarchy(c, coarsest_threshold=1)
+        assert [lv.n for lv in h.levels] == [2**j - 1 for j in range(c.n.bit_length(), 0, -1)]
+        dense = assemble_dense(c)
+        for lv in h.levels[1:]:
+            dense = shared.galerkin_dense(dense)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(assemble_dense(lv.coeffs) - dense)) <= 1e-13 * scale
+
     def test_threshold_stops_after_one_coarsening(self):
-        h = build_hierarchy(np.asarray(shared.dense_scaled(31)), coarsest_threshold=15)
+        h = build_hierarchy(shared.scaled_coeffs(31), coarsest_threshold=15)
         assert h.depth == 2
         assert [m.shape[0] for m in h.matrices] == [31, 15]
 
     def test_every_level_symmetric(self):
+        # levels are stored as symmetric Toeplitz columns; Galerkin
+        # coarsening must also keep every one positive definite
         h = full_depth(63)
-        for M in h.matrices:
-            assert np.abs(M - M.T).max() < 1e-13
+        for lv in h.levels:
+            M = assemble_dense(lv.coeffs)
+            assert np.abs(M - M.T).max() == 0.0
+            assert np.linalg.eigvalsh(M)[0] > 0.0
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            build_hierarchy(np.eye(6))
-        with pytest.raises(ValueError):
-            build_hierarchy(np.eye(9))
+        for n in (6, 9):
+            with pytest.raises(ValueError):
+                build_hierarchy(ToeplitzCoeffs(n, np.eye(n)[0]))
+        with pytest.raises(TypeError):
+            build_hierarchy(np.eye(7))
 
     def test_galerkin_consistency(self):
         # at the exact solution the restricted residual vanishes
         n = 31
         A = np.asarray(shared.dense_scaled(n))
-        h = two_level(n)
         b = np.ones(n)
         x_star = np.linalg.solve(A, b)
-        coarse_residual = h.restrictions[0] @ (b - A @ x_star)
+        coarse_residual = restrict(b - two_level(n).levels[0].matvec(x_star))
         assert np.abs(coarse_residual).max() < 1e-12
 
 
 class TestGaussSeidel:
     def test_diagonal_system_one_sweep(self):
-        A = np.diag([2.0, 4.0, 8.0])
         b = np.array([2.0, 8.0, 32.0])
-        x = gauss_seidel_sweep(A, np.zeros(3), b, sweeps=1)
-        np.testing.assert_allclose(x, [1.0, 2.0, 4.0], atol=1e-14)
+        x = gauss_seidel_sweep(level([2.0, 0.0, 0.0]), np.zeros(3), b, sweeps=1)
+        np.testing.assert_allclose(x, [1.0, 4.0, 16.0], atol=1e-14)
 
     def test_hand_worked_two_by_two(self):
-        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        # [[2, 1], [1, 2]] from zero: x0 = 1/2, x1 = (2 - 1/2)/2
         b = np.array([1.0, 2.0])
-        x = gauss_seidel_sweep(A, np.zeros(2), b, sweeps=1)
-        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-14)
+        x = gauss_seidel_sweep(level([2.0, 1.0]), np.zeros(2), b, sweeps=1)
+        np.testing.assert_allclose(x, [0.5, 0.75], atol=1e-14)
 
     def test_energy_error_non_increasing(self):
         rng = np.random.default_rng(77)
-        M = rng.standard_normal((12, 12))
-        A = M @ M.T + 12 * np.eye(12)
+        c = shared.nonnegative_symbol_coeffs(12, rng)
+        A = assemble_dense(c)
         b = rng.standard_normal(12)
         x_ref = np.linalg.solve(A, b)
         x = np.zeros(12)
         prev = np.inf
         for _ in range(5):
-            x = gauss_seidel_sweep(A, x, b, sweeps=1)
+            x = gauss_seidel_sweep(GridLevel(c), x, b, sweeps=1)
             e = x - x_ref
             energy = float(e @ (A @ e))
             assert energy <= prev * (1 + 1e-12)
             prev = energy
 
     def test_zero_diagonal_rejected(self):
-        A = np.array([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            gauss_seidel_sweep(A, np.zeros(2), np.ones(2))
+            gauss_seidel_sweep(level([0.0, 1.0]), np.zeros(2), np.ones(2))
+
+    @settings(deadline=None, max_examples=60)
+    @given(c=random_system(), seed=st.integers(0, 2**32 - 1), sweeps=st.integers(1, 3))
+    def test_matches_dense_oracle(self, c, seed, sweeps):
+        rng = np.random.default_rng(seed)
+        x, b = rng.standard_normal((2, c.n))
+        A = assemble_dense(c)
+        expected = x
+        for _ in range(sweeps):
+            expected = shared.gauss_seidel_dense(A, expected, b)
+        got = gauss_seidel_sweep(GridLevel(c), x, b, sweeps=sweeps)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestCaseConfigs:
@@ -151,8 +206,7 @@ class TestSolvers:
     def test_exact_smoother_converges_immediately(self):
         # on the pure stencil matrix the Laplacian smoother is exact
         n = 15
-        A = laplacian_dense(n)
-        h = build_hierarchy(A, coarsest_threshold=7)
+        h = build_hierarchy(laplacian_coeffs(n), coarsest_threshold=7)
         report = tgm(h, case_gamma(), np.ones(n))
         assert report.converged
         assert report.iterations == 1
@@ -217,3 +271,19 @@ class TestSolvers:
     def test_zero_rhs(self):
         report = vcycle(full_depth(31), case_alpha(), np.zeros(31))
         assert report.converged and report.iterations == 0
+
+
+class TestScale:
+    def test_vcycles_at_65535(self):
+        # the coefficient hierarchy keeps 8 (n + n/2 + ...) < 16 n bytes;
+        # a dense finest level alone would take 34 GB at this size
+        n = 2**16 - 1
+        h = full_depth(n)
+        assert h.depth == 13
+        assert sum(m.nbytes for m in h.matrices) <= 16 * n
+        # the residual's rounding floor here is 5e-8 to 9e-8, so cap the
+        # cycles: a solve that misses 1e-7 fails instead of running 10 n
+        stop = StoppingRule(tol=1e-7, max_iterations=30)
+        for case in (case_alpha(), case_gamma()):
+            report = vcycle(h, case, np.ones(n), stop=stop)
+            assert report.converged, case.tag
