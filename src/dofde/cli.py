@@ -38,7 +38,7 @@ from .quadrature import (
     upper_bound_constant,
 )
 from .spectral import count_outliers, min_eig_normalized, preconditioned_spectra
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, assemble_dense, coeffs_via_fft
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["RunConfig", "CliError", "parse_sizes", "run", "main"]
 
@@ -234,7 +234,7 @@ def _cmd_spectrum(config):
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
         spectra = preconditioned_spectra(
-            assemble_dense(scaled), [build_preconditioner(kind, scaled) for kind in precs])
+            scaled, [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
             rows.append([str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
@@ -246,7 +246,7 @@ def _cmd_outliers(config):
     for n in config.sizes:
         scaled = _scaled_coeffs(n, 1e-10)
         spectra = preconditioned_spectra(
-            assemble_dense(scaled), [build_preconditioner(kind, scaled) for kind in precs])
+            scaled, [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
             for eps in config.eps:
                 rep = count_outliers(s, eps)

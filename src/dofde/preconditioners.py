@@ -175,24 +175,16 @@ def build_natural_tau(c):
     return _checked(PrecKind.NATURAL_TAU, c.n, _natural_tau_spectrum(c.a))
 
 
-def build_frobenius_tau(A):
-    """Frobenius-optimal tau matrix of a symmetric matrix: since Q is
-    orthogonal, the minimizer over Q diag(d) Q has d = diag(Q A Q).
-
-    Accepts ToeplitzCoeffs, for which d has a closed form computed in
-    O(n log n) by one FFT, or a dense symmetric matrix, for which
-    diag(Q A Q) is formed by two dense sine transforms (the oracle).
+def build_frobenius_tau(c):
+    """Frobenius-optimal tau matrix of the symmetric Toeplitz matrix T
+    with coefficients c (ToeplitzCoeffs): since Q is orthogonal, the
+    minimizer over Q diag(d) Q has d = diag(Q T Q), which has a closed
+    form computed in O(n log n) by one FFT.  Raises TypeError for any
+    other input.
     """
-    if isinstance(A, ToeplitzCoeffs):
-        n = A.n
-        d = _frobenius_tau_spectrum(A.a)
-    else:
-        A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n) or not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
-            raise ValueError("A must be square symmetric")
-        d = np.diag(dst1(dst1(A, axis=0), axis=1)).copy()
-    return _checked(PrecKind.FROBENIUS_TAU, n, d)
+    if not isinstance(c, ToeplitzCoeffs):
+        raise TypeError("build_frobenius_tau takes ToeplitzCoeffs")
+    return _checked(PrecKind.FROBENIUS_TAU, c.n, _frobenius_tau_spectrum(c.a))
 
 
 def build_laplacian(n):

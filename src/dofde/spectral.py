@@ -9,10 +9,21 @@ Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
 commutes with the flip J, and so do the circulant and sine-transform
 preconditioners.  Each eigenproblem therefore splits into a flip-even
 and a flip-odd block of half the order (Cantoni and Butler, Linear
-Algebra Appl. 13, 1976), which are solved separately and merged.  A
-sine-domain preconditioner Q diag(d) Q is handled in its transform
+Algebra Appl. 13, 1976), which are solved separately and merged.  The
+blocks of the Toeplitz matrix itself fold straight from its first
+column.
+
+A sine-domain preconditioner Q diag(d) Q is handled in its transform
 domain, where P^(-1/2) A P^(-1/2) is orthogonally similar to
 D^(-1/2) (Q A Q) D^(-1/2) and the sine vectors alternate in parity.
+B = Q A Q is never transformed densely: with H = tridiag(1, 0, 1),
+Q H Q = diag(2 cos(j theta)) and the displacement H A - A H has rank
+four, so every off-diagonal entry of B is a Cauchy-like quotient of
+O(n) generators (Bini and Capovani, Linear Algebra Appl. 52/53, 1983;
+Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), and its
+diagonal is the Frobenius-tau closed form.  Each parity block then
+costs O(n^2) to form, and only its eigensolve is dense.  The dense
+sine-transform pair dst1(dst1(A)) survives as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .preconditioners import _SINE, PrecKind, apply_inverse_sqrt
-from .toeplitz import assemble_dense, coeffs_via_fft
+from .preconditioners import _SINE, PrecKind, _frobenius_tau_spectrum, apply_inverse_sqrt
+from .toeplitz import ToeplitzCoeffs, assemble_dense, coeffs_via_fft
 from .transforms import dst1
 
 __all__ = [
@@ -59,17 +70,15 @@ class OutlierReport:
     percent: float
 
 
-def _check_symmetric(A, centro=False):
+def _check_symmetric(A):
     """A as a float array; raises ValueError unless it is square and
-    symmetric and, with centro=True, also commutes with the flip J."""
+    symmetric."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(A).max() or 1.0
     if np.abs(A - A.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix must be symmetric")
-    if centro and np.abs(A - A[::-1, ::-1]).max() > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix must commute with the flip (J A J = A)")
     return A
 
 
@@ -96,6 +105,49 @@ def _flip_blocks(M):
     else:
         even = m11 + m12j
     return [0.5 * (b + b.T) for b in (even, odd)]
+
+
+def _toeplitz_flip_blocks(a):
+    """The flip-parity blocks of the symmetric Toeplitz matrix with first
+    column a, folded from its leading ceil(n/2) rows a[|i - j|]."""
+    n = len(a)
+    rows = np.arange(n - n // 2)
+    return _flip_blocks(a[np.abs(rows[:, None] - np.arange(n))])
+
+
+def _sine_blocks(a):
+    """The even- and odd-indexed principal blocks of B = Q T Q for the
+    symmetric Toeplitz matrix T with first column a, in O(n^2).
+
+    With theta = pi/(n+1), H = tridiag(1, 0, 1), u_k = a_k for k = 1..n
+    (a_n := 0), q = Q e_1 and u^ = Q u,
+    H T - T H = u e_1^T - e_1 u^T + (J u) e_n^T - e_n (J u)^T, and
+    Q J = diag((-1)^(j+1)) Q, so for j = k (mod 2), j != k,
+    B_jk = (u^_j q_k - q_j u^_k) / (-2 sin((j+k) theta/2) sin((j-k) theta/2)),
+    while B is zero across parities.  Both sines come from one table of
+    sin(m theta/2), which avoids the cancellation of
+    cos(j theta) - cos(k theta); the diagonal is diag(Q T Q) in closed
+    form.  Numerator and denominator are antisymmetric to the last bit,
+    so each block is exactly symmetric.
+    """
+    n = len(a)
+    half = np.sin(np.arange(2 * n + 2) * (0.5 * np.pi / (n + 1)))
+    q = np.sqrt(2.0 / (n + 1)) * half[2 : 2 * n + 1 : 2]
+    u = np.zeros(n)
+    u[: n - 1] = a[1:]
+    u_hat = dst1(u)
+    diag = _frobenius_tau_spectrum(a)
+    blocks = []
+    for p in (0, 1):
+        j = np.arange(p + 1, n + 1, 2)
+        uj, qj = u_hat[j - 1], q[j - 1]
+        diff = j[:, None] - j[None, :]
+        den = -2.0 * np.sign(diff) * half[np.abs(diff)] * half[j[:, None] + j[None, :]]
+        np.fill_diagonal(den, 1.0)
+        block = (np.outer(uj, qj) - np.outer(qj, uj)) / den
+        np.fill_diagonal(block, diag[j - 1])
+        blocks.append(block)
+    return blocks
 
 
 def _merged_spectrum(blocks):
@@ -164,41 +216,46 @@ def lanczos_extremes(apply_A, n, iters):
 
 def min_eig_normalized(n, stabilization_tol=1e-10):
     """n times the smallest eigenvalue of the order-n stiffness matrix,
-    computed by dense eigensolves of its two flip-parity blocks."""
+    computed by dense eigensolves of its two flip-parity blocks, which
+    are folded from the coefficient vector."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    A = assemble_dense(coeffs_via_fft(n, stabilization_tol=stabilization_tol))
-    return n * _merged_spectrum(_flip_blocks(A)).lambda_min
+    c = coeffs_via_fft(n, stabilization_tol=stabilization_tol)
+    return n * _merged_spectrum(_toeplitz_flip_blocks(c.a)).lambda_min
 
 
-def preconditioned_spectra(A, precs):
-    """Spectra of P^(-1/2) A P^(-1/2), one per P in precs, for a
-    symmetric A that commutes with the flip J (A symmetric Toeplitz).
+def preconditioned_spectra(c, precs):
+    """Spectra of P^(-1/2) A P^(-1/2), one per P in precs, for the
+    symmetric Toeplitz matrix A with coefficients c (ToeplitzCoeffs).
 
-    Sine-domain kinds share one B = Q A Q: for P = Q diag(d) Q the
-    spectrum is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed
-    rows and columns form the two parity blocks.  Circulant kinds form
-    the leading ceil(n/2) columns of M = P^(-1/2) A P^(-1/2) by
-    transforms and fold them into the parity blocks; the identity folds
-    A itself.  Raises ValueError when A is not symmetric, does not
-    commute with J, or has the wrong order.
+    Sine-domain kinds share the two parity blocks of B = Q A Q, built
+    from c without a dense transform: for P = Q diag(d) Q the spectrum
+    is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed rows and
+    columns form the two blocks.  The identity folds the parity blocks
+    of A from c.  Only circulant kinds assemble A: they form the leading
+    ceil(n/2) columns of M = P^(-1/2) A P^(-1/2) by transforms and fold
+    them into the parity blocks.  Raises TypeError unless c is
+    ToeplitzCoeffs and ValueError when a preconditioner has the wrong
+    order.
     """
-    A = _check_symmetric(A, centro=True)
-    n = A.shape[0]
-    B = None
+    if not isinstance(c, ToeplitzCoeffs):
+        raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
+    n = c.n
+    sine_blocks = A = None
     reports = []
     for P in precs:
         if P.n != n:
             raise ValueError("preconditioner order must match the matrix")
         if P.kind in _SINE:
-            if B is None:
-                B = dst1(dst1(A, axis=0), axis=1)
-                B = 0.5 * (B + B.T)
+            if sine_blocks is None:
+                sine_blocks = _sine_blocks(c.a)
             s = 1.0 / np.sqrt(P.spectrum)
-            blocks = [s[p::2, None] * B[p::2, p::2] * s[None, p::2] for p in (0, 1)]
+            blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(sine_blocks)]
         elif P.kind is PrecKind.IDENTITY:
-            blocks = _flip_blocks(A)
+            blocks = _toeplitz_flip_blocks(c.a)
         else:
+            if A is None:
+                A = assemble_dense(c)
             half = apply_inverse_sqrt(P, A)
             # M is symmetric, so its leading columns are its leading rows
             blocks = _flip_blocks(apply_inverse_sqrt(P, half[: n - n // 2].T).T)
@@ -206,10 +263,11 @@ def preconditioned_spectra(A, precs):
     return reports
 
 
-def preconditioned_spectrum(A, P):
-    """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A;
-    the one-preconditioner case of preconditioned_spectra."""
-    return preconditioned_spectra(A, [P])[0]
+def preconditioned_spectrum(c, P):
+    """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A,
+    for A with Toeplitz coefficients c; the one-preconditioner case of
+    preconditioned_spectra."""
+    return preconditioned_spectra(c, [P])[0]
 
 
 def count_outliers(s, eps):

@@ -17,6 +17,7 @@ from dofde import (
     assemble_dense,
     build_preconditioner,
     coeffs_via_fft,
+    dst1,
     preconditioned_spectrum,
     toeplitz_matvec,
 )
@@ -53,7 +54,28 @@ def build_prec(kind, n):
 
 @functools.lru_cache(maxsize=None)
 def prec_spectrum(kind, n):
-    return preconditioned_spectrum(np.asarray(dense_scaled(n)), build_prec(kind, n))
+    return preconditioned_spectrum(scaled_coeffs(n), build_prec(kind, n))
+
+
+# ---------------------------------------------------------------------------
+# dense sine-transform oracles: the package forms diag(Q A Q) in closed
+# form and the parity blocks of Q A Q from the displacement identity;
+# these transform the assembled matrix twice
+
+
+def sine_transform_dense(A):
+    """Q A Q for a dense matrix A, by two n x n sine transforms."""
+    return dst1(dst1(np.asarray(A, dtype=float), axis=0), axis=1)
+
+
+def frobenius_tau_dense(A):
+    """diag(Q A Q), the spectrum of the Frobenius-optimal tau matrix of a
+    dense symmetric matrix A; ValueError unless A is square symmetric."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n) or not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
+        raise ValueError("A must be square symmetric")
+    return np.diag(sine_transform_dense(A)).copy()
 
 
 # ---------------------------------------------------------------------------

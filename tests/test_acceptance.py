@@ -365,7 +365,7 @@ def test_criterion_8_oracle_equivalences():
     Q = np.sqrt(2.0 / 9.0) * np.sin(np.outer(j, j) * np.pi / 9.0)
     checks["frobenius tau projection"] = (
         np.abs(
-            np.sort(build_frobenius_tau(A8).spectrum) - np.sort(np.diag(Q @ A8 @ Q))
+            np.sort(build_frobenius_tau(small).spectrum) - np.sort(np.diag(Q @ A8 @ Q))
         ).max()
         <= 1e-12
     )

@@ -1,10 +1,17 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dofde.preconditioners
+import dofde.spectral
 from dofde import NotSPDError
 from dofde.cli import CliError, RunConfig, main, parse_sizes, run
+
+# Tables recorded from an earlier version of the program; read, never written.
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "full"
 
 
 class TestParseSizes:
@@ -165,3 +172,54 @@ class TestErrorPaths:
         assert run(RunConfig(command="nope")) == 2
         assert run(RunConfig(command="pcg", sizes=[1])) == 2
         assert run(RunConfig(command="bounds", format="xml")) == 2
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _cell_matches(got, want):
+    """Integer and text cells exactly, float cells to 1e-8 relative plus
+    1e-12 absolute."""
+    if got == want or want.lstrip("-").isdigit():
+        return got == want
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    return abs(g - w) <= 1e-8 * abs(w) + 1e-12
+
+
+class TestReferenceTables:
+    @pytest.mark.parametrize("command", ["spectrum", "outliers", "mineig"])
+    def test_rows_match_recorded_reference(self, command, tmp_path):
+        assert main([command, "--sizes", "32..512", "--out", str(tmp_path)]) == 0
+        got = _read_csv(tmp_path / f"{command}.csv")
+        want = _read_csv(REFERENCE_DIR / f"{command}.csv")
+        assert got[0] == want[0]
+        sizes = {"32", "64", "128", "256", "512"}
+        assert {row[0] for row in got[1:]} == sizes
+        want_rows = [row for row in want[1:] if row[0] in sizes]
+        assert len(got) - 1 == len(want_rows)
+        for g, w in zip(got[1:], want_rows):
+            assert len(g) == len(w) and all(map(_cell_matches, g, w)), (g, w)
+
+
+class TestNoDenseSineTransform:
+    def test_spectra_transform_vectors_only(self, monkeypatch, tmp_path):
+        # B = Q A Q comes from the displacement identity: a dense sine
+        # transform anywhere on the spectrum/outliers path fails here
+        vector_calls = []
+        for module in (dofde.spectral, dofde.preconditioners):
+            def vectors_only(x, axis=-1, _dst1=module.dst1):
+                if np.ndim(x) > 1:
+                    raise AssertionError(f"dst1 called on a {np.shape(x)} array")
+                vector_calls.append(np.shape(x))
+                return _dst1(x, axis=axis)
+
+            monkeypatch.setattr(module, "dst1", vectors_only)
+        for argv in (["spectrum", "--precs", "natural_tau,frobenius_tau,laplacian"],
+                     ["outliers"]):
+            assert main(argv + ["--sizes", "32..128", "--out", str(tmp_path)]) == 0
+        assert len(vector_calls) >= 6

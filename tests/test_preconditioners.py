@@ -135,21 +135,24 @@ class TestFrobeniusTau:
         A = assemble_dense(c)
         Q = sine_matrix(n)
         expected = np.diag(Q @ A @ Q)
-        P = build_frobenius_tau(A)
+        P = build_frobenius_tau(c)
         np.testing.assert_allclose(np.sort(P.spectrum), np.sort(expected), atol=1e-12)
 
     def test_input_routes_agree(self):
         c = random_coeffs(9, 55)
         from_coeffs = build_frobenius_tau(c)
-        from_dense = build_frobenius_tau(assemble_dense(c))
-        np.testing.assert_allclose(
-            from_coeffs.spectrum, from_dense.spectrum, atol=1e-11
-        )
+        from_dense = shared.frobenius_tau_dense(assemble_dense(c))
+        np.testing.assert_allclose(from_coeffs.spectrum, from_dense, atol=1e-11)
 
     def test_rejects_asymmetric(self):
+        # the builder takes ToeplitzCoeffs only; the dense oracle keeps
+        # the symmetry check
         M = np.arange(16.0).reshape(4, 4)
+        for dense in (M, M + M.T):
+            with pytest.raises(TypeError):
+                build_frobenius_tau(dense)
         with pytest.raises(ValueError):
-            build_frobenius_tau(M)
+            shared.frobenius_tau_dense(M)
 
     @settings(deadline=None)
     @given(
@@ -166,7 +169,7 @@ class TestFrobeniusTau:
         a = np.concatenate([[2.0 * np.abs(tail).sum() + margin], tail])
         c = ToeplitzCoeffs(len(a), a)
         d = build_frobenius_tau(c).spectrum
-        oracle = build_frobenius_tau(assemble_dense(c)).spectrum
+        oracle = shared.frobenius_tau_dense(assemble_dense(c))
         assert np.abs(d - oracle).max() <= 1e-13 * np.abs(oracle).max()
         d_alpha = build_frobenius_tau(ToeplitzCoeffs(len(a), alpha * a)).spectrum
         assert np.abs(d_alpha - alpha * d).max() <= 1e-13 * alpha * np.abs(d).max()

@@ -26,6 +26,7 @@ from dofde import (
     preconditioned_spectra,
     preconditioned_spectrum,
 )
+from dofde.spectral import _sine_blocks
 
 
 def laplacian_dense(n):
@@ -34,6 +35,10 @@ def laplacian_dense(n):
         - np.diag(np.ones(n - 1), 1)
         - np.diag(np.ones(n - 1), -1)
     )
+
+
+def laplacian_coeffs(n):
+    return ToeplitzCoeffs(n, np.concatenate([[2.0, -1.0], np.zeros(n - 2)]))
 
 
 def char_poly_coeffs(A):
@@ -133,7 +138,7 @@ class TestMinEigNormalized:
 class TestPreconditionedSpectrum:
     def test_exact_preconditioner_gives_ones(self):
         n = 40
-        rep = preconditioned_spectrum(laplacian_dense(n), build_laplacian(n))
+        rep = preconditioned_spectrum(laplacian_coeffs(n), build_laplacian(n))
         np.testing.assert_allclose(rep.eigenvalues, np.ones(n), atol=1e-10)
 
     def test_published_anchor_small(self):
@@ -151,13 +156,11 @@ class TestPreconditionedSpectrum:
             np.testing.assert_allclose(sym, general, atol=1e-8)
 
     def test_scaling_invariance(self):
-        from dofde import ToeplitzCoeffs, assemble_dense, build_natural_tau
-
         n = 24
         c = shared.scaled_coeffs(n)
-        base = preconditioned_spectrum(assemble_dense(c), build_natural_tau(c))
+        base = preconditioned_spectrum(c, build_natural_tau(c))
         c_big = ToeplitzCoeffs(n, 3.7 * c.a)
-        scaled = preconditioned_spectrum(assemble_dense(c_big), build_natural_tau(c_big))
+        scaled = preconditioned_spectrum(c_big, build_natural_tau(c_big))
         np.testing.assert_allclose(base.eigenvalues, scaled.eigenvalues, rtol=1e-10)
 
 
@@ -196,10 +199,10 @@ class TestParitySpectra:
             build_frobenius_tau(c),
             build_laplacian(n),
         ]
-        batch = preconditioned_spectra(A, precs)
+        batch = preconditioned_spectra(c, precs)
         for P, rep in zip(precs, batch):
             oracle = dense_sym_eigs(explicit_preconditioned(A, P)).eigenvalues
-            single = preconditioned_spectrum(A, P).eigenvalues
+            single = preconditioned_spectrum(c, P).eigenvalues
             np.testing.assert_array_equal(single, rep.eigenvalues)
             assert rep.eigenvalues.shape == (n,)
             assert np.abs(rep.eigenvalues - oracle).max() <= 1e-12 * oracle.max(), P.kind
@@ -214,14 +217,52 @@ class TestParitySpectra:
         assert min_eig_normalized(n) == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_symmetric_matrix_that_does_not_commute_with_flip(self):
+        # only ToeplitzCoeffs are accepted, so no dense matrix, Toeplitz
+        # or not, can reach the Toeplitz-only block formulas
         A = np.diag([4.0, 3.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
         dense_sym_eigs(A)  # symmetric, so the generic eigensolver accepts it
-        with pytest.raises(ValueError):
-            preconditioned_spectrum(A, build_identity(3))
+        for dense in (A, assemble_dense(laplacian_coeffs(3))):
+            with pytest.raises(TypeError):
+                preconditioned_spectrum(dense, build_identity(3))
+            with pytest.raises(TypeError):
+                preconditioned_spectra(dense, [build_laplacian(3)])
 
     def test_rejects_order_mismatch(self):
         with pytest.raises(ValueError):
-            preconditioned_spectra(np.eye(4), [build_identity(5)])
+            preconditioned_spectra(laplacian_coeffs(4), [build_identity(5)])
+
+
+class TestSineBlocks:
+    """The parity blocks of B = Q A Q from the displacement identity
+    against the dense sine-transform pair."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.integers(1, 300).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+    @example(a=np.array([0.7]))
+    @example(a=np.array([0.7, -0.3]))
+    @example(a=np.array([0.7, -0.3, 0.1]))
+    def test_blocks_match_dense_oracle(self, a):
+        n = len(a)
+        B = shared.sine_transform_dense(assemble_dense(ToeplitzCoeffs(n, a)))
+        blocks = _sine_blocks(a)
+        scale = np.abs(B).max()
+        for p, block in enumerate(blocks):
+            assert block.shape == B[p::2, p::2].shape
+            assert np.array_equal(block, block.T)
+            if block.size:
+                assert np.abs(block - B[p::2, p::2]).max() <= 1e-13 * scale, (n, p)
+
+    def test_extremes_at_1024_match_full_size_eigensolve(self):
+        n = 1024
+        c = shared.scaled_coeffs(n)
+        A = np.asarray(shared.dense_scaled(n))
+        kinds = [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN]
+        precs = [shared.build_prec(kind, n) for kind in kinds]
+        for P, rep in zip(precs, preconditioned_spectra(c, precs)):
+            oracle = dense_sym_eigs(explicit_preconditioned(A, P))
+            assert rep.lambda_min == pytest.approx(oracle.lambda_min, rel=1e-9), P.kind
+            assert rep.lambda_max == pytest.approx(oracle.lambda_max, rel=1e-9), P.kind
 
 
 class TestOutliers:
