@@ -151,8 +151,8 @@ def _fmt(x):
     return "%.10e" % float(x)
 
 
-def _scaled_coeffs(n, tol):
-    c = coeffs_via_fft(n, stabilization_tol=tol)
+def _scaled_coeffs(n):
+    c = coeffs_via_fft(n)
     return ToeplitzCoeffs(n, c.a / n)
 
 
@@ -214,7 +214,7 @@ def _cmd_pcg(config):
     for n in config.sizes:
         if n < 2:
             raise CliError(f"pcg needs n >= 2, got {n}")
-        scaled = _scaled_coeffs(n, 1e-10)
+        scaled = _scaled_coeffs(n)
         op = ToeplitzOperator(scaled)
         b = np.ones(n)
         stop = StoppingRule(tol=config.tol)
@@ -232,7 +232,7 @@ def _cmd_spectrum(config):
     precs = config.preconditioners or _DEFAULT_PRECS["spectrum"]
     rows = []
     for n in config.sizes:
-        scaled = _scaled_coeffs(n, 1e-10)
+        scaled = _scaled_coeffs(n)
         spectra = preconditioned_spectra(
             scaled, [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
@@ -244,7 +244,7 @@ def _cmd_outliers(config):
     precs = config.preconditioners or _DEFAULT_PRECS["outliers"]
     rows = []
     for n in config.sizes:
-        scaled = _scaled_coeffs(n, 1e-10)
+        scaled = _scaled_coeffs(n)
         spectra = preconditioned_spectra(
             scaled, [build_preconditioner(kind, scaled) for kind in precs])
         for kind, s in zip(precs, spectra):
@@ -264,7 +264,7 @@ def _cmd_mgm(config):
     for n in config.sizes:
         if (n + 1) & n or n < 3:
             raise CliError(f"mgm needs sizes one less than a power of two, got {n}")
-        scaled = _scaled_coeffs(n, 1e-10)
+        scaled = _scaled_coeffs(n)
         h_two = build_hierarchy(scaled, coarsest_threshold=max((n - 1) // 2, 1))
         h_full = build_hierarchy(scaled)
         b = np.ones(n)
@@ -305,21 +305,20 @@ def _json_text(command, columns, rows, extras, wall_time):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config, command, columns, rows, extras, wall_time, out_dir=None):
-    directory = out_dir or config.output_path
+def _emit(config, command, columns, rows, extras, wall_time):
     if config.format == "json":
         text = _json_text(command, columns, rows, extras, wall_time)
         suffix = ".json"
     else:
         text = _csv_text(columns, rows)
         suffix = ".csv"
-    if directory is None:
+    if config.output_path is None:
         sys.stdout.write(text)
         return
     import os
 
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, command + suffix)
+    os.makedirs(config.output_path, exist_ok=True)
+    path = os.path.join(config.output_path, command + suffix)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

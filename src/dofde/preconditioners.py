@@ -215,36 +215,26 @@ def build_preconditioner(kind, c):
     return _BUILDERS[kind](c)
 
 
-def _check_len(P, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != P.n:
-        raise ValueError("vector length must match preconditioner order")
-    return x
-
-
 def _divide_in_transform(P, x, denom):
-    """x -> T^{-1} diag(1/denom) T x for P's diagonalizing transform T,
-    acting on the leading axis."""
-    denom = denom.reshape(denom.shape + (1,) * (x.ndim - 1))
+    """x -> T^{-1} diag(1/denom) T x for P's diagonalizing transform T
+    (the identity map for the identity kind); x must be a vector of P's
+    order, and anything else raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (P.n,):
+        raise ValueError("x must be a vector of the preconditioner's order")
+    if P.kind is PrecKind.IDENTITY:
+        return x.copy()
     if P.kind in _CIRCULANT:
-        spec = np.fft.fft(x.T).T / denom
-        return np.real(np.fft.ifft(spec.T).T)
-    return dst1(dst1(x, axis=0) / denom, axis=0)
+        return np.real(np.fft.ifft(np.fft.fft(x) / denom))
+    return dst1(dst1(x) / denom)
 
 
 def apply_inverse(P, x):
-    """Apply P^{-1} through the diagonalizing transform; x may be a
-    vector or a matrix whose columns are transformed."""
-    x = _check_len(P, x)
-    if P.kind is PrecKind.IDENTITY:
-        return x.copy()
+    """Apply P^{-1} to the vector x through the diagonalizing transform."""
     return _divide_in_transform(P, x, P.spectrum)
 
 
 def apply_inverse_sqrt(P, x):
-    """Apply P^{-1/2} in the transform domain (divide by sqrt of the
-    spectrum); used to form symmetrized preconditioned matrices."""
-    x = _check_len(P, x)
-    if P.kind is PrecKind.IDENTITY:
-        return x.copy()
+    """Apply P^{-1/2} to the vector x in the transform domain (divide by
+    the square root of the spectrum)."""
     return _divide_in_transform(P, x, np.sqrt(P.spectrum))

@@ -1,17 +1,23 @@
 """Eigenvalue machinery for the bound checks and the spectrum tables.
 
 Dense symmetric spectra are the authoritative path for every tabulated
-quantity; a fully reorthogonalized Lanczos sweep is available as a
-matrix-free cross-check of the extremes.  Preconditioned spectra are
-those of P^(-1/2) A P^(-1/2), which shares eigenvalues with P^(-1) A.
+quantity.  Preconditioned spectra are those of P^(-1/2) A P^(-1/2),
+which shares eigenvalues with P^(-1) A.
 
 Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
 commutes with the flip J, and so do the circulant and sine-transform
 preconditioners.  Each eigenproblem therefore splits into a flip-even
 and a flip-odd block of half the order (Cantoni and Butler, Linear
 Algebra Appl. 13, 1976), which are solved separately and merged.  The
-blocks of the Toeplitz matrix itself fold straight from its first
-column.
+blocks of a symmetric Toeplitz matrix fold straight from its first
+column, and on centrosymmetric matrices the fold is an algebra
+homomorphism: the blocks of a product are the products of the blocks.
+
+A symmetric circulant is itself symmetric Toeplitz, so for the circulant
+kinds P^(-1/2), the circulant with first column ifft(lambda^(-1/2)),
+folds like A does, and each block of P^(-1/2) A P^(-1/2) is the product
+S A S of the folded blocks (Strang's and T. Chan's optimal circulant,
+SIAM J. Sci. Stat. Comput. 9, 1988, are both symmetric).
 
 A sine-domain preconditioner Q diag(d) Q is handled in its transform
 domain, where P^(-1/2) A P^(-1/2) is orthogonally similar to
@@ -22,8 +28,9 @@ four, so every off-diagonal entry of B is a Cauchy-like quotient of
 O(n) generators (Bini and Capovani, Linear Algebra Appl. 52/53, 1983;
 Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), and its
 diagonal is the Frobenius-tau closed form.  Each parity block then
-costs O(n^2) to form, and only its eigensolve is dense.  The dense
-sine-transform pair dst1(dst1(A)) survives as a test oracle.
+costs O(n^2) to form, and only its eigensolve is dense.  No spectrum
+assembles the n x n matrix A or transforms a matrix; the dense routes
+survive as test oracles.
 """
 
 from __future__ import annotations
@@ -31,24 +38,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .preconditioners import _SINE, PrecKind, _frobenius_tau_spectrum, apply_inverse_sqrt
-from .toeplitz import ToeplitzCoeffs, assemble_dense, coeffs_via_fft
+from .preconditioners import _SINE, PrecKind, _frobenius_tau_spectrum
+from .toeplitz import ToeplitzCoeffs, coeffs_via_fft
 from .transforms import dst1
 
 __all__ = [
     "SpectrumReport",
     "OutlierReport",
     "dense_sym_eigs",
-    "lanczos_extremes",
     "min_eig_normalized",
     "preconditioned_spectrum",
     "preconditioned_spectra",
     "count_outliers",
 ]
 
-_LANCZOS_SEED = 20090213
 _SYMMETRY_RTOL = 1e-10
 
 
@@ -82,37 +86,26 @@ def _check_symmetric(A):
     return A
 
 
-def _flip_blocks(M):
-    """The flip-even and flip-odd blocks of a centrosymmetric n x n
-    matrix, given its leading ceil(n/2) rows M (or all of it).
+def _flip_blocks(a):
+    """The flip-even and flip-odd blocks of the symmetric Toeplitz matrix
+    T with first column a, folded from a alone.
 
-    With m = n // 2 and M12 = M[:m, n-m:], the flip-odd eigenvectors
-    [x; (0); -Jx] see M11 - M12 J, and the flip-even ones [x; (t); Jx]
-    see M11 + M12 J, bordered for odd n by sqrt(2) M[:m, m] and M[m, m].
-    The blocks are symmetrized.
+    With m = n // 2, T11 = a[|i - j|] and (T12 J)_ij = a[n-1-i-j] for
+    i, j < m, the flip-odd eigenvectors [x; (0); -Jx] see T11 - T12 J,
+    and the flip-even ones [x; (t); Jx] see T11 + T12 J, bordered for
+    odd n by sqrt(2) a[m-i] and a[0].  Both blocks are exactly
+    symmetric.
     """
-    n = M.shape[1]
-    m = n // 2
-    m11 = M[:m, :m]
-    m12j = M[:m, n - m :][:, ::-1]
-    odd = m11 - m12j
-    if n % 2:
-        even = np.empty((m + 1, m + 1))
-        even[:m, :m] = m11 + m12j
-        even[:m, m] = np.sqrt(2.0) * M[:m, m]
-        even[m, :m] = even[:m, m]
-        even[m, m] = M[m, m]
-    else:
-        even = m11 + m12j
-    return [0.5 * (b + b.T) for b in (even, odd)]
-
-
-def _toeplitz_flip_blocks(a):
-    """The flip-parity blocks of the symmetric Toeplitz matrix with first
-    column a, folded from its leading ceil(n/2) rows a[|i - j|]."""
     n = len(a)
-    rows = np.arange(n - n // 2)
-    return _flip_blocks(a[np.abs(rows[:, None] - np.arange(n))])
+    m = n // 2
+    i = np.arange(m)
+    t11 = a[np.abs(i[:, None] - i)]
+    t12j = a[n - 1 - i[:, None] - i]
+    even, odd = t11 + t12j, t11 - t12j
+    if n % 2:
+        border = np.sqrt(2.0) * a[m:0:-1]
+        even = np.block([[even, border[:, None]], [border[None, :], a[:1, None]]])
+    return [even, odd]
 
 
 def _sine_blocks(a):
@@ -167,61 +160,13 @@ def dense_sym_eigs(A):
     return SpectrumReport(w, float(w[0]), float(w[-1]))
 
 
-def lanczos_extremes(apply_A, n, iters):
-    """Ritz estimates (lambda_min_est, lambda_max_est) after `iters`
-    Lanczos steps with full reorthogonalization and a fixed seeded
-    start vector.  Early breakdown (an invariant subspace was hit)
-    returns the Ritz values found so far.  For ill-conditioned input
-    the minimum estimate is an upper bound on the true minimum.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if iters < 1:
-        raise ValueError("iters must be positive")
-    iters = min(iters, n)
-
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    basis = np.empty((iters, n))
-    basis[0] = v
-    alphas = []
-    betas = []
-    scale = None
-    for j in range(iters):
-        w = np.asarray(apply_A(basis[j]), dtype=float)
-        alpha = float(basis[j] @ w)
-        alphas.append(alpha)
-        if scale is None:
-            scale = max(abs(alpha), 1.0)
-        w -= alpha * basis[j]
-        if j > 0:
-            w -= betas[-1] * basis[j - 1]
-        # full reorthogonalization against every stored vector
-        active = basis[: j + 1]
-        w -= active.T @ (active @ w)
-        beta = np.linalg.norm(w)
-        if j == iters - 1:
-            break
-        if beta <= 1e-12 * scale:
-            break
-        betas.append(beta)
-        basis[j + 1] = w / beta
-
-    ritz = eigh_tridiagonal(np.array(alphas), np.array(betas),
-                            eigvals_only=True)
-    return float(ritz[0]), float(ritz[-1])
-
-
-def min_eig_normalized(n, stabilization_tol=1e-10):
+def min_eig_normalized(n):
     """n times the smallest eigenvalue of the order-n stiffness matrix,
     computed by dense eigensolves of its two flip-parity blocks, which
     are folded from the coefficient vector."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    c = coeffs_via_fft(n, stabilization_tol=stabilization_tol)
-    return n * _merged_spectrum(_toeplitz_flip_blocks(c.a)).lambda_min
+    return n * _merged_spectrum(_flip_blocks(coeffs_via_fft(n).a)).lambda_min
 
 
 def preconditioned_spectra(c, precs):
@@ -231,34 +176,32 @@ def preconditioned_spectra(c, precs):
     Sine-domain kinds share the two parity blocks of B = Q A Q, built
     from c without a dense transform: for P = Q diag(d) Q the spectrum
     is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed rows and
-    columns form the two blocks.  The identity folds the parity blocks
-    of A from c.  Only circulant kinds assemble A: they form the leading
-    ceil(n/2) columns of M = P^(-1/2) A P^(-1/2) by transforms and fold
-    them into the parity blocks.  Raises TypeError unless c is
-    ToeplitzCoeffs and ValueError when a preconditioner has the wrong
-    order.
+    columns form the two blocks.  The identity and the circulant kinds
+    share the parity blocks of A, folded from c; a circulant's blocks
+    are S A S with S the folded blocks of the symmetric circulant
+    P^(-1/2), whose first column is ifft(lambda^(-1/2)).  Raises
+    TypeError unless c is ToeplitzCoeffs and ValueError when a
+    preconditioner has the wrong order.
     """
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
-    n = c.n
-    sine_blocks = A = None
+    sine_blocks = flip_blocks = None
     reports = []
     for P in precs:
-        if P.n != n:
+        if P.n != c.n:
             raise ValueError("preconditioner order must match the matrix")
         if P.kind in _SINE:
             if sine_blocks is None:
                 sine_blocks = _sine_blocks(c.a)
             s = 1.0 / np.sqrt(P.spectrum)
             blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(sine_blocks)]
-        elif P.kind is PrecKind.IDENTITY:
-            blocks = _toeplitz_flip_blocks(c.a)
         else:
-            if A is None:
-                A = assemble_dense(c)
-            half = apply_inverse_sqrt(P, A)
-            # M is symmetric, so its leading columns are its leading rows
-            blocks = _flip_blocks(apply_inverse_sqrt(P, half[: n - n // 2].T).T)
+            if flip_blocks is None:
+                flip_blocks = _flip_blocks(c.a)
+            blocks = flip_blocks
+            if P.kind is not PrecKind.IDENTITY:
+                s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
+                blocks = [S @ b @ S for S, b in zip(_flip_blocks(s), blocks)]
         reports.append(_merged_spectrum(blocks))
     return reports
 

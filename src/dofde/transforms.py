@@ -13,24 +13,22 @@ import numpy as np
 __all__ = ["dst1"]
 
 
-def dst1(x, axis=-1):
-    """Orthonormal DST-I: multiply by Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
+def dst1(x):
+    """Orthonormal DST-I of a vector: multiply by
+    Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)).
 
     Q is symmetric and involutory, so dst1 is its own inverse.  Computed
     through the imaginary part of a real FFT of the odd extension
     [0, x, 0, -reversed(x)] of length 2(n+1), which keeps only the
-    n+2 non-negative frequencies; accepts any real ndarray and
-    transforms along `axis`.
+    n+2 non-negative frequencies.  Raises ValueError unless x is a
+    non-empty vector.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[axis]
-    if n < 1:
-        raise ValueError("empty input")
-    x = np.moveaxis(x, axis, -1)
-    ext_shape = x.shape[:-1] + (2 * (n + 1),)
-    ext = np.zeros(ext_shape)
-    ext[..., 1 : n + 1] = x
-    ext[..., n + 2 :] = -x[..., ::-1]
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("dst1 takes a non-empty vector")
+    n = x.size
+    ext = np.zeros(2 * (n + 1))
+    ext[1 : n + 1] = x
+    ext[n + 2 :] = -x[::-1]
     spec = np.fft.rfft(ext)
-    out = -0.5 * np.sqrt(2.0 / (n + 1)) * spec[..., 1 : n + 1].imag
-    return np.moveaxis(out, -1, axis)
+    return -0.5 * np.sqrt(2.0 / (n + 1)) * spec[1 : n + 1].imag

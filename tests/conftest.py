@@ -13,11 +13,11 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from dofde import (
+    PrecKind,
     ToeplitzCoeffs,
     assemble_dense,
     build_preconditioner,
     coeffs_via_fft,
-    dst1,
     preconditioned_spectrum,
     toeplitz_matvec,
 )
@@ -58,14 +58,76 @@ def prec_spectrum(kind, n):
 
 
 # ---------------------------------------------------------------------------
-# dense sine-transform oracles: the package forms diag(Q A Q) in closed
-# form and the parity blocks of Q A Q from the displacement identity;
-# these transform the assembled matrix twice
+# dense transform oracles: the package forms diag(Q A Q) in closed form,
+# the parity blocks of Q A Q from the displacement identity and the
+# circulant blocks from folded first columns, and transforms vectors
+# only; these multiply by the explicit sine and DFT matrices
+
+
+def sine_matrix(n):
+    """The orthonormal DST-I matrix Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)),
+    with jk reduced modulo 2(n+1) so every sine argument is below 2 pi."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1))) / (n + 1))
+
+
+def dft_matrix(n):
+    """The unitary DFT matrix F_jk = exp(-2 pi i jk/n) / sqrt(n), with jk
+    reduced modulo n."""
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
 
 
 def sine_transform_dense(A):
-    """Q A Q for a dense matrix A, by two n x n sine transforms."""
-    return dst1(dst1(np.asarray(A, dtype=float), axis=0), axis=1)
+    """Q A Q for a dense matrix A, with the explicit sine matrix."""
+    Q = sine_matrix(A.shape[0])
+    return Q @ np.asarray(A, dtype=float) @ Q
+
+
+def prec_power_dense(P, power):
+    """P**power as a dense matrix: F^* diag(lambda**power) F for the
+    circulant kinds, Q diag(d**power) Q for the sine kinds, I for the
+    identity."""
+    if P.kind is PrecKind.IDENTITY:
+        return np.eye(P.n)
+    d = P.spectrum ** power
+    if P.kind in (PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT):
+        F = dft_matrix(P.n)
+        return ((F.conj().T * d) @ F).real
+    Q = sine_matrix(P.n)
+    return (Q * d) @ Q
+
+
+def explicit_preconditioned(A, P):
+    """P^(-1/2) A P^(-1/2) in full, symmetrized."""
+    R = prec_power_dense(P, -0.5)
+    M = R @ np.asarray(A, dtype=float) @ R
+    return 0.5 * (M + M.T)
+
+
+def flip_blocks_dense(M):
+    """The flip-even and flip-odd blocks of a centrosymmetric n x n
+    matrix M, taken from its leading ceil(n/2) rows.
+
+    With m = n // 2 and M12 = M[:m, n-m:], the flip-odd eigenvectors
+    [x; (0); -Jx] see M11 - M12 J, and the flip-even ones [x; (t); Jx]
+    see M11 + M12 J, bordered for odd n by sqrt(2) M[:m, m] and M[m, m].
+    The blocks are symmetrized.
+    """
+    n = M.shape[1]
+    m = n // 2
+    m11 = M[:m, :m]
+    m12j = M[:m, n - m :][:, ::-1]
+    odd = m11 - m12j
+    if n % 2:
+        even = np.empty((m + 1, m + 1))
+        even[:m, :m] = m11 + m12j
+        even[:m, m] = np.sqrt(2.0) * M[:m, m]
+        even[m, :m] = even[:m, m]
+        even[m, m] = M[m, m]
+    else:
+        even = m11 + m12j
+    return [0.5 * (b + b.T) for b in (even, odd)]
 
 
 def frobenius_tau_dense(A):

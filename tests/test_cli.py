@@ -208,18 +208,25 @@ class TestReferenceTables:
 
 class TestNoDenseSineTransform:
     def test_spectra_transform_vectors_only(self, monkeypatch, tmp_path):
-        # B = Q A Q comes from the displacement identity: a dense sine
-        # transform anywhere on the spectrum/outliers path fails here
+        # B = Q A Q comes from the displacement identity and the circulant
+        # blocks from folded first columns: a dense sine transform or FFT
+        # anywhere on the spectrum/outliers path fails here
         vector_calls = []
-        for module in (dofde.spectral, dofde.preconditioners):
-            def vectors_only(x, axis=-1, _dst1=module.dst1):
-                if np.ndim(x) > 1:
-                    raise AssertionError(f"dst1 called on a {np.shape(x)} array")
-                vector_calls.append(np.shape(x))
-                return _dst1(x, axis=axis)
 
-            monkeypatch.setattr(module, "dst1", vectors_only)
-        for argv in (["spectrum", "--precs", "natural_tau,frobenius_tau,laplacian"],
-                     ["outliers"]):
+        def vectors_only(name, transform):
+            def wrapper(x, *args, **kwargs):
+                if np.ndim(x) > 1:
+                    raise AssertionError(f"{name} called on a {np.shape(x)} array")
+                vector_calls.append(name)
+                return transform(x, *args, **kwargs)
+
+            return wrapper
+
+        for module in (dofde.spectral, dofde.preconditioners):
+            monkeypatch.setattr(module, "dst1", vectors_only("dst1", module.dst1))
+        for name in ("fft", "ifft", "rfft"):
+            monkeypatch.setattr(np.fft, name, vectors_only(name, getattr(np.fft, name)))
+        for argv in (["spectrum", "--precs", "all"], ["outliers"]):
             assert main(argv + ["--sizes", "32..128", "--out", str(tmp_path)]) == 0
-        assert len(vector_calls) >= 6
+        assert vector_calls.count("dst1") >= 6
+        assert vector_calls.count("ifft") >= 6

@@ -201,12 +201,18 @@ class TestLaplacian:
             apply_inverse(P, np.array([1.0, 0.0])), [2.0 / 3.0, 1.0 / 3.0], atol=1e-14
         )
 
-    def test_matrix_right_hand_side(self):
-        P = build_laplacian(6)
+    def test_matrix_right_hand_side_rejected(self):
+        # apply_inverse and apply_inverse_sqrt take vectors only, for
+        # every kind
         rng = np.random.default_rng(9)
         B = rng.standard_normal((6, 3))
-        cols = np.column_stack([apply_inverse(P, B[:, j]) for j in range(3)])
-        np.testing.assert_allclose(apply_inverse(P, B), cols, atol=1e-12)
+        for kind in PrecKind:
+            P = shared.build_prec(kind, 6)
+            for apply in (apply_inverse, apply_inverse_sqrt):
+                with pytest.raises(ValueError):
+                    apply(P, B)
+                with pytest.raises(ValueError):
+                    apply(P, B[:, :1])
 
 
 class TestApplication:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,6 @@ from dofde import (
     PrecKind,
     SpectrumReport,
     ToeplitzCoeffs,
-    apply_inverse,
-    apply_inverse_sqrt,
     assemble_dense,
     build_frobenius_circulant,
     build_frobenius_tau,
@@ -21,12 +21,11 @@ from dofde import (
     coeffs_via_fft,
     count_outliers,
     dense_sym_eigs,
-    lanczos_extremes,
     min_eig_normalized,
     preconditioned_spectra,
     preconditioned_spectrum,
 )
-from dofde.spectral import _sine_blocks
+from dofde.spectral import _flip_blocks, _sine_blocks
 
 
 def laplacian_dense(n):
@@ -95,37 +94,6 @@ class TestDenseEigs:
             dense_sym_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestLanczos:
-    def test_identity(self):
-        lo, hi = lanczos_extremes(lambda x: x, 12, 8)
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
-
-    def test_stencil_extremes(self):
-        # with the full Krylov space the Ritz values are the eigenvalues
-        n = 100
-        A = laplacian_dense(n)
-        lo, hi = lanczos_extremes(lambda x: A @ x, n, n)
-        exact_hi = 2.0 - 2.0 * np.cos(n * np.pi / (n + 1))
-        assert hi == pytest.approx(exact_hi, rel=1e-10)
-        exact_lo = 2.0 - 2.0 * np.cos(np.pi / (n + 1))
-        assert lo == pytest.approx(exact_lo, rel=1e-8)
-
-    def test_against_dense_path(self):
-        n = 256
-        A = np.asarray(shared.dense_scaled(n))
-        rep = dense_sym_eigs(A)
-        lo, hi = lanczos_extremes(lambda x: A @ x, n, 120)
-        assert hi == pytest.approx(rep.lambda_max, rel=1e-6)
-        assert lo >= rep.lambda_min - 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            lanczos_extremes(lambda x: x, 0, 5)
-        with pytest.raises(ValueError):
-            lanczos_extremes(lambda x: x, 5, 0)
-
-
 class TestMinEigNormalized:
     def test_frozen_midsize(self):
         assert min_eig_normalized(64) == pytest.approx(5.039164, abs=5e-6)
@@ -150,7 +118,7 @@ class TestPreconditionedSpectrum:
         for n, kind in ((16, PrecKind.STRANG_CIRCULANT), (32, PrecKind.NATURAL_TAU)):
             A = np.asarray(shared.dense_scaled(n))
             P = shared.build_prec(kind, n)
-            product = apply_inverse(P, A)  # P^(-1) A, not symmetric
+            product = shared.prec_power_dense(P, -1.0) @ A  # P^(-1) A, not symmetric
             general = np.sort(np.linalg.eigvals(product).real)
             sym = shared.prec_spectrum(kind, n).eigenvalues
             np.testing.assert_allclose(sym, general, atol=1e-8)
@@ -162,14 +130,6 @@ class TestPreconditionedSpectrum:
         c_big = ToeplitzCoeffs(n, 3.7 * c.a)
         scaled = preconditioned_spectrum(c_big, build_natural_tau(c_big))
         np.testing.assert_allclose(base.eigenvalues, scaled.eigenvalues, rtol=1e-10)
-
-
-def explicit_preconditioned(A, P):
-    # P^(-1/2) A P^(-1/2) in full: inverse square root on the columns,
-    # then on the rows, then symmetrized
-    half = apply_inverse_sqrt(P, A)
-    full = apply_inverse_sqrt(P, half.T)
-    return 0.5 * (full + full.T)
 
 
 class TestParitySpectra:
@@ -201,7 +161,7 @@ class TestParitySpectra:
         ]
         batch = preconditioned_spectra(c, precs)
         for P, rep in zip(precs, batch):
-            oracle = dense_sym_eigs(explicit_preconditioned(A, P)).eigenvalues
+            oracle = dense_sym_eigs(shared.explicit_preconditioned(A, P)).eigenvalues
             single = preconditioned_spectrum(c, P).eigenvalues
             np.testing.assert_array_equal(single, rep.eigenvalues)
             assert rep.eigenvalues.shape == (n,)
@@ -232,9 +192,44 @@ class TestParitySpectra:
             preconditioned_spectra(laplacian_coeffs(4), [build_identity(5)])
 
 
+class TestFlipBlocks:
+    """The parity blocks folded from the first column against the blocks
+    taken from the rows of the assembled matrix, and the circulant kinds
+    folded without it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.integers(1, 300).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+    @example(a=np.array([0.7]))
+    @example(a=np.array([0.7, -0.3]))
+    @example(a=np.array([0.7, -0.3, 0.1]))
+    def test_fold_equals_dense_oracle(self, a):
+        n = len(a)
+        blocks = _flip_blocks(a)
+        oracle = shared.flip_blocks_dense(assemble_dense(ToeplitzCoeffs(n, a)))
+        assert [b.shape for b in blocks] == [(n - n // 2,) * 2, (n // 2,) * 2]
+        for block, want in zip(blocks, oracle):
+            np.testing.assert_array_equal(block, want)
+
+    def test_circulant_spectra_stay_below_dense_memory(self):
+        # the circulant blocks are products of half-size folded blocks
+        # (about 1.75 n^2 floats at the peak); assembling A and
+        # transforming it column by column peaked near 7.5 n^2
+        n = 1024
+        c = shared.scaled_coeffs(n)
+        precs = [build_strang(c), build_frobenius_circulant(c)]
+        tracemalloc.start()
+        try:
+            preconditioned_spectra(c, precs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+
 class TestSineBlocks:
     """The parity blocks of B = Q A Q from the displacement identity
-    against the dense sine-transform pair."""
+    against the explicit sine matrix."""
 
     @settings(deadline=None, max_examples=60)
     @given(a=st.integers(1, 300).flatmap(
@@ -260,7 +255,7 @@ class TestSineBlocks:
         kinds = [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN]
         precs = [shared.build_prec(kind, n) for kind in kinds]
         for P, rep in zip(precs, preconditioned_spectra(c, precs)):
-            oracle = dense_sym_eigs(explicit_preconditioned(A, P))
+            oracle = dense_sym_eigs(shared.explicit_preconditioned(A, P))
             assert rep.lambda_min == pytest.approx(oracle.lambda_min, rel=1e-9), P.kind
             assert rep.lambda_max == pytest.approx(oracle.lambda_max, rel=1e-9), P.kind
 
