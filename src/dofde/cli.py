@@ -19,17 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .krylov import StoppingRule, pcg
-from .multigrid import (
-    MgmCase,
-    build_hierarchy,
-    case_alpha,
-    case_beta,
-    case_delta,
-    case_finest_only,
-    case_gamma,
-    tgm,
-    vcycle,
-)
+from .multigrid import MGM_CASES, build_hierarchy, tgm, vcycle
 from .preconditioners import PrecKind, build_preconditioner
 from .quadrature import (
     lower_bound_constant,
@@ -42,46 +32,6 @@ from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["RunConfig", "CliError", "parse_sizes", "run", "main"]
 
-_COMMANDS = ("bounds", "cn", "mineig", "coeffs", "pcg", "spectrum", "outliers", "mgm", "all")
-
-_DEFAULT_SIZES = {
-    "cn": "8..4096",
-    "mineig": "16..2048",
-    "coeffs": "32..2048",
-    "pcg": "32..2048",
-    "spectrum": "32..2048",
-    "outliers": "32..2048",
-    "mgm": "31..2047",
-}
-
-_DEFAULT_PRECS = {
-    "pcg": [
-        PrecKind.IDENTITY,
-        PrecKind.STRANG_CIRCULANT,
-        PrecKind.FROBENIUS_CIRCULANT,
-        PrecKind.NATURAL_TAU,
-        PrecKind.FROBENIUS_TAU,
-        PrecKind.LAPLACIAN,
-    ],
-    "spectrum": [
-        PrecKind.STRANG_CIRCULANT,
-        PrecKind.FROBENIUS_CIRCULANT,
-        PrecKind.NATURAL_TAU,
-        PrecKind.FROBENIUS_TAU,
-        PrecKind.LAPLACIAN,
-    ],
-    "outliers": [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU],
-}
-
-_CASE_FACTORIES = {
-    "alpha": case_alpha,
-    "beta": case_beta,
-    "gamma": case_gamma,
-    "delta": case_delta,
-    "finest_only": case_finest_only,
-}
-
-
 class CliError(ValueError):
     """Configuration problem that should surface as a nonzero exit."""
 
@@ -92,7 +42,7 @@ class RunConfig:
     sizes: list = field(default_factory=list)
     preconditioners: list = field(default_factory=list)
     eps: list = field(default_factory=lambda: [1e-1, 1e-2])
-    case: MgmCase | None = None
+    case: str | None = None
     tol: float = 1e-7
     quad_tol: float = 1e-8
     output_path: str | None = None
@@ -125,13 +75,19 @@ def parse_sizes(text):
         if not sizes:
             raise CliError(f"empty size range {text!r}")
         return sizes
+    return _parse_list(text, int, "size")
+
+
+def _parse_list(text, convert, what):
+    """Comma-separated positive values; a bad token or an empty list is
+    a CliError."""
     try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad size list {text!r}") from exc
-    if not sizes or any(s < 1 for s in sizes):
-        raise CliError(f"sizes must be positive: {text!r}")
-    return sizes
+        raise CliError(f"bad {what} list {text!r}") from exc
+    if not values or not all(v > 0 for v in values):
+        raise CliError(f"{what} values must be positive: {text!r}")
+    return values
 
 
 def _parse_precs(text):
@@ -207,7 +163,7 @@ def _cmd_coeffs(config):
 
 
 def _cmd_pcg(config):
-    precs = config.preconditioners or _DEFAULT_PRECS["pcg"]
+    precs = config.preconditioners or list(PrecKind)
     columns = ["n"] + [k.value for k in precs]
     rows = []
     histories = {}
@@ -228,38 +184,38 @@ def _cmd_pcg(config):
     return columns, rows, {"residual_histories": histories}
 
 
-def _cmd_spectrum(config):
-    precs = config.preconditioners or _DEFAULT_PRECS["spectrum"]
-    rows = []
+def _spectra(config, default_precs):
+    """(n, kind, SpectrumReport) for every size and preconditioner."""
+    precs = config.preconditioners or default_precs
     for n in config.sizes:
         scaled = _scaled_coeffs(n)
         spectra = preconditioned_spectra(
             scaled, [build_preconditioner(kind, scaled) for kind in precs])
-        for kind, s in zip(precs, spectra):
-            rows.append([str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)])
+        yield from ((n, kind, s) for kind, s in zip(precs, spectra))
+
+
+def _cmd_spectrum(config):
+    rows = [
+        [str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)]
+        for n, kind, s in _spectra(config, [k for k in PrecKind if k is not PrecKind.IDENTITY])
+    ]
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
 
 
 def _cmd_outliers(config):
-    precs = config.preconditioners or _DEFAULT_PRECS["outliers"]
     rows = []
-    for n in config.sizes:
-        scaled = _scaled_coeffs(n)
-        spectra = preconditioned_spectra(
-            scaled, [build_preconditioner(kind, scaled) for kind in precs])
-        for kind, s in zip(precs, spectra):
-            for eps in config.eps:
-                rep = count_outliers(s, eps)
-                rows.append([
-                    str(n), kind.value, _fmt(eps),
-                    str(rep.n_out_left), str(rep.n_out_right), _fmt(rep.percent),
-                ])
+    for n, kind, s in _spectra(config, [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]):
+        for eps in config.eps:
+            rep = count_outliers(s, eps)
+            rows.append([
+                str(n), kind.value, _fmt(eps),
+                str(rep.n_out_left), str(rep.n_out_right), _fmt(rep.percent),
+            ])
     return ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"], rows, {}
 
 
 def _cmd_mgm(config):
-    cases = ([(config.case.tag.value, config.case)] if config.case is not None
-             else [(name, factory()) for name, factory in _CASE_FACTORIES.items()])
+    cases = [config.case] if config.case is not None else list(MGM_CASES)
     rows = []
     for n in config.sizes:
         if (n + 1) & n or n < 3:
@@ -269,22 +225,23 @@ def _cmd_mgm(config):
         h_full = build_hierarchy(scaled)
         b = np.ones(n)
         stop = StoppingRule(tol=config.tol)
-        for name, case in cases:
-            t = tgm(h_two, case, b, stop=stop)
-            v = vcycle(h_full, case, b, stop=stop)
+        for name in cases:
+            t = tgm(h_two, name, b, stop=stop)
+            v = vcycle(h_full, name, b, stop=stop)
             rows.append([str(n), name, str(t.iterations), str(v.iterations)])
     return ["n", "case", "tgm_iterations", "vcycle_iterations"], rows, {}
 
 
-_RUNNERS = {
-    "bounds": _cmd_bounds,
-    "cn": _cmd_cn,
-    "mineig": _cmd_mineig,
-    "coeffs": _cmd_coeffs,
-    "pcg": _cmd_pcg,
-    "spectrum": _cmd_spectrum,
-    "outliers": _cmd_outliers,
-    "mgm": _cmd_mgm,
+# Each command's runner and default sizes, in the order 'all' runs them.
+_COMMANDS = {
+    "bounds": (_cmd_bounds, None),
+    "cn": (_cmd_cn, "8..4096"),
+    "mineig": (_cmd_mineig, "16..2048"),
+    "coeffs": (_cmd_coeffs, "32..2048"),
+    "pcg": (_cmd_pcg, "32..2048"),
+    "spectrum": (_cmd_spectrum, "32..2048"),
+    "outliers": (_cmd_outliers, "32..2048"),
+    "mgm": (_cmd_mgm, "31..2047"),
 }
 
 
@@ -323,15 +280,12 @@ def _emit(config, command, columns, rows, extras, wall_time):
         fh.write(text)
 
 
-def _default_sizes(command):
-    expr = _DEFAULT_SIZES.get(command)
-    return parse_sizes(expr) if expr else []
-
-
 def _run_one(config, command):
-    sub = replace(config, command=command, sizes=config.sizes or _default_sizes(command))
+    runner, default_sizes = _COMMANDS[command]
+    sizes = config.sizes or (parse_sizes(default_sizes) if default_sizes else [])
+    sub = replace(config, command=command, sizes=sizes)
     start = time.perf_counter()
-    columns, rows, extras = _RUNNERS[command](sub)
+    columns, rows, extras = runner(sub)
     wall = time.perf_counter() - start
     _emit(sub, command, columns, rows, extras, wall)
 
@@ -339,7 +293,7 @@ def _run_one(config, command):
 def run(config):
     """Execute one configured command; returns a process exit status."""
     try:
-        if config.command not in _COMMANDS:
+        if config.command != "all" and config.command not in _COMMANDS:
             raise CliError(f"unknown command {config.command!r}")
         if config.format not in ("csv", "json"):
             raise CliError(f"unknown format {config.format!r}")
@@ -349,7 +303,7 @@ def run(config):
             if config.sizes:
                 raise CliError("'all' runs every command at its default sizes; "
                                "--sizes applies to one command")
-            for command in _COMMANDS[:-1]:
+            for command in _COMMANDS:
                 _run_one(config, command)
         else:
             _run_one(config, config.command)
@@ -364,12 +318,12 @@ def main(argv=None):
         prog="dofde",
         description="Distributed-order stiffness matrices: bounds, spectra, solvers.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=[*_COMMANDS, "all"])
     parser.add_argument("--sizes", help="comma list or a..b range (32..2048, 31..2047); "
                         "not with 'all', which uses each command's defaults")
     parser.add_argument("--precs", help="comma list of preconditioner names, or 'all'")
     parser.add_argument("--eps", help="comma list of outlier half-widths", default="1e-1,1e-2")
-    parser.add_argument("--case", choices=sorted(_CASE_FACTORIES) + ["all"], default="all")
+    parser.add_argument("--case", choices=[*MGM_CASES, "all"], default="all")
     parser.add_argument("--tol", type=float, default=1e-7, help="solver stopping tolerance")
     parser.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature tolerance")
     parser.add_argument("--out", help="output directory (required for 'all')")
@@ -379,20 +333,17 @@ def main(argv=None):
     try:
         sizes = parse_sizes(args.sizes) if args.sizes else []
         precs = _parse_precs(args.precs) if args.precs else []
-        eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-        if any(e <= 0 for e in eps):
-            raise CliError("eps values must be positive")
+        eps = _parse_list(args.eps, float, "eps")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    case = None if args.case == "all" else _CASE_FACTORIES[args.case]()
     config = RunConfig(
         command=args.command,
         sizes=sizes,
         preconditioners=precs,
         eps=eps,
-        case=case,
+        case=None if args.case == "all" else args.case,
         tol=args.tol,
         quad_tol=args.quad_tol,
         output_path=args.out,

@@ -15,7 +15,10 @@ level is assembled densely, for its Cholesky factorization.
 
 Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
 steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
-discrete Laplacian preconditioners, combined into the five named cases.
+discrete Laplacian preconditioners.  The table `MGM_CASES` declares the
+study's five named cases: each gives the (pre, post) smoothers of the
+finest level and of the coarser levels as (method, steps) pairs, and
+`vcycle` and `tgm` take a case by its name.
 Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
 first column a.  Its inverse is the lower-triangular Toeplitz matrix of
 the power-series reciprocal of a(z) = sum_k a_k z^k, computed once per
@@ -27,7 +30,6 @@ reciprocal series is well conditioned.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -39,8 +41,7 @@ from .preconditioners import PrecKind, build_preconditioner
 from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, assemble_dense
 
 __all__ = [
-    "CaseTag",
-    "MgmCase",
+    "MGM_CASES",
     "GridLevel",
     "Hierarchy",
     "restrict",
@@ -49,63 +50,21 @@ __all__ = [
     "gauss_seidel_sweep",
     "vcycle",
     "tgm",
-    "case_alpha",
-    "case_beta",
-    "case_gamma",
-    "case_delta",
-    "case_finest_only",
 ]
 
-
-class CaseTag(enum.Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
-    GAMMA = "gamma"
-    DELTA = "delta"
-    FINEST_ONLY = "finest_only"
-
-
-@dataclass(frozen=True)
-class MgmCase:
-    """Smoother configuration for one multigrid experiment."""
-
-    tag: CaseTag
-    nu_pre: int
-    nu_post: int
-
-    def __post_init__(self):
-        if self.nu_pre < 0 or self.nu_post < 0:
-            raise ValueError("smoothing step counts must be non-negative")
-        if self.nu_pre == 0 and self.nu_post == 0:
-            raise ValueError("at least one smoothing step is required")
-
-
-def case_alpha():
-    """Gauss-Seidel pre- and postsmoothing, one sweep each."""
-    return MgmCase(CaseTag.ALPHA, 1, 1)
-
-
-def case_beta():
-    """Gauss-Seidel presmoothing, one sine-transform PCG postsmoothing step."""
-    return MgmCase(CaseTag.BETA, 1, 1)
-
-
-def case_gamma(nu_pre=1):
-    """Laplacian-PCG presmoothing (1 or 2 steps), sine-transform PCG post."""
-    if nu_pre not in (1, 2):
-        raise ValueError("nu_pre must be 1 or 2")
-    return MgmCase(CaseTag.GAMMA, nu_pre, 1)
-
-
-def case_delta():
-    """One Laplacian-PCG step, then two sine-transform PCG steps."""
-    return MgmCase(CaseTag.DELTA, 1, 2)
-
-
-def case_finest_only():
-    """Laplacian/sine-transform smoothing at the finest level only;
-    every coarser level gets single Gauss-Seidel sweeps."""
-    return MgmCase(CaseTag.FINEST_ONLY, 1, 1)
+# The five smoother configurations of the study, by name: the finest
+# level's (pre, post) smoothers, then those of every coarser non-coarsest
+# level.  A smoother is (method, steps): "gs" is forward Gauss-Seidel
+# sweeps, "laplacian" and "tau" are restarted PCG steps preconditioned by
+# the discrete Laplacian and by a sine-transform (tau) matrix, natural tau
+# on the finest level and Frobenius-optimal tau below it.
+MGM_CASES = {
+    "alpha": ((("gs", 1), ("gs", 1)), (("gs", 1), ("gs", 1))),
+    "beta": ((("gs", 1), ("tau", 1)), (("gs", 1), ("tau", 1))),
+    "gamma": ((("laplacian", 1), ("tau", 1)), (("laplacian", 1), ("tau", 1))),
+    "delta": ((("laplacian", 1), ("tau", 2)), (("laplacian", 1), ("tau", 2))),
+    "finest_only": ((("laplacian", 1), ("tau", 1)), (("gs", 1), ("gs", 1))),
+}
 
 
 def _series_reciprocal(a):
@@ -232,35 +191,26 @@ def gauss_seidel_sweep(level, x, b, sweeps=1):
     return x
 
 
-def _assemble_smoothers(h, case):
-    """Per-level (pre, post) smoother callables, signature (x, b)."""
+def _smoother(level, tau, method, steps):
+    """One smoother callable (x, b) -> x on the GridLevel.  It looks up
+    gauss_seidel_sweep or cg_smooth_step as a module global each time it
+    runs, so a wrapper set on the module later still sees every call."""
+    if method == "gs":
+        return lambda x, b: gauss_seidel_sweep(level, x, b, steps)
+    P = build_preconditioner(PrecKind.LAPLACIAN if method == "laplacian" else tau, level.coeffs)
+    return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
+
+
+def _assemble_smoothers(h, pairs):
+    """Per-level (pre, post) smoother callables for a case's pairs."""
+    finest, coarse = pairs
     smoothers = []
     for index, level in enumerate(h.levels[:-1]):
-
-        def gs(steps, level=level):
-            return lambda x, b: gauss_seidel_sweep(level, x, b, steps)
-
-        def pcg_step(kind, steps, level=level):
-            P = build_preconditioner(kind, level.coeffs)
-            return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
-
         # the finest level is the problem's own Toeplitz matrix; the
         # coarse Galerkin levels get the Frobenius-optimal tau
-        tau = PrecKind.NATURAL_TAU if index == 0 else PrecKind.FROBENIUS_TAU
-        if case.tag is CaseTag.ALPHA:
-            pair = (gs(case.nu_pre), gs(case.nu_post))
-        elif case.tag is CaseTag.BETA:
-            pair = (gs(case.nu_pre), pcg_step(tau, case.nu_post))
-        elif case.tag in (CaseTag.GAMMA, CaseTag.DELTA):
-            pair = (pcg_step(PrecKind.LAPLACIAN, case.nu_pre), pcg_step(tau, case.nu_post))
-        elif case.tag is CaseTag.FINEST_ONLY:
-            if index == 0:
-                pair = (pcg_step(PrecKind.LAPLACIAN, case.nu_pre), pcg_step(tau, case.nu_post))
-            else:
-                pair = (gs(1), gs(1))
-        else:
-            raise ValueError(f"unknown case tag {case.tag!r}")
-        smoothers.append(pair)
+        pair, tau = ((finest, PrecKind.NATURAL_TAU) if index == 0
+                     else (coarse, PrecKind.FROBENIUS_TAU))
+        smoothers.append(tuple(_smoother(level, tau, method, steps) for method, steps in pair))
     return smoothers
 
 
@@ -278,6 +228,8 @@ def _cycle(h, smoothers, index, b, x):
 
 
 def _mgm_solve(h, case, b, x0, stop):
+    if case not in MGM_CASES:
+        raise ValueError(f"unknown multigrid case {case!r}")
     if stop is None:
         stop = StoppingRule()
     b = np.asarray(b, dtype=float)
@@ -291,7 +243,7 @@ def _mgm_solve(h, case, b, x0, stop):
     if norm_b == 0.0:
         return SolveReport(0, np.zeros(1), True, np.zeros(n))
 
-    smoothers = _assemble_smoothers(h, case)
+    smoothers = _assemble_smoothers(h, MGM_CASES[case])
     history = [np.linalg.norm(b - finest.matvec(x)) / norm_b]
     if history[0] < stop.tol:
         return SolveReport(0, np.array(history), True, x)
@@ -307,7 +259,8 @@ def _mgm_solve(h, case, b, x0, stop):
 
 
 def vcycle(h, case, b, x0=None, stop=None):
-    """Iterate V-cycles until the scaled residual passes stop.tol."""
+    """Iterate V-cycles, smoothing as the MGM_CASES entry named `case`,
+    until the scaled residual passes stop.tol."""
     return _mgm_solve(h, case, b, x0, stop)
 
 

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _DOUBLING_BUDGET = 4
+_STABILIZATION_TOL = 1e-10
 _MIN_DEFAULT_SAMPLES = 1 << 16
 
 
@@ -77,13 +78,13 @@ def _corner_slope(n):
     return 2.0 * th * g + th**2 * gp
 
 
-def coeffs_via_fft(n, samples=None, stabilization_tol=1e-10, symbol=None):
+def coeffs_via_fft(n, samples=None, symbol=None):
     """Fourier coefficients of the order-n symbol by uniform sampling + FFT.
 
     Samples the symbol on a uniform grid of [0, 2pi), FFTs, keeps the
     first n real coefficients, and doubles the sample count until two
-    successive coefficient vectors agree to stabilization_tol in max
-    norm (budget: 4 doublings, then CoeffStabilizationError).
+    successive coefficient vectors agree to 1e-10 in max norm (budget:
+    4 doublings, then CoeffStabilizationError).
 
     For the built-in distributed-order symbol the periodic continuation
     has a corner at theta = pi that would cap plain-sampling accuracy
@@ -126,11 +127,11 @@ def coeffs_via_fft(n, samples=None, stabilization_tol=1e-10, symbol=None):
     for _ in range(_DOUBLING_BUDGET):
         samples *= 2
         cur = sampled_coeffs(samples)
-        if np.max(np.abs(cur - prev)) < stabilization_tol:
+        if np.max(np.abs(cur - prev)) < _STABILIZATION_TOL:
             return ToeplitzCoeffs(n=n, a=cur)
         prev = cur
     raise CoeffStabilizationError(
-        f"coefficients did not stabilize to {stabilization_tol:g} "
+        f"coefficients did not stabilize to {_STABILIZATION_TOL:g} "
         f"within {_DOUBLING_BUDGET} doublings"
     )
 

@@ -24,11 +24,6 @@ from dofde import (
     build_hierarchy,
     build_laplacian,
     build_natural_tau,
-    case_alpha,
-    case_beta,
-    case_delta,
-    case_finest_only,
-    case_gamma,
     coeff_oracle,
     compute_bound_constants,
     dense_sym_eigs,
@@ -292,22 +287,15 @@ def test_criterion_6_multigrid_counts():
         "delta": (1, 3),
         "finest_only": (2, 4),
     }
-    cases = {
-        "alpha": case_alpha(),
-        "beta": case_beta(),
-        "gamma": case_gamma(),
-        "delta": case_delta(),
-        "finest_only": case_finest_only(),
-    }
     bad = []
     for n in shared.MGM_SIZES:
         c = shared.scaled_coeffs(n)
         h_two = build_hierarchy(c, coarsest_threshold=(n - 1) // 2)
         h_full = build_hierarchy(c)
         b = np.ones(n)
-        for name, case in cases.items():
-            t = tgm(h_two, case, b).iterations
-            v = vcycle(h_full, case, b).iterations
+        for name in ("alpha", "beta", "gamma", "delta", "finest_only"):
+            t = tgm(h_two, name, b).iterations
+            v = vcycle(h_full, name, b).iterations
             for style, count in (("tgm", t), ("vcycle", v)):
                 if name == "alpha":
                     row = shared.MGM_TABLE[n]["alpha"]

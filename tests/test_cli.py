@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import dofde.preconditioners
 import dofde.spectral
-from dofde import NotSPDError
+from dofde import MGM_CASES, NotSPDError
 from dofde.cli import CliError, RunConfig, main, parse_sizes, run
 
 # Tables recorded from an earlier version of the program; read, never written.
@@ -112,6 +113,24 @@ class TestCommands:
         assert "wall_time_seconds" in payload
 
 
+class TestMgmCases:
+    def test_case_choices_are_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"--case \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == [*MGM_CASES, "all"]
+
+    @pytest.mark.parametrize("name", list(MGM_CASES))
+    def test_one_case_matches_all_cases_run(self, name, capsys):
+        assert main(["mgm", "--sizes", "31,63"]) == 0
+        every = capsys.readouterr().out.strip().split("\n")
+        assert main(["mgm", "--sizes", "31,63", "--case", name]) == 0
+        one = capsys.readouterr().out.strip().split("\n")
+        assert one[0] == every[0] == "n,case,tgm_iterations,vcycle_iterations"
+        assert one[1:] == [row for row in every[1:] if row.split(",")[1] == name]
+        assert len(one) == 3
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -144,6 +163,18 @@ class TestErrorPaths:
     def test_nonpositive_eps(self, capsys):
         assert main(["outliers", "--sizes", "32", "--eps", "-0.1"]) == 2
         capsys.readouterr()
+
+    def test_unparsable_eps(self, capsys):
+        assert main(["outliers", "--sizes", "32", "--eps", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "abc" in captured.err
+        assert captured.out == ""
+
+    def test_empty_eps(self, capsys):
+        assert main(["outliers", "--sizes", "32", "--eps", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_all_requires_out(self, capsys):
         assert main(["all"]) == 2
@@ -191,14 +222,25 @@ def _cell_matches(got, want):
     return abs(g - w) <= 1e-8 * abs(w) + 1e-12
 
 
+# Sizes replayed per command: each a prefix of the command's default range.
+_REFERENCE_SIZES = {
+    "spectrum": "32..512",
+    "outliers": "32..512",
+    "mineig": "32..512",
+    "pcg": "32..512",
+    "mgm": "31..511",
+}
+
+
 class TestReferenceTables:
-    @pytest.mark.parametrize("command", ["spectrum", "outliers", "mineig"])
+    @pytest.mark.parametrize("command", list(_REFERENCE_SIZES))
     def test_rows_match_recorded_reference(self, command, tmp_path):
-        assert main([command, "--sizes", "32..512", "--out", str(tmp_path)]) == 0
+        sizes_text = _REFERENCE_SIZES[command]
+        assert main([command, "--sizes", sizes_text, "--out", str(tmp_path)]) == 0
         got = _read_csv(tmp_path / f"{command}.csv")
         want = _read_csv(REFERENCE_DIR / f"{command}.csv")
         assert got[0] == want[0]
-        sizes = {"32", "64", "128", "256", "512"}
+        sizes = {str(n) for n in parse_sizes(sizes_text)}
         assert {row[0] for row in got[1:]} == sizes
         want_rows = [row for row in want[1:] if row[0] in sizes]
         assert len(got) - 1 == len(want_rows)

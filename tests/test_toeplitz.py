@@ -39,12 +39,10 @@ class TestCoeffs:
             coeffs_via_fft(64, samples=128)  # fewer than 4 n
 
     def test_stabilization_failure_raises(self):
-        # a kink off the sampling grid converges too slowly for the budget
+        # a kink off the sampling grid converges too slowly for the budget:
+        # its aliasing error is still about 1e-4 after four doublings
         with pytest.raises(CoeffStabilizationError):
-            coeffs_via_fft(
-                4, samples=16, stabilization_tol=1e-13,
-                symbol=lambda t: np.abs(np.abs(t) - 1.0),
-            )
+            coeffs_via_fft(4, samples=16, symbol=lambda t: np.abs(np.abs(t) - 1.0))
 
     def test_leading_coefficient_positive(self):
         for n in (4, 32, 256):
