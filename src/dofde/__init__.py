@@ -1,135 +1,25 @@
 """Distributed-order stiffness matrices: symbols, eigenvalue bounds,
-preconditioned solvers, and the experiment runner."""
+preconditioned solvers, and the experiment runner.
 
-from .symbols import (
-    SingularityError,
-    bound_correction,
-    bound_correction_coeffs,
-    dist_order_symbol,
-    fold_angle,
-    laplacian_eigenfunction,
-    laplacian_symbol,
-    limit_symbol,
-    rescaled_remainder,
-)
-from .quadrature import (
-    BoundConstants,
-    QuadResult,
-    QuadratureConvergenceError,
-    compute_bound_constants,
-    integrate_adaptive,
-    lower_bound_constant,
-    norm_constant,
-    norm_constant_limit,
-    upper_bound_constant,
-)
-from .transforms import dst1
-from .toeplitz import (
-    CoeffStabilizationError,
-    ToeplitzCoeffs,
-    ToeplitzOperator,
-    assemble_dense,
-    coeff_oracle,
-    coeffs_via_fft,
-    toeplitz_matvec,
-)
-from .preconditioners import (
-    NotSPDError,
-    PrecKind,
-    Preconditioner,
-    apply_inverse,
-    apply_inverse_sqrt,
-    build_frobenius_circulant,
-    build_frobenius_tau,
-    build_identity,
-    build_laplacian,
-    build_natural_tau,
-    build_preconditioner,
-    build_strang,
-)
-from .krylov import BreakdownError, SolveReport, StoppingRule, cg_smooth_step, pcg
-from .multigrid import (
-    MGM_CASES,
-    GridLevel,
-    Hierarchy,
-    build_hierarchy,
-    gauss_seidel_sweep,
-    prolong,
-    restrict,
-    tgm,
-    vcycle,
-)
-from .spectral import (
-    OutlierReport,
-    SpectrumReport,
-    count_outliers,
-    dense_sym_eigs,
-    min_eig_normalized,
-    preconditioned_spectra,
-    preconditioned_spectrum,
-)
+Every public name is declared once, in its module's `__all__`; the
+package re-exports them all.
+"""
+
+from .symbols import *
+from .quadrature import *
+from .transforms import *
+from .toeplitz import *
+from .preconditioners import *
+from .krylov import *
+from .multigrid import *
+from .spectral import *
+from . import krylov, multigrid, preconditioners, quadrature, spectral, symbols, toeplitz, transforms
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    "SingularityError",
-    "dist_order_symbol",
-    "limit_symbol",
-    "rescaled_remainder",
-    "laplacian_symbol",
-    "laplacian_eigenfunction",
-    "fold_angle",
-    "bound_correction",
-    "bound_correction_coeffs",
-    "QuadResult",
-    "BoundConstants",
-    "QuadratureConvergenceError",
-    "integrate_adaptive",
-    "lower_bound_constant",
-    "upper_bound_constant",
-    "norm_constant",
-    "norm_constant_limit",
-    "compute_bound_constants",
-    "dst1",
-    "ToeplitzCoeffs",
-    "ToeplitzOperator",
-    "CoeffStabilizationError",
-    "coeffs_via_fft",
-    "coeff_oracle",
-    "assemble_dense",
-    "toeplitz_matvec",
-    "PrecKind",
-    "Preconditioner",
-    "NotSPDError",
-    "build_identity",
-    "build_strang",
-    "build_frobenius_circulant",
-    "build_natural_tau",
-    "build_frobenius_tau",
-    "build_laplacian",
-    "build_preconditioner",
-    "apply_inverse",
-    "apply_inverse_sqrt",
-    "StoppingRule",
-    "SolveReport",
-    "BreakdownError",
-    "pcg",
-    "cg_smooth_step",
-    "MGM_CASES",
-    "GridLevel",
-    "Hierarchy",
-    "restrict",
-    "prolong",
-    "build_hierarchy",
-    "gauss_seidel_sweep",
-    "vcycle",
-    "tgm",
-    "SpectrumReport",
-    "OutlierReport",
-    "dense_sym_eigs",
-    "min_eig_normalized",
-    "preconditioned_spectrum",
-    "preconditioned_spectra",
-    "count_outliers",
+    name
+    for module in (symbols, quadrature, transforms, toeplitz, preconditioners, krylov,
+                   multigrid, spectral)
+    for name in module.__all__
 ]

@@ -14,39 +14,27 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .krylov import StoppingRule, pcg
+from .krylov import BreakdownError, StoppingRule, pcg
 from .multigrid import MGM_CASES, build_hierarchy, tgm, vcycle
 from .preconditioners import PrecKind, build_preconditioner
 from .quadrature import (
+    QuadratureConvergenceError,
     lower_bound_constant,
     norm_constant,
     norm_constant_limit,
     upper_bound_constant,
 )
 from .spectral import count_outliers, min_eig_normalized, preconditioned_spectra
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
+from .toeplitz import CoeffStabilizationError, ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
-__all__ = ["RunConfig", "CliError", "parse_sizes", "run", "main"]
+__all__ = ["CliError", "parse_sizes", "main"]
+
 
 class CliError(ValueError):
     """Configuration problem that should surface as a nonzero exit."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    sizes: list = field(default_factory=list)
-    preconditioners: list = field(default_factory=list)
-    eps: list = field(default_factory=lambda: [1e-1, 1e-2])
-    case: str | None = None
-    tol: float = 1e-7
-    quad_tol: float = 1e-8
-    output_path: str | None = None
-    format: str = "csv"
 
 
 def parse_sizes(text):
@@ -113,12 +101,13 @@ def _scaled_coeffs(n):
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (columns, rows, extras)
+# command implementations: each takes the parsed arguments, with `sizes`
+# resolved to a list, and returns (columns, rows, extras)
 
-def _cmd_bounds(config):
-    upper = upper_bound_constant(tol=config.quad_tol, detail=True)
-    lower = lower_bound_constant(tol=max(config.quad_tol, 1e-12), detail=True)
-    limit = norm_constant_limit(tol=config.quad_tol, detail=True)
+def _cmd_bounds(args):
+    upper = upper_bound_constant(tol=args.quad_tol)
+    lower = lower_bound_constant(tol=max(args.quad_tol, 1e-12))
+    limit = norm_constant_limit(tol=args.quad_tol)
     rows = [
         ["k1", _fmt(upper.value), _fmt(upper.abs_error_estimate)],
         ["k2", _fmt(lower.value), _fmt(lower.abs_error_estimate)],
@@ -129,51 +118,51 @@ def _cmd_bounds(config):
         "k2": lower.evaluations,
         "c_infinity": limit.evaluations,
     }}
-    if config.output_path is None and config.format == "csv":
+    if args.out is None and args.format == "csv":
         # a one-line summary ahead of the CSV, on stdout only
         sys.stdout.write(", ".join(f"{name}={float(val):.4f}" for name, val, _ in rows) + "\n")
     return ["constant", "value", "error_estimate"], rows, extras
 
 
-def _cmd_cn(config):
+def _cmd_cn(args):
     rows = []
-    for n in config.sizes:
-        rows.append([str(n), _fmt(norm_constant(n, tol=config.quad_tol))])
+    for n in args.sizes:
+        rows.append([str(n), _fmt(norm_constant(n, tol=args.quad_tol).value)])
     return ["n", "c_n"], rows, {}
 
 
-def _cmd_mineig(config):
-    upper = upper_bound_constant(tol=config.quad_tol)
-    lower = lower_bound_constant(tol=max(config.quad_tol, 1e-12))
+def _cmd_mineig(args):
+    upper = upper_bound_constant(tol=args.quad_tol).value
+    lower = lower_bound_constant(tol=max(args.quad_tol, 1e-12)).value
     rows = []
-    for n in config.sizes:
+    for n in args.sizes:
         if n < 4:
             raise CliError(f"mineig needs n >= 4, got {n}")
         rows.append([str(n), _fmt(min_eig_normalized(n)), _fmt(lower), _fmt(upper)])
     return ["n", "normalized_min_eig", "k2", "k1"], rows, {}
 
 
-def _cmd_coeffs(config):
+def _cmd_coeffs(args):
     rows = []
-    for n in config.sizes:
+    for n in args.sizes:
         c = coeffs_via_fft(n)
         for k in range(n):
             rows.append([str(n), str(k), _fmt(c.a[k])])
     return ["n", "k", "coefficient"], rows, {}
 
 
-def _cmd_pcg(config):
-    precs = config.preconditioners or list(PrecKind)
+def _cmd_pcg(args):
+    precs = args.precs or list(PrecKind)
     columns = ["n"] + [k.value for k in precs]
     rows = []
     histories = {}
-    for n in config.sizes:
+    for n in args.sizes:
         if n < 2:
             raise CliError(f"pcg needs n >= 2, got {n}")
         scaled = _scaled_coeffs(n)
         op = ToeplitzOperator(scaled)
         b = np.ones(n)
-        stop = StoppingRule(tol=config.tol)
+        stop = StoppingRule(tol=args.tol)
         row = [str(n)]
         for kind in precs:
             P = build_preconditioner(kind, scaled)
@@ -184,28 +173,28 @@ def _cmd_pcg(config):
     return columns, rows, {"residual_histories": histories}
 
 
-def _spectra(config, default_precs):
+def _spectra(args, default_precs):
     """(n, kind, SpectrumReport) for every size and preconditioner."""
-    precs = config.preconditioners or default_precs
-    for n in config.sizes:
+    precs = args.precs or default_precs
+    for n in args.sizes:
         scaled = _scaled_coeffs(n)
         spectra = preconditioned_spectra(
             scaled, [build_preconditioner(kind, scaled) for kind in precs])
         yield from ((n, kind, s) for kind, s in zip(precs, spectra))
 
 
-def _cmd_spectrum(config):
+def _cmd_spectrum(args):
     rows = [
         [str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)]
-        for n, kind, s in _spectra(config, [k for k in PrecKind if k is not PrecKind.IDENTITY])
+        for n, kind, s in _spectra(args, [k for k in PrecKind if k is not PrecKind.IDENTITY])
     ]
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
 
 
-def _cmd_outliers(config):
+def _cmd_outliers(args):
     rows = []
-    for n, kind, s in _spectra(config, [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]):
-        for eps in config.eps:
+    for n, kind, s in _spectra(args, [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]):
+        for eps in args.eps:
             rep = count_outliers(s, eps)
             rows.append([
                 str(n), kind.value, _fmt(eps),
@@ -214,17 +203,17 @@ def _cmd_outliers(config):
     return ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"], rows, {}
 
 
-def _cmd_mgm(config):
-    cases = [config.case] if config.case is not None else list(MGM_CASES)
+def _cmd_mgm(args):
+    cases = list(MGM_CASES) if args.case == "all" else [args.case]
     rows = []
-    for n in config.sizes:
+    for n in args.sizes:
         if (n + 1) & n or n < 3:
             raise CliError(f"mgm needs sizes one less than a power of two, got {n}")
         scaled = _scaled_coeffs(n)
         h_two = build_hierarchy(scaled, coarsest_threshold=max((n - 1) // 2, 1))
         h_full = build_hierarchy(scaled)
         b = np.ones(n)
-        stop = StoppingRule(tol=config.tol)
+        stop = StoppingRule(tol=args.tol)
         for name in cases:
             t = tgm(h_two, name, b, stop=stop)
             v = vcycle(h_full, name, b, stop=stop)
@@ -262,55 +251,32 @@ def _json_text(command, columns, rows, extras, wall_time):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config, command, columns, rows, extras, wall_time):
-    if config.format == "json":
+def _emit(args, command, columns, rows, extras, wall_time):
+    if args.format == "json":
         text = _json_text(command, columns, rows, extras, wall_time)
         suffix = ".json"
     else:
         text = _csv_text(columns, rows)
         suffix = ".csv"
-    if config.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
         return
     import os
 
-    os.makedirs(config.output_path, exist_ok=True)
-    path = os.path.join(config.output_path, command + suffix)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, command + suffix)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _run_one(config, command):
+def _run_one(args, command):
     runner, default_sizes = _COMMANDS[command]
-    sizes = config.sizes or (parse_sizes(default_sizes) if default_sizes else [])
-    sub = replace(config, command=command, sizes=sizes)
+    sizes = args.sizes or (parse_sizes(default_sizes) if default_sizes else [])
+    sub = argparse.Namespace(**{**vars(args), "sizes": sizes})
     start = time.perf_counter()
     columns, rows, extras = runner(sub)
     wall = time.perf_counter() - start
     _emit(sub, command, columns, rows, extras, wall)
-
-
-def run(config):
-    """Execute one configured command; returns a process exit status."""
-    try:
-        if config.command != "all" and config.command not in _COMMANDS:
-            raise CliError(f"unknown command {config.command!r}")
-        if config.format not in ("csv", "json"):
-            raise CliError(f"unknown format {config.format!r}")
-        if config.command == "all":
-            if not config.output_path:
-                raise CliError("'all' needs --out DIR")
-            if config.sizes:
-                raise CliError("'all' runs every command at its default sizes; "
-                               "--sizes applies to one command")
-            for command in _COMMANDS:
-                _run_one(config, command)
-        else:
-            _run_one(config, config.command)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def main(argv=None):
@@ -331,25 +297,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        sizes = parse_sizes(args.sizes) if args.sizes else []
-        precs = _parse_precs(args.precs) if args.precs else []
-        eps = _parse_list(args.eps, float, "eps")
-    except CliError as exc:
+        args.sizes = parse_sizes(args.sizes) if args.sizes else []
+        args.precs = _parse_precs(args.precs) if args.precs else []
+        args.eps = _parse_list(args.eps, float, "eps")
+        if args.command != "all":
+            _run_one(args, args.command)
+        elif not args.out:
+            raise CliError("'all' needs --out DIR")
+        elif args.sizes:
+            raise CliError("'all' runs every command at its default sizes; "
+                           "--sizes applies to one command")
+        else:
+            for command in _COMMANDS:
+                _run_one(args, command)
+    # CliError and NotSPDError are ValueErrors; the program's own failures
+    # get the same error line and status instead of a traceback
+    except (ValueError, CoeffStabilizationError, QuadratureConvergenceError,
+            BreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    config = RunConfig(
-        command=args.command,
-        sizes=sizes,
-        preconditioners=precs,
-        eps=eps,
-        case=None if args.case == "all" else args.case,
-        tol=args.tol,
-        quad_tol=args.quad_tol,
-        output_path=args.out,
-        format=args.format,
-    )
-    return run(config)
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ class StoppingRule:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")

@@ -227,7 +227,7 @@ def _cycle(h, smoothers, index, b, x):
     return post(x, b)
 
 
-def _mgm_solve(h, case, b, x0, stop):
+def _mgm_solve(h, case, b, stop):
     if case not in MGM_CASES:
         raise ValueError(f"unknown multigrid case {case!r}")
     if stop is None:
@@ -237,7 +237,7 @@ def _mgm_solve(h, case, b, x0, stop):
     n = finest.n
     if b.shape != (n,):
         raise ValueError("right-hand side length must match the finest level")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
@@ -258,14 +258,14 @@ def _mgm_solve(h, case, b, x0, stop):
     return SolveReport(max_it, np.array(history), False, x)
 
 
-def vcycle(h, case, b, x0=None, stop=None):
-    """Iterate V-cycles, smoothing as the MGM_CASES entry named `case`,
-    until the scaled residual passes stop.tol."""
-    return _mgm_solve(h, case, b, x0, stop)
+def vcycle(h, case, b, stop=None):
+    """Iterate V-cycles from zero, smoothing as the MGM_CASES entry named
+    `case`, until the scaled residual passes stop.tol."""
+    return _mgm_solve(h, case, b, stop)
 
 
-def tgm(h, case, b, x0=None, stop=None):
+def tgm(h, case, b, stop=None):
     """Two-grid iteration: a V-cycle on a hierarchy of exactly two levels."""
     if h.depth != 2:
         raise ValueError("two-grid solve needs a hierarchy with exactly two levels")
-    return _mgm_solve(h, case, b, x0, stop)
+    return _mgm_solve(h, case, b, stop)

@@ -9,7 +9,8 @@ tail majorants.
 
 On top of the engine sit the four constants of the minimal-eigenvalue
 analysis: the lower and upper bound constants, the limiting eigenvector
-normalization constant, and its finite-n counterpart.
+normalization constant, and its finite-n counterpart.  Each returns a
+QuadResult (value, error estimate, integrand evaluations).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def integrate_adaptive(f, a, b, tol=1e-10):
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     span = b - a
@@ -161,16 +162,15 @@ def integrate_adaptive(f, a, b, tol=1e-10):
     raise QuadratureConvergenceError("bisection depth exceeded")
 
 
-def _integrate_dyadic_tail(f, start, block_tol, tail_bound, tail_target,
-                           max_doublings=64):
+def _integrate_dyadic_tail(f, start, block_tol, tail_bound, tail_target):
     """Sum adaptive integrals over dyadic blocks [U, 2U] from `start`
     until `tail_bound(U)` (a majorant for the remaining |integral|)
-    drops under `tail_target`."""
+    drops under `tail_target`, within 64 doublings."""
     value = 0.0
     err = 0.0
     evals = 0
     upper = float(start)
-    for j in range(max_doublings):
+    for j in range(64):
         bound = tail_bound(upper)
         if bound <= tail_target:
             return value, err + bound, evals
@@ -184,7 +184,7 @@ def _integrate_dyadic_tail(f, start, block_tol, tail_bound, tail_target,
 
 
 def _check_tol(tol):
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise ValueError("tol must be at least 1e-12")
 
 
@@ -216,21 +216,21 @@ def _growth(u):
     return out
 
 
-def lower_bound_constant(tol=1e-8, detail=False):
+def lower_bound_constant(tol=1e-8):
     """Lower bound constant k2 = (1/pi) * int_0^pi (s^2 - s)/log(s) ds.
 
     n * lambda_min of the order-n system matrix stays above this value.
+    Returns a QuadResult.
     """
     _check_tol(tol)
     res = integrate_adaptive(limit_symbol, 0.0, np.pi, tol=tol * np.pi / 2.0)
-    out = QuadResult(res.value / np.pi, res.abs_error_estimate / np.pi,
-                     res.evaluations)
-    return out if detail else out.value
+    return QuadResult(res.value / np.pi, res.abs_error_estimate / np.pi, res.evaluations)
 
 
-def norm_constant_limit(tol=1e-8, detail=False):
+def norm_constant_limit(tol=1e-8):
     """Limiting eigenvector normalization constant
-    c = ((16/pi) * int_0^inf cos(u/2)^2/(u^2-pi^2)^2 du)^(-1/2)."""
+    c = ((16/pi) * int_0^inf cos(u/2)^2/(u^2-pi^2)^2 du)^(-1/2),
+    as a QuadResult."""
     _check_tol(tol)
     # error in c is about c/(2I) ~ 28 times the error in the integral
     tol_i = tol / 30.0
@@ -246,22 +246,21 @@ def norm_constant_limit(tol=1e-8, detail=False):
     err_i = head.abs_error_estimate + tail_err
     c = (16.0 / np.pi * integral) ** -0.5
     err_c = c / (2.0 * integral) * err_i
-    out = QuadResult(c, err_c, head.evaluations + tail_evals)
-    return out if detail else out.value
+    return QuadResult(c, err_c, head.evaluations + tail_evals)
 
 
-def upper_bound_constant(tol=1e-8, detail=False):
+def upper_bound_constant(tol=1e-8):
     """Upper bound constant k1: the ratio
 
         int_0^inf (u^2-u)/log(u) * cos(u/2)^2/(u^2-pi^2)^2 du
         -----------------------------------------------------
         int_0^pi          cos(u/2)^2/(u^2-pi^2)^2 du
 
-    n * lambda_min of the order-n system matrix stays below this value.
-    The slowly decaying numerator tail, O(1/(u^2 log u)), is split into
-    its mean and oscillating halves via cos(u/2)^2 = (1 + cos u)/2; the
-    mean half is truncated with an integral majorant, the oscillating
-    half with a Dirichlet-type bound.
+    n * lambda_min of the order-n system matrix stays below this value;
+    returned as a QuadResult.  The slowly decaying numerator tail,
+    O(1/(u^2 log u)), is split into its mean and oscillating halves via
+    cos(u/2)^2 = (1 + cos u)/2; the mean half is truncated with an
+    integral majorant, the oscillating half with a Dirichlet-type bound.
     """
     _check_tol(tol)
 
@@ -304,12 +303,11 @@ def upper_bound_constant(tol=1e-8, detail=False):
     numer_err = head.abs_error_estimate + mean_err + osc_err
     k1 = numer_val / denom.value
     err_k1 = (numer_err + abs(k1) * denom.abs_error_estimate) / denom.value
-    out = QuadResult(
+    return QuadResult(
         k1,
         err_k1,
         denom.evaluations + head.evaluations + mean_evals + osc_evals,
     )
-    return out if detail else out.value
 
 
 def _eigfun_sq(n, theta):
@@ -329,10 +327,10 @@ def _eigfun_sq(n, theta):
     return ratio**2 / (m**3 * np.sin((theta + s) / 2.0) ** 2)
 
 
-def norm_constant(n, tol=1e-8, detail=False):
+def norm_constant(n, tol=1e-8):
     """Finite-n eigenvector normalization constant
-    c_n = ((1/pi) * int_0^pi |psi(theta)|^2 dtheta)^(-1/2),
-    converging to norm_constant_limit as n grows."""
+    c_n = ((1/pi) * int_0^pi |psi(theta)|^2 dtheta)^(-1/2), as a
+    QuadResult; converges to norm_constant_limit as n grows."""
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_tol(tol)
@@ -345,14 +343,13 @@ def norm_constant(n, tol=1e-8, detail=False):
     err_i = (left.abs_error_estimate + right.abs_error_estimate) / np.pi
     c = integral**-0.5
     err_c = 0.5 * c / integral * err_i
-    out = QuadResult(c, err_c, left.evaluations + right.evaluations)
-    return out if detail else out.value
+    return QuadResult(c, err_c, left.evaluations + right.evaluations)
 
 
 def compute_bound_constants(tol=1e-8):
-    """All three constants in one BoundConstants record."""
+    """The values of all three constants in one BoundConstants record."""
     return BoundConstants(
-        k1=upper_bound_constant(tol),
-        k2=lower_bound_constant(tol),
-        c_infinity=norm_constant_limit(tol),
+        k1=upper_bound_constant(tol).value,
+        k2=lower_bound_constant(tol).value,
+        c_infinity=norm_constant_limit(tol).value,
     )

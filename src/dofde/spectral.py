@@ -203,6 +203,9 @@ def preconditioned_spectra(c, precs):
                 s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
                 blocks = [S @ b @ S for S, b in zip(_flip_blocks(s), blocks)]
         reports.append(_merged_spectrum(blocks))
+        # free this kind's blocks before the next kind forms its own: at
+        # n = 2048 that keeps 16 MB off the peak, reached in _sine_blocks
+        del blocks
     return reports
 
 
@@ -216,7 +219,7 @@ def preconditioned_spectrum(c, P):
 def count_outliers(s, eps):
     """Count eigenvalues at or outside the open interval (1-eps, 1+eps);
     percent is relative to the matrix order."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     w = s.eigenvalues
     left = int(np.count_nonzero(w <= 1.0 - eps))

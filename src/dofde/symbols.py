@@ -123,13 +123,13 @@ def laplacian_symbol(theta):
     return 4.0 * np.sin(theta / 2.0) ** 2
 
 
-def laplacian_eigenfunction(n, theta, scale=1.0):
+def laplacian_eigenfunction(n, theta):
     """Frequency-domain form of the discrete Laplacian's first eigenvector.
 
     With s = pi/(n+1),
 
-        scale * exp(i(n+1)theta/2) / (n+1)^(3/2)
-              * cos((n+1)theta/2) / (sin((theta-s)/2) * sin((theta+s)/2)).
+        exp(i(n+1)theta/2) / (n+1)^(3/2)
+        * cos((n+1)theta/2) / (sin((theta-s)/2) * sin((theta+s)/2)).
 
     The poles at theta = +-s are removable only inside integrals, so
     evaluation within 1e-8 of them raises SingularityError.  Returns a
@@ -144,8 +144,7 @@ def laplacian_eigenfunction(n, theta, scale=1.0):
         )
     m = (n + 1) * theta / 2.0
     return (
-        scale
-        * np.exp(1j * m)
+        np.exp(1j * m)
         / (n + 1) ** 1.5
         * np.cos(m)
         / (np.sin((theta - s) / 2.0) * np.sin((theta + s) / 2.0))
@@ -169,7 +168,7 @@ def _mean_limit_symbol():
     # (1/pi) * int_0^pi g; the constant level that g + correction attains
     from .quadrature import lower_bound_constant
 
-    return lower_bound_constant(tol=1e-12)
+    return lower_bound_constant(tol=1e-12).value
 
 
 def bound_correction(sigma):
@@ -183,13 +182,14 @@ def bound_correction(sigma):
     return k2 - limit_symbol(np.abs(fold_angle(sigma)))
 
 
-def bound_correction_coeffs(n, kmax, tol=1e-10):
+def bound_correction_coeffs(n, kmax):
     """Cosine-Fourier coefficients of theta -> p(n*theta) up to frequency kmax.
 
     Returns (1/pi) * int_0^pi p(n*theta) cos(k*theta) dtheta for
-    k = 0..kmax.  For kmax < n every coefficient vanishes: the folded
-    map only carries frequencies that are multiples of n, which is what
-    makes the Toeplitz matrix of p(n|theta|) the zero matrix.
+    k = 0..kmax, each integral to absolute tolerance 1e-10.  For kmax < n
+    every coefficient vanishes: the folded map only carries frequencies
+    that are multiples of n, which is what makes the Toeplitz matrix of
+    p(n|theta|) the zero matrix.
     """
     from .quadrature import integrate_adaptive
 
@@ -211,7 +211,7 @@ def bound_correction_coeffs(n, kmax, tol=1e-10):
                 lambda th: bound_correction(n * th) * np.cos(k * th),
                 lo,
                 hi,
-                tol=tol / len(edges),
+                tol=1e-10 / len(edges),
             )
             total += piece.value
         coeffs[k] = total / np.pi

@@ -20,13 +20,12 @@ __all__ = [
     "coeffs_via_fft",
     "coeff_oracle",
     "assemble_dense",
-    "toeplitz_matvec",
     "ToeplitzOperator",
 ]
 
 _DOUBLING_BUDGET = 4
 _STABILIZATION_TOL = 1e-10
-_MIN_DEFAULT_SAMPLES = 1 << 16
+_MIN_SAMPLES = 1 << 16
 
 
 class CoeffStabilizationError(RuntimeError):
@@ -78,7 +77,7 @@ def _corner_slope(n):
     return 2.0 * th * g + th**2 * gp
 
 
-def coeffs_via_fft(n, samples=None, symbol=None):
+def coeffs_via_fft(n):
     """Fourier coefficients of the order-n symbol by uniform sampling + FFT.
 
     Samples the symbol on a uniform grid of [0, 2pi), FFTs, keeps the
@@ -86,41 +85,30 @@ def coeffs_via_fft(n, samples=None, symbol=None):
     successive coefficient vectors agree to 1e-10 in max norm (budget:
     4 doublings, then CoeffStabilizationError).
 
-    For the built-in distributed-order symbol the periodic continuation
-    has a corner at theta = pi that would cap plain-sampling accuracy
-    near 1e-6; the matched parabola slope*theta^2/(2pi) is subtracted
-    before sampling and its analytic coefficients are added back, which
-    removes that corner from the sampled function entirely.
+    The periodic continuation of the symbol has a corner at theta = pi
+    that would cap plain-sampling accuracy near 1e-6; the matched
+    parabola slope*theta^2/(2pi) is subtracted before sampling and its
+    analytic coefficients are added back, which removes that corner from
+    the sampled function entirely.
 
-    `samples` must be a power of two >= 4n; the default is large enough
-    (>= 2^16) that the first doubling already verifies stabilization.
-    A generic even symbol (vectorized callable on [-pi, pi]) can be
-    passed via `symbol`; it is sampled plainly.
+    Sampling starts at the next power of two >= max(4n, 2^16), large
+    enough that the first doubling already verifies stabilization.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if samples is None:
-        samples = max(_next_pow2(4 * n), _MIN_DEFAULT_SAMPLES)
-    samples = int(samples)
-    if samples < 4 * n or samples & (samples - 1):
-        raise ValueError("samples must be a power of two >= 4n")
-
-    beta = 0.0 if symbol is not None else _corner_slope(n) / (2.0 * np.pi)
+    samples = max(_next_pow2(4 * n), _MIN_SAMPLES)
+    beta = _corner_slope(n) / (2.0 * np.pi)
 
     def sampled_coeffs(m):
         theta = fold_angle(2.0 * np.pi * np.arange(m) / m)
-        if symbol is not None:
-            vals = np.asarray(symbol(theta), dtype=float)
-        else:
-            vals = dist_order_symbol(n, theta) - beta * theta**2
+        vals = dist_order_symbol(n, theta) - beta * theta**2
         spec = np.fft.fft(vals)[:n]
         if np.max(np.abs(spec.imag)) > 1e-12 * max(1.0, np.max(np.abs(spec.real))):
             raise CoeffStabilizationError("sampled symbol is not even")
         a = spec.real / m
-        if beta:
-            k = np.arange(1, n)
-            a[0] += beta * np.pi**2 / 3.0
-            a[1:] += beta * 2.0 * (-1.0) ** k / k**2
+        k = np.arange(1, n)
+        a[0] += beta * np.pi**2 / 3.0
+        a[1:] += beta * 2.0 * (-1.0) ** k / k**2
         return a
 
     prev = sampled_coeffs(samples)
@@ -136,15 +124,15 @@ def coeffs_via_fft(n, samples=None, symbol=None):
     )
 
 
-def coeff_oracle(n, k, tol=1e-10, symbol=None):
+def coeff_oracle(n, k, tol=1e-10):
     """Independent k-th coefficient: (1/pi) * int_0^pi f(theta) cos(k theta) dtheta
     by adaptive quadrature.  Slow; exists to cross-check coeffs_via_fft."""
     from .quadrature import integrate_adaptive
 
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    f = symbol if symbol is not None else (lambda th: dist_order_symbol(n, th))
-    res = integrate_adaptive(lambda th: f(th) * np.cos(k * th), 0.0, np.pi, tol=tol)
+    res = integrate_adaptive(lambda th: dist_order_symbol(n, th) * np.cos(k * th),
+                             0.0, np.pi, tol=tol)
     return res.value / np.pi
 
 
@@ -180,8 +168,3 @@ class ToeplitzOperator:
         xp[: self.n] = x
         return np.fft.ifft(self._spectrum * np.fft.fft(xp))[: self.n].real
 
-
-def toeplitz_matvec(c, x):
-    """One-shot fast Toeplitz product; equals assemble_dense(c) @ x to
-    relative 1e-11."""
-    return ToeplitzOperator(c)(x)

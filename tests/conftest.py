@@ -15,11 +15,11 @@ from scipy.linalg import solve_triangular
 from dofde import (
     PrecKind,
     ToeplitzCoeffs,
+    ToeplitzOperator,
     assemble_dense,
     build_preconditioner,
     coeffs_via_fft,
     preconditioned_spectrum,
-    toeplitz_matvec,
 )
 
 
@@ -216,7 +216,7 @@ def manufactured_rhs(n):
     eigenvectors of A_n.
     """
     x_star = np.arange(1, n + 1) / (n + 1)
-    return toeplitz_matvec(scaled_coeffs(n), x_star)
+    return ToeplitzOperator(scaled_coeffs(n))(x_star)
 
 
 # iteration counts: columns identity, strang, frobenius_circulant,

@@ -1,15 +1,21 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dofde.cli
 import dofde.preconditioners
+import dofde.quadrature
 import dofde.spectral
-from dofde import MGM_CASES, NotSPDError
-from dofde.cli import CliError, RunConfig, main, parse_sizes, run
+import dofde.toeplitz
+from dofde import MGM_CASES, NotSPDError, PrecKind, Preconditioner
+from dofde.cli import CliError, main, parse_sizes
 
 # Tables recorded from an earlier version of the program; read, never written.
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "full"
@@ -199,10 +205,57 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "strang" in err and "not SPD" in err
 
-    def test_run_config_direct(self):
-        assert run(RunConfig(command="nope")) == 2
-        assert run(RunConfig(command="pcg", sizes=[1])) == 2
-        assert run(RunConfig(command="bounds", format="xml")) == 2
+    def test_run_config_direct(self, capsys):
+        # argparse rejects an unknown command or format itself; a size the
+        # command cannot take is the runner's error
+        for argv in (["nope"], ["bounds", "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main(["pcg", "--sizes", "1"]) == 2
+        assert "pcg needs n >= 2" in capsys.readouterr().err
+
+    def test_coefficient_failure_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol",
+                            lambda n, t: (np.abs(t) < 1.0).astype(float))
+        assert main(["coeffs", "--sizes", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: coefficients did not stabilize")
+
+    def test_quadrature_failure_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(dofde.quadrature, "limit_symbol", lambda s: np.full_like(s, np.nan))
+        assert main(["bounds"]) == 2
+        assert capsys.readouterr().err.startswith("error: integrand returned a non-finite value")
+
+    def test_breakdown_reported(self, capsys, monkeypatch):
+        # a negative spectrum makes the preconditioned inner product negative
+        monkeypatch.setattr(dofde.cli, "build_preconditioner",
+                            lambda kind, c: Preconditioner(PrecKind.NATURAL_TAU, c.n, -np.ones(c.n)))
+        assert main(["pcg", "--sizes", "32", "--precs", "natural_tau"]) == 2
+        assert capsys.readouterr().err.startswith("error: preconditioned inner product <= 0")
+
+
+class TestExitStatus:
+    """The status and stderr a shell sees from `python -m dofde.cli`,
+    argparse's own exits included."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["nope"], 2),
+        (["pcg", "--sizes", "32", "--tol", "nan"], 2),
+        (["bounds", "--quad-tol", "nan"], 2),
+        (["cn", "--sizes", "8"], 0),
+    ])
+    def test_exit_status(self, argv, status):
+        env = dict(os.environ)
+        src = str(Path(dofde.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "dofde.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == status
+        assert "Traceback" not in done.stderr
+        if status:
+            assert "error:" in done.stderr
+        else:
+            assert done.stdout.startswith("n,c_n\n8,")
 
 
 def _read_csv(path):

@@ -84,6 +84,8 @@ class TestPcgBasics:
         with pytest.raises(ValueError):
             StoppingRule(tol=0.0)
         with pytest.raises(ValueError):
+            StoppingRule(tol=np.nan)
+        with pytest.raises(ValueError):
             StoppingRule(max_iterations=0)
         assert StoppingRule().resolve_max(100) == 1000
 

@@ -62,6 +62,15 @@ class TestIntegrateAdaptive:
             integrate_adaptive(np.sin, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             lower_bound_constant(tol=1e-13)
+        # NaN fails every comparison: a check written as `tol <= 0` lets it
+        # through to bisect until the interval budget runs out
+        with pytest.raises(ValueError):
+            integrate_adaptive(np.sin, 0.0, 1.0, tol=np.nan)
+        for constant in (lower_bound_constant, upper_bound_constant, norm_constant_limit):
+            with pytest.raises(ValueError):
+                constant(tol=np.nan)
+        with pytest.raises(ValueError):
+            norm_constant(8, tol=np.nan)
 
     def test_matches_library_quadrature(self):
         # independent oracle: adaptive Clenshaw-Curtis/QAGS from scipy
@@ -76,23 +85,23 @@ class TestIntegrateAdaptive:
 
 class TestBoundConstants:
     def test_lower_constant(self):
-        assert lower_bound_constant(tol=1e-10) == pytest.approx(K2_REF, abs=1e-9)
+        assert lower_bound_constant(tol=1e-10).value == pytest.approx(K2_REF, abs=1e-9)
 
     def test_upper_constant(self):
-        assert upper_bound_constant(tol=1e-8) == pytest.approx(K1_REF, abs=1e-6)
+        assert upper_bound_constant(tol=1e-8).value == pytest.approx(K1_REF, abs=1e-6)
 
     def test_limit_constant_is_pi_over_sqrt2(self):
-        assert norm_constant_limit(tol=1e-8) == pytest.approx(C_INF_REF, abs=5e-8)
+        assert norm_constant_limit(tol=1e-8).value == pytest.approx(C_INF_REF, abs=5e-8)
 
     def test_detail_reports(self):
-        res = lower_bound_constant(tol=1e-9, detail=True)
+        res = lower_bound_constant(tol=1e-9)
         assert isinstance(res, QuadResult)
         assert res.abs_error_estimate >= 0.0
         assert abs(res.value - K2_REF) < 1e-8
 
     def test_tolerance_stability(self):
-        loose = lower_bound_constant(tol=1e-8)
-        tight = lower_bound_constant(tol=1e-10)
+        loose = lower_bound_constant(tol=1e-8).value
+        tight = lower_bound_constant(tol=1e-10).value
         assert loose == pytest.approx(tight, abs=1e-8)
 
     def test_bundle(self):
@@ -109,15 +118,15 @@ class TestBoundConstants:
 
 class TestNormConstant:
     def test_small_order_frozen(self):
-        assert norm_constant(8) == pytest.approx(2.1766028638317773718, abs=1e-8)
+        assert norm_constant(8).value == pytest.approx(2.1766028638317773718, abs=1e-8)
 
     def test_large_order_frozen(self):
-        assert norm_constant(1024) == pytest.approx(2.2214379910322742, abs=1e-7)
+        assert norm_constant(1024).value == pytest.approx(2.2214379910322742, abs=1e-7)
 
     def test_converges_to_limit(self):
         # the normalization sequence approaches pi/sqrt(2) from below
-        c64 = norm_constant(64)
-        c512 = norm_constant(512)
+        c64 = norm_constant(64).value
+        c512 = norm_constant(512).value
         assert abs(c512 - C_INF_REF) < abs(c64 - C_INF_REF)
         assert abs(c512 - C_INF_REF) < 1e-4
 

@@ -296,6 +296,8 @@ class TestOutliers:
         rep = SpectrumReport(np.ones(3), 1.0, 1.0)
         with pytest.raises(ValueError):
             count_outliers(rep, 0.0)
+        with pytest.raises(ValueError):
+            count_outliers(rep, np.nan)
 
 
 class TestWeylOrdering:

@@ -135,11 +135,6 @@ class TestLaplacianPieces:
         with pytest.raises(SingularityError):
             laplacian_eigenfunction(n, -s)
 
-    def test_scale_argument(self):
-        a = laplacian_eigenfunction(5, 0.4, scale=1.0)
-        b = laplacian_eigenfunction(5, 0.4, scale=2.5)
-        assert b == pytest.approx(2.5 * a, rel=1e-14)
-
 
 class TestFoldAngle:
     def test_values(self):

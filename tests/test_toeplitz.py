@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import conftest as shared
+import dofde.toeplitz
 from dofde import (
     CoeffStabilizationError,
     ToeplitzCoeffs,
@@ -9,7 +10,6 @@ from dofde import (
     assemble_dense,
     coeff_oracle,
     coeffs_via_fft,
-    toeplitz_matvec,
 )
 
 
@@ -25,24 +25,13 @@ class TestCoeffs:
         for k in (0, 1, 7, 15):
             assert c.a[k] == pytest.approx(coeff_oracle(16, k, tol=1e-11), abs=1e-8)
 
-    def test_trig_polynomial_exact(self):
-        # a pure cosine polynomial is resolved exactly by sampling
-        c = coeffs_via_fft(6, symbol=lambda t: 2.0 - 2.0 * np.cos(t))
-        expected = np.zeros(6)
-        expected[0], expected[1] = 2.0, -1.0
-        np.testing.assert_allclose(c.a, expected, atol=1e-13)
-
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            coeffs_via_fft(8, samples=48)  # not a power of two
-        with pytest.raises(ValueError):
-            coeffs_via_fft(64, samples=128)  # fewer than 4 n
-
-    def test_stabilization_failure_raises(self):
-        # a kink off the sampling grid converges too slowly for the budget:
-        # its aliasing error is still about 1e-4 after four doublings
-        with pytest.raises(CoeffStabilizationError):
-            coeffs_via_fft(4, samples=16, symbol=lambda t: np.abs(np.abs(t) - 1.0))
+    def test_stabilization_failure_raises(self, monkeypatch):
+        # a jump off the sampling grid converges too slowly for the budget:
+        # its aliasing error is still far above 1e-10 after four doublings
+        monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol",
+                            lambda n, t: (np.abs(t) < 1.0).astype(float))
+        with pytest.raises(CoeffStabilizationError, match="within 4 doublings"):
+            coeffs_via_fft(4)
 
     def test_leading_coefficient_positive(self):
         for n in (4, 32, 256):
@@ -83,7 +72,7 @@ class TestDenseAndMatvec:
         c = ToeplitzCoeffs(n, a)
         A = assemble_dense(c)
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(toeplitz_matvec(c, x), A @ x, atol=1e-11)
+        np.testing.assert_allclose(ToeplitzOperator(c)(x), A @ x, atol=1e-11)
 
     def test_operator_reuse(self):
         c = shared.coeffs(64)
