@@ -44,7 +44,10 @@ def parse_sizes(text):
     text = text.strip()
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError as exc:
+            raise CliError(f"bad size range {text!r}") from exc
         if lo < 2 or hi < lo:
             raise CliError(f"bad size range {text!r}")
         if lo & (lo - 1) == 0:
@@ -106,7 +109,7 @@ def _scaled_coeffs(n):
 
 def _cmd_bounds(args):
     upper = upper_bound_constant(tol=args.quad_tol)
-    lower = lower_bound_constant(tol=max(args.quad_tol, 1e-12))
+    lower = lower_bound_constant(tol=args.quad_tol)
     limit = norm_constant_limit(tol=args.quad_tol)
     rows = [
         ["k1", _fmt(upper.value), _fmt(upper.abs_error_estimate)],
@@ -133,7 +136,7 @@ def _cmd_cn(args):
 
 def _cmd_mineig(args):
     upper = upper_bound_constant(tol=args.quad_tol).value
-    lower = lower_bound_constant(tol=max(args.quad_tol, 1e-12)).value
+    lower = lower_bound_constant(tol=args.quad_tol).value
     rows = []
     for n in args.sizes:
         if n < 4:

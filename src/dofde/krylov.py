@@ -1,7 +1,9 @@
 """Conjugate gradient solvers for the preconditioned experiments.
 
 Standard (P)CG with the scaled-residual stopping rule ||r||/||b|| < tol;
-the multigrid smoother is the same loop run for a fixed number of steps.
+the multigrid smoother is the same solve run for a fixed number of steps.
+The rule lives in one loop, `_iterate`: `pcg` and multigrid's `vcycle`
+and `tgm` each hand it their steps as a generator of (x, r) pairs.
 Iteration counts under the five preconditioners are the package's main
 solver experiment.
 """
@@ -52,16 +54,13 @@ class SolveReport:
     solution: np.ndarray = field(repr=False)
 
 
-def pcg(apply_A, P, b, x0=None, stop=None):
-    """Preconditioned conjugate gradient on A x = b.
+def _iterate(apply_A, b, x0, stop, steps):
+    """The one solve loop behind `pcg`, `vcycle` and `tgm`.
 
-    apply_A is any callable realizing the SPD operator; P is a
-    Preconditioner (Identity gives plain CG).  Returns a SolveReport
-    whose residual_history holds the scaled residual before each
-    iteration and after every update; iterations is the first k whose
-    scaled residual drops under stop.tol.  Hitting max_iterations
-    returns converged=False rather than raising; a non-positive inner
-    product raises BreakdownError.
+    Returns at once for a zero b or an initial residual under stop.tol;
+    otherwise draws (x, r) pairs, r the residual of the iterate x, from
+    the generator steps(x0, r0) until ||r||/||b|| < stop.tol or stop's
+    cap.  No step past the cap is drawn, so none of its work is done.
     """
     if stop is None:
         stop = StoppingRule()
@@ -80,33 +79,46 @@ def pcg(apply_A, P, b, x0=None, stop=None):
     if history[0] < stop.tol:
         return SolveReport(0, np.array(history), True, x)
 
-    z = apply_inverse(P, r)
-    rho = float(r @ z)
-    if rho <= 0.0:
-        raise BreakdownError("preconditioned inner product <= 0")
-    p = z.copy()
-
     max_it = stop.resolve_max(n)
-    for k in range(1, max_it + 1):
-        q = np.asarray(apply_A(p), dtype=float)
-        curvature = float(p @ q)
-        if curvature <= 0.0:
-            raise BreakdownError("operator inner product <= 0")
-        alpha = rho / curvature
-        x = x + alpha * p
-        r = r - alpha * q
-        scaled = np.linalg.norm(r) / norm_b
-        history.append(scaled)
-        if scaled < stop.tol:
+    # range comes first, so zip stops without drawing a step past max_it
+    for k, (x, r) in zip(range(1, max_it + 1), steps(x, r)):
+        history.append(np.linalg.norm(r) / norm_b)
+        if history[-1] < stop.tol:
             return SolveReport(k, np.array(history), True, x)
-        z = apply_inverse(P, r)
-        rho_new = float(r @ z)
-        if rho_new <= 0.0:
-            raise BreakdownError("preconditioned inner product <= 0")
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-
     return SolveReport(max_it, np.array(history), False, x)
+
+
+def pcg(apply_A, P, b, x0=None, stop=None):
+    """Preconditioned conjugate gradient on A x = b.
+
+    apply_A is any callable realizing the SPD operator; P is a
+    Preconditioner (Identity gives plain CG).  Returns a SolveReport
+    whose residual_history holds the scaled residual before each
+    iteration and after every update; iterations is the first k whose
+    scaled residual drops under stop.tol.  Hitting max_iterations
+    returns converged=False rather than raising; a non-positive inner
+    product raises BreakdownError.
+    """
+
+    def steps(x, r):
+        p = rho = None
+        while True:
+            z = apply_inverse(P, r)
+            rho_new = float(r @ z)
+            if rho_new <= 0.0:
+                raise BreakdownError("preconditioned inner product <= 0")
+            p = z if p is None else z + (rho_new / rho) * p
+            rho = rho_new
+            q = np.asarray(apply_A(p), dtype=float)
+            curvature = float(p @ q)
+            if curvature <= 0.0:
+                raise BreakdownError("operator inner product <= 0")
+            alpha = rho / curvature
+            x = x + alpha * p
+            r = r - alpha * q
+            yield x, r
+
+    return _iterate(apply_A, b, x0, stop, steps)
 
 
 def cg_smooth_step(apply_A, P, x, b, steps=1):

@@ -18,7 +18,8 @@ steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
 discrete Laplacian preconditioners.  The table `MGM_CASES` declares the
 study's five named cases: each gives the (pre, post) smoothers of the
 finest level and of the coarser levels as (method, steps) pairs, and
-`vcycle` and `tgm` take a case by its name.
+`vcycle` and `tgm` take a case by its name.  Their cycles run in
+krylov's stopping loop, the one `pcg` runs in.
 Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
 first column a.  Its inverse is the lower-triangular Toeplitz matrix of
 the power-series reciprocal of a(z) = sum_k a_k z^k, computed once per
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .krylov import SolveReport, StoppingRule, cg_smooth_step
+from .krylov import _iterate, cg_smooth_step
 from .preconditioners import PrecKind, build_preconditioner
 from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, assemble_dense
 
@@ -230,32 +231,18 @@ def _cycle(h, smoothers, index, b, x):
 def _mgm_solve(h, case, b, stop):
     if case not in MGM_CASES:
         raise ValueError(f"unknown multigrid case {case!r}")
-    if stop is None:
-        stop = StoppingRule()
     b = np.asarray(b, dtype=float)
     finest = h.levels[0]
-    n = finest.n
-    if b.shape != (n,):
+    if b.shape != (finest.n,):
         raise ValueError("right-hand side length must match the finest level")
-    x = np.zeros(n)
 
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return SolveReport(0, np.zeros(1), True, np.zeros(n))
+    def steps(x, r):
+        smoothers = _assemble_smoothers(h, MGM_CASES[case])
+        while True:
+            x = _cycle(h, smoothers, 0, b, x)
+            yield x, b - finest.matvec(x)
 
-    smoothers = _assemble_smoothers(h, MGM_CASES[case])
-    history = [np.linalg.norm(b - finest.matvec(x)) / norm_b]
-    if history[0] < stop.tol:
-        return SolveReport(0, np.array(history), True, x)
-
-    max_it = stop.resolve_max(n)
-    for k in range(1, max_it + 1):
-        x = _cycle(h, smoothers, 0, b, x)
-        scaled = np.linalg.norm(b - finest.matvec(x)) / norm_b
-        history.append(scaled)
-        if scaled < stop.tol:
-            return SolveReport(k, np.array(history), True, x)
-    return SolveReport(max_it, np.array(history), False, x)
+    return _iterate(finest.matvec, b, None, stop, steps)
 
 
 def vcycle(h, case, b, stop=None):

@@ -204,18 +204,6 @@ def _window(u):
     return (ratio / (u + np.pi)) ** 2
 
 
-def _growth(u):
-    """(u^2 - u)/log(u) = u * (u-1)/log1p(u-1), patched at u = 1."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    d = u - 1.0
-    near = np.abs(d) < _PATCH_RADIUS
-    out[near] = u[near] * (1.0 + d[near] / 2.0 - d[near] ** 2 / 12.0)
-    with np.errstate(divide="ignore"):
-        out[~near] = u[~near] * d[~near] / np.log1p(d[~near])
-    return out
-
-
 def lower_bound_constant(tol=1e-8):
     """Lower bound constant k2 = (1/pi) * int_0^pi (s^2 - s)/log(s) ds.
 
@@ -265,7 +253,7 @@ def upper_bound_constant(tol=1e-8):
     _check_tol(tol)
 
     def numer(u):
-        return _growth(u) * _window(u)
+        return limit_symbol(u) * _window(u)
 
     denom = integrate_adaptive(_window, 0.0, np.pi, tol=tol * 2e-3)
     tol_n = tol * denom.value / 2.0

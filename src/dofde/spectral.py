@@ -185,26 +185,27 @@ def preconditioned_spectra(c, precs):
     """
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
-    sine_blocks = flip_blocks = None
+    # each family (sine-domain or not) shares A's blocks until its last
+    # kind, so A's folded blocks (16 MB at n = 2048) are gone before the
+    # sine kinds reach the peak in _sine_blocks
+    shared = {}
+    last = {P.kind in _SINE: i for i, P in enumerate(precs)}
     reports = []
-    for P in precs:
+    for i, P in enumerate(precs):
         if P.n != c.n:
             raise ValueError("preconditioner order must match the matrix")
-        if P.kind in _SINE:
-            if sine_blocks is None:
-                sine_blocks = _sine_blocks(c.a)
+        sine = P.kind in _SINE
+        if sine not in shared:
+            shared[sine] = (_sine_blocks if sine else _flip_blocks)(c.a)
+        blocks = shared[sine] if i < last[sine] else shared.pop(sine)
+        if sine:
             s = 1.0 / np.sqrt(P.spectrum)
-            blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(sine_blocks)]
-        else:
-            if flip_blocks is None:
-                flip_blocks = _flip_blocks(c.a)
-            blocks = flip_blocks
-            if P.kind is not PrecKind.IDENTITY:
-                s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
-                blocks = [S @ b @ S for S, b in zip(_flip_blocks(s), blocks)]
+            blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(blocks)]
+        elif P.kind is not PrecKind.IDENTITY:
+            s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
+            blocks = [S @ b @ S for S, b in zip(_flip_blocks(s), blocks)]
         reports.append(_merged_spectrum(blocks))
-        # free this kind's blocks before the next kind forms its own: at
-        # n = 2048 that keeps 16 MB off the peak, reached in _sine_blocks
+        # free this kind's blocks before the next kind forms its own
         del blocks
     return reports
 

@@ -55,3 +55,24 @@ def test_hierarchy_bytes_count_level_coefficients():
     assert isinstance(h.matrices, tuple)
     assert [m.shape for m in h.matrices] == [(63,), (31,), (15,)]
     assert sum(m.nbytes for m in h.matrices) == 8 * (63 + 31 + 15)
+
+
+def test_solver_and_quadrature_counters_keep_their_types():
+    # the traced benchmark adds report.iterations of every pcg, vcycle and
+    # tgm call to `krylov.iterations` and `multigrid.iterations`, and
+    # result.evaluations of every integrate_adaptive call to
+    # `quadrature.evaluations`
+    n = 15
+    c = dofde.ToeplitzCoeffs(n, np.eye(n)[0] * 2.0 - np.eye(n)[1])
+    b = np.ones(n)
+    identity = dofde.build_preconditioner(dofde.PrecKind.IDENTITY, c)
+    reports = [
+        dofde.pcg(dofde.ToeplitzOperator(c), identity, b),
+        dofde.vcycle(dofde.build_hierarchy(c, coarsest_threshold=3), "alpha", b),
+        dofde.tgm(dofde.build_hierarchy(c, coarsest_threshold=7), "alpha", b),
+    ]
+    for report in reports:
+        assert isinstance(report, dofde.SolveReport)
+        assert type(report.iterations) is int and report.iterations > 0
+    result = dofde.integrate_adaptive(np.cos, 0.0, 1.0)
+    assert type(result.evaluations) is int and result.evaluations > 0

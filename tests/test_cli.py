@@ -33,7 +33,7 @@ class TestParseSizes:
         assert parse_sizes("64") == [64]
 
     def test_rejects_bad_input(self):
-        for bad in ("33..100", "8..4", "0", "", "a,b"):
+        for bad in ("33..100", "8..4", "8..x", "x..8", "0", "", "a,b"):
             with pytest.raises(CliError):
                 parse_sizes(bad)
 

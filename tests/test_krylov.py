@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import conftest as shared
+import dofde.krylov
 from dofde import (
     BreakdownError,
     PrecKind,
@@ -92,6 +93,15 @@ class TestPcgBasics:
     def test_x0_length_checked(self):
         with pytest.raises(ValueError):
             pcg(lambda x: x, build_identity(4), np.ones(4), x0=np.ones(5))
+
+    def test_preconditioner_breakdown_precedes_the_first_step(self, monkeypatch):
+        # a non-positive r.z stops the solve before its first operator
+        # product; the one matvec is the initial residual's
+        monkeypatch.setattr(dofde.krylov, "apply_inverse", lambda prec, r: -r)
+        matvecs = []
+        with pytest.raises(BreakdownError, match="preconditioned inner product"):
+            pcg(lambda x: matvecs.append(x) or x, build_identity(8), np.ones(8))
+        assert len(matvecs) == 1
 
 
 class TestIterationCounts:
@@ -206,6 +216,24 @@ class TestSmoothStep:
         x_star = np.linalg.solve(A, b)
         out = cg_smooth_step(lambda v: A @ v, P, x_star, b, steps=3)
         np.testing.assert_allclose(out, x_star, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_one_preconditioner_apply_per_step(self, monkeypatch, steps):
+        # no apply is formed for a step past the last one permitted
+        n = 64
+        op = scaled_operator(n)
+        P = shared.build_prec(PrecKind.NATURAL_TAU, n)
+        calls = []
+        original = dofde.krylov.apply_inverse
+        monkeypatch.setattr(dofde.krylov, "apply_inverse",
+                            lambda prec, r: calls.append(r) or original(prec, r))
+        cg_smooth_step(op, P, np.zeros(n), np.ones(n), steps=steps)
+        assert len(calls) == steps
+        calls.clear()
+        report = pcg(op, build_identity(n), np.ones(n),
+                     stop=StoppingRule(max_iterations=steps))
+        assert not report.converged and report.iterations == steps
+        assert len(calls) == steps
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
