@@ -213,7 +213,7 @@ def _cmd_mgm(args):
         if (n + 1) & n or n < 3:
             raise CliError(f"mgm needs sizes one less than a power of two, got {n}")
         scaled = _scaled_coeffs(n)
-        h_two = build_hierarchy(scaled, coarsest_threshold=max((n - 1) // 2, 1))
+        h_two = build_hierarchy(scaled, coarsest_threshold=(n - 1) // 2)
         h_full = build_hierarchy(scaled)
         b = np.ones(n)
         stop = StoppingRule(tol=args.tol)

@@ -10,8 +10,12 @@ again symmetric Toeplitz, with first column
 so every level is stored as its first column and built in O(n)
 (Fiorentino and Serra, Calcolo 1991; Chan, Chang and Sun, SIAM J. Sci.
 Comput. 19, 1998).  Level products use a cached circulant embedding,
-restriction and prolongation are stencil slices, and only the coarsest
-level is assembled densely, for its Cholesky factorization.
+restriction and prolongation are stencil slices, and no level is
+assembled densely: the coarsest is solved exactly by the formula
+T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of Gohberg and Semencul (1972;
+Trench, J. SIAM 12, 1964), x = T^{-1} e_1 from one Frobenius-tau PCG
+solve per level, y = [0, x_{n-1}, ..., x_1], L(v) lower-triangular
+Toeplitz with first column v.
 
 Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
 steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
@@ -35,11 +39,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .krylov import _iterate, cg_smooth_step
+from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, assemble_dense
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2
 
 __all__ = [
     "MGM_CASES",
@@ -67,6 +70,8 @@ MGM_CASES = {
     "finest_only": ((("laplacian", 1), ("tau", 1)), (("gs", 1), ("gs", 1))),
 }
 
+_EXACT_SOLVE_TOL = 1e-13
+
 
 def _series_reciprocal(a):
     """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
@@ -93,31 +98,48 @@ def _series_reciprocal(a):
 class GridLevel:
     """One level of the hierarchy: a symmetric Toeplitz matrix held as
     its coefficients, with a cached matvec and, built on first use, the
-    inverse of its lower triangle."""
+    inverses of its lower triangle and of the whole matrix."""
 
     def __init__(self, c):
         self.coeffs = c
         self.n = c.n
         self.matvec = ToeplitzOperator(c)
+        self._length = _next_pow2(2 * c.n)
+
+    def _lower_product(self, v_hat, r):
+        """L(v) r for lower-triangular Toeplitz L(v), v_hat = rfft(v, self._length)."""
+        return np.fft.irfft(v_hat * np.fft.rfft(r, self._length), self._length)[: self.n]
 
     @functools.cached_property
     def _lower_inverse_spectrum(self):
-        length = _next_pow2(2 * self.n)
-        return length, np.fft.rfft(_series_reciprocal(self.coeffs.a), length)
+        return np.fft.rfft(_series_reciprocal(self.coeffs.a), self._length)
 
     def solve_lower(self, r):
         """tril(T)^{-1} r: convolution with the reciprocal series."""
-        length, spectrum = self._lower_inverse_spectrum
-        return np.fft.irfft(spectrum * np.fft.rfft(r, length), length)[: self.n]
+        return self._lower_product(self._lower_inverse_spectrum, r)
+
+    @functools.cached_property
+    def _inverse_generators(self):
+        """x_0 and the rows rfft(x), rfft(y) of x = T^{-1} e_1, y = [0, x_{n-1}, ..., x_1]."""
+        report = pcg(self.matvec, build_preconditioner(PrecKind.FROBENIUS_TAU, self.coeffs),
+                     np.eye(1, self.n)[0], stop=StoppingRule(tol=_EXACT_SOLVE_TOL))
+        if not report.converged:
+            raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_EXACT_SOLVE_TOL:g}")
+        x = report.solution
+        return x[0], np.fft.rfft([x, np.r_[0.0, x[:0:-1]]], self._length)
+
+    def solve(self, r):
+        """T^{-1} r by the Gohberg-Semencul formula, with L(v)^T r = J L(v) J r."""
+        x0, (x, y) = self._inverse_generators
+        lower = self._lower_product
+        return (lower(x, lower(x, r[::-1])[::-1]) - lower(y, lower(y, r[::-1])[::-1])) / x0
 
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Immutable grid hierarchy: the levels, finest first, and a
-    Cholesky factorization of the coarsest level's matrix."""
+    """Immutable grid hierarchy: the levels, finest first."""
 
     levels: tuple
-    coarsest_factor: tuple
 
     @property
     def matrices(self):
@@ -164,8 +186,7 @@ def _is_pow2_minus_1(n):
 
 def build_hierarchy(c, coarsest_threshold=15):
     """Coarsen the symmetric Toeplitz matrix with coefficients c by the
-    Galerkin recurrence until the size drops to coarsest_threshold,
-    factorizing the last level."""
+    Galerkin recurrence until the size drops to coarsest_threshold."""
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("build_hierarchy takes ToeplitzCoeffs")
     if not _is_pow2_minus_1(c.n):
@@ -177,8 +198,7 @@ def build_hierarchy(c, coarsest_threshold=15):
     while levels[-1].n > coarsest_threshold:
         a = _galerkin_coarse(levels[-1].coeffs.a)
         levels.append(GridLevel(ToeplitzCoeffs(a.shape[0], a)))
-    coarsest = assemble_dense(levels[-1].coeffs)
-    return Hierarchy(tuple(levels), cho_factor(coarsest))
+    return Hierarchy(tuple(levels))
 
 
 def gauss_seidel_sweep(level, x, b, sweeps=1):
@@ -217,7 +237,7 @@ def _assemble_smoothers(h, pairs):
 
 def _cycle(h, smoothers, index, b, x):
     if index == h.depth - 1:
-        return cho_solve(h.coarsest_factor, b)
+        return h.levels[-1].solve(b)
     level = h.levels[index]
     pre, post = smoothers[index]
     x = pre(x, b)

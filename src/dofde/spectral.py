@@ -144,7 +144,7 @@ def _sine_blocks(a):
 
 
 def _merged_spectrum(blocks):
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    w = np.sort(np.concatenate(list(map(np.linalg.eigvalsh, blocks))))
     return SpectrumReport(w, float(w[0]), float(w[-1]))
 
 
@@ -186,8 +186,8 @@ def preconditioned_spectra(c, precs):
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
     # each family (sine-domain or not) shares A's blocks until its last
-    # kind, so A's folded blocks (16 MB at n = 2048) are gone before the
-    # sine kinds reach the peak in _sine_blocks
+    # kind; a circulant's products S A S come one per eigensolve (mapped
+    # by _merged_spectrum), so no two of them are alive at once
     shared = {}
     last = {P.kind in _SINE: i for i, P in enumerate(precs)}
     reports = []
@@ -203,7 +203,7 @@ def preconditioned_spectra(c, precs):
             blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(blocks)]
         elif P.kind is not PrecKind.IDENTITY:
             s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
-            blocks = [S @ b @ S for S, b in zip(_flip_blocks(s), blocks)]
+            blocks = (S @ b @ S for S, b in zip(_flip_blocks(s), blocks))
         reports.append(_merged_spectrum(blocks))
         # free this kind's blocks before the next kind forms its own
         del blocks

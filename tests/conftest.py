@@ -10,15 +10,17 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from dofde import (
     PrecKind,
+    StoppingRule,
     ToeplitzCoeffs,
     ToeplitzOperator,
     assemble_dense,
     build_preconditioner,
     coeffs_via_fft,
+    pcg,
     preconditioned_spectrum,
 )
 
@@ -166,6 +168,20 @@ def galerkin_dense(A):
 def gauss_seidel_dense(A, x, b):
     """One forward Gauss-Seidel sweep by dense triangular solve."""
     return x + solve_triangular(np.tril(A), b - A @ x, lower=True)
+
+
+def cholesky_solve_dense(c, b):
+    """T^{-1} b by dense Cholesky of the assembled Toeplitz matrix with
+    coefficients c; the package solves its coarsest level from the first
+    column alone (`GridLevel.solve`)."""
+    return cho_solve(cho_factor(assemble_dense(c)), b)
+
+
+def one_step_pcg(apply_A, P, b, stop):
+    """`pcg` capped at one iteration: a stand-in for a PCG that does not
+    converge (the recursive residual falls to exactly zero within pcg's
+    10 n cap, so no tolerance alone is out of its reach)."""
+    return pcg(apply_A, P, b, stop=StoppingRule(tol=stop.tol, max_iterations=1))
 
 
 def nonnegative_symbol_coeffs(n, rng, width=None):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest as shared
 import dofde.cli
+import dofde.multigrid
 import dofde.preconditioners
 import dofde.quadrature
 import dofde.spectral
@@ -157,6 +159,11 @@ class TestErrorPaths:
     def test_mgm_rejects_wrong_size_form(self, capsys):
         assert main(["mgm", "--sizes", "32"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_mgm_inexact_coarse_solve_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dofde.multigrid, "pcg", shared.one_step_pcg)
+        assert main(["mgm", "--sizes", "7"]) == 2
+        assert "error: PCG for T^-1 e_1" in capsys.readouterr().err
 
     def test_mineig_rejects_tiny_size(self, capsys):
         assert main(["mineig", "--sizes", "2"]) == 2

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest as shared
@@ -181,6 +183,30 @@ class TestGaussSeidel:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+class TestExactSolve:
+    @settings(deadline=None, max_examples=60)
+    @given(c=random_system(), seed=st.integers(0, 2**32 - 1))
+    @example(c=ToeplitzCoeffs(1, np.array([0.5])), seed=1)
+    @example(c=ToeplitzCoeffs(3, np.array([4.0, -1.5, 0.5])), seed=3)
+    @example(c=laplacian_coeffs(255), seed=255)
+    def test_matches_dense_cholesky_oracle(self, c, seed):
+        b = np.random.default_rng(seed).standard_normal(c.n)
+        T = assemble_dense(c)
+        x = GridLevel(c).solve(b)
+        assert np.linalg.norm(b - T @ x) <= 1e-11 * np.linalg.norm(b)
+        # a backward error of 1e-11 allows a forward error of cond(T) times it
+        expected = shared.cholesky_solve_dense(c, b)
+        assert (np.linalg.norm(x - expected)
+                <= 1e-11 * np.linalg.cond(T) * np.linalg.norm(expected))
+
+    def test_unconverged_first_column_raises(self, monkeypatch):
+        # an inverse generated from an inexact T^{-1} e_1 is never used
+        monkeypatch.setattr(dofde.multigrid, "pcg", shared.one_step_pcg)
+        c = shared.nonnegative_symbol_coeffs(7, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="T\\^-1 e_1"):
+            GridLevel(c).solve(np.ones(7))
+
+
 class TestCaseConfigs:
     def test_case_table(self):
         assert list(MGM_CASES) == ["alpha", "beta", "gamma", "delta", "finest_only"]
@@ -305,3 +331,24 @@ class TestScale:
         for case in ("alpha", "gamma"):
             report = vcycle(h, case, np.ones(n), stop=stop)
             assert report.converged, case
+
+    def test_two_grid_at_65535(self):
+        # the exact coarse solve on order 32767 needs no dense level; the
+        # cap as in test_vcycles_at_65535
+        n = 2**16 - 1
+        stop = StoppingRule(tol=1e-7, max_iterations=30)
+        assert tgm(two_level(n), "gamma", np.ones(n), stop=stop).converged
+
+    def test_two_grid_memory_at_8191(self):
+        # a dense coarse level of order (n - 1)/2 alone would hold n^2/4
+        # floats, about 2,000 n here; the hierarchy and the solve stay O(n)
+        n = 8191
+        c = shared.scaled_coeffs(n)
+        tracemalloc.start()
+        try:
+            report = tgm(build_hierarchy(c, coarsest_threshold=(n - 1) // 2), "gamma", np.ones(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 64 * 8 * n
