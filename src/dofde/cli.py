@@ -63,8 +63,6 @@ def parse_sizes(text):
         while m <= hi:
             sizes.append(m)
             m = step(m)
-        if not sizes:
-            raise CliError(f"empty size range {text!r}")
         return sizes
     return _parse_list(text, int, "size")
 

@@ -9,8 +9,9 @@ tail majorants.
 
 On top of the engine sit the four constants of the minimal-eigenvalue
 analysis: the lower and upper bound constants, the limiting eigenvector
-normalization constant, and its finite-n counterpart.  Each returns a
-QuadResult (value, error estimate, integrand evaluations).
+normalization constant, and its finite-n counterpart, an integral of the
+squared modulus of the Laplacian eigenvector's transform.  Each returns
+a QuadResult (value, error estimate, integrand evaluations).
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from .symbols import limit_symbol
 
 __all__ = [
     "QuadResult",
-    "BoundConstants",
     "QuadratureConvergenceError",
     "integrate_adaptive",
     "lower_bound_constant",
     "upper_bound_constant",
     "norm_constant_limit",
     "norm_constant",
-    "compute_bound_constants",
 ]
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: Kronrod abscissae (positive half),
@@ -85,20 +84,6 @@ class QuadResult:
     value: float
     abs_error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """The two minimal-eigenvalue bound constants and the limit
-    normalization constant."""
-
-    k1: float
-    k2: float
-    c_infinity: float
-
-    def __post_init__(self):
-        if not (0.0 < self.k2 < self.k1 and self.c_infinity > 0.0):
-            raise ValueError("bound constants must satisfy 0 < k2 < k1, c > 0")
 
 
 def integrate_adaptive(f, a, b, tol=1e-10):
@@ -299,10 +284,15 @@ def upper_bound_constant(tol=1e-8):
 
 
 def _eigfun_sq(n, theta):
-    """|laplacian eigenfunction|^2 in the stable product form
-    sin((n+1)(theta-s)/2)^2 / ((n+1)^3 sin((theta-s)/2)^2 sin((theta+s)/2)^2),
-    finite through the removable poles."""
-    theta = np.asarray(theta, dtype=float)
+    """|psi(theta)|^2 for the transform psi of the discrete Laplacian's
+    first eigenvector, psi(theta) = -2/((n+1)^(3/2) sin s)
+    * sum_{j=1}^n sin(js) e^(ij theta) with s = pi/(n+1), in the stable
+    product form
+    sin((n+1)(t-s)/2)^2 / ((n+1)^3 sin((t-s)/2)^2 sin((t+s)/2)^2),
+    t = |theta|.  The modulus is even, so folding theta to |theta| keeps
+    both removable poles +-s on the patched side and the value finite
+    there."""
+    theta = np.abs(np.asarray(theta, dtype=float))
     s = np.pi / (n + 1)
     d = (theta - s) / 2.0
     ratio = np.empty_like(d)
@@ -332,12 +322,3 @@ def norm_constant(n, tol=1e-8):
     c = integral**-0.5
     err_c = 0.5 * c / integral * err_i
     return QuadResult(c, err_c, left.evaluations + right.evaluations)
-
-
-def compute_bound_constants(tol=1e-8):
-    """The values of all three constants in one BoundConstants record."""
-    return BoundConstants(
-        k1=upper_bound_constant(tol).value,
-        k2=lower_bound_constant(tol).value,
-        c_infinity=norm_constant_limit(tol).value,
-    )

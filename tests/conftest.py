@@ -8,7 +8,6 @@ individual test modules and the acceptance suite both draw on it.
 import functools
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
@@ -20,9 +19,15 @@ from dofde import (
     assemble_dense,
     build_preconditioner,
     coeffs_via_fft,
+    dist_order_symbol,
+    fold_angle,
+    integrate_adaptive,
+    limit_symbol,
+    lower_bound_constant,
     pcg,
     preconditioned_spectrum,
 )
+from dofde.symbols import _check_order
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,6 +189,11 @@ def one_step_pcg(apply_A, P, b, stop):
     return pcg(apply_A, P, b, stop=StoppingRule(tol=stop.tol, max_iterations=1))
 
 
+def laplacian_coeffs(n):
+    """Coefficients [2, -1, 0, ...] of the order-n discrete Laplacian."""
+    return ToeplitzCoeffs(n, np.concatenate([[2.0, -1.0], np.zeros(n - 2)]))
+
+
 def nonnegative_symbol_coeffs(n, rng, width=None):
     """Random symmetric Toeplitz coefficients with a nonnegative symbol:
     the autocorrelation of a random p gives |p(e^{i theta})|^2 >= 0
@@ -195,19 +205,82 @@ def nonnegative_symbol_coeffs(n, rng, width=None):
     return ToeplitzCoeffs(n, a)
 
 
-@pytest.fixture(scope="session")
-def cache():
-    """Namespace handle for the cached builders above."""
+# ---------------------------------------------------------------------------
+# the lemmas behind k2 <= n lambda_1(A_n) <= k1: the package computes the
+# constants and the eigenvector normalization, these evaluate the steps of
+# the proof that the tests and criteria 7 and 9 check
 
-    class _Cache:
-        coeffs = staticmethod(coeffs)
-        scaled_coeffs = staticmethod(scaled_coeffs)
-        dense_scaled = staticmethod(dense_scaled)
-        dense_unscaled = staticmethod(dense_unscaled)
-        build_prec = staticmethod(build_prec)
-        prec_spectrum = staticmethod(prec_spectrum)
 
-    return _Cache
+def laplacian_eigvec_transform(n, theta):
+    """psi(theta) = -2/((n+1)^(3/2) sin s) * sum_{j=1}^n sin(js) e^(ij theta),
+    s = pi/(n+1), by the direct n-term sum: the transform of the discrete
+    Laplacian's first eigenvector, whose squared modulus the package
+    evaluates in product form (`quadrature._eigfun_sq`)."""
+    theta = np.asarray(theta, dtype=float)
+    m = n + 1
+    s = np.pi / m
+    j = np.arange(1, m)
+    terms = np.sin(j * s) * np.exp(1j * np.multiply.outer(theta, j))
+    return -2.0 / (m**1.5 * np.sin(s)) * terms.sum(axis=-1)
+
+
+def rescaled_remainder(n, theta):
+    """Remainder n*f_n(theta) - g(n|theta|) of the rescaling identity.
+
+    Of size O(n*theta^2 + |theta|) uniformly in n.
+    """
+    return n * dist_order_symbol(n, theta) - limit_symbol(n * np.abs(theta))
+
+
+@functools.lru_cache(maxsize=1)
+def _mean_limit_symbol():
+    # (1/pi) * int_0^pi g; the constant level that g + correction attains
+    return lower_bound_constant(tol=1e-12).value
+
+
+def bound_correction(sigma):
+    """Periodic correction p(sigma) = k2 - g(|fold(sigma)|).
+
+    2*pi-periodic and even, with g + p identically equal to the constant
+    k2 = (1/pi) * int_0^pi g on [-pi, pi] and g + p >= k2 elsewhere.
+    Its mean over a period is zero.
+    """
+    k2 = _mean_limit_symbol()
+    return k2 - limit_symbol(np.abs(fold_angle(sigma)))
+
+
+def bound_correction_coeffs(n, kmax):
+    """Cosine-Fourier coefficients of theta -> p(n*theta) up to frequency kmax.
+
+    Returns (1/pi) * int_0^pi p(n*theta) cos(k*theta) dtheta for
+    k = 0..kmax, each integral to absolute tolerance 1e-10.  For kmax < n
+    every coefficient vanishes: the folded map only carries frequencies
+    that are multiples of n, which is what makes the Toeplitz matrix of
+    p(n|theta|) the zero matrix.
+    """
+    n = _check_order(n)
+    kmax = int(kmax)
+    if kmax >= n:
+        raise ValueError("kmax must be smaller than n")
+
+    # p(n*theta) has corner points where n*theta is an odd multiple of pi;
+    # integrating piecewise between them keeps the quadrature clean.
+    breaks = [m * np.pi / n for m in range(1, n + 1, 2) if m * np.pi / n < np.pi]
+    edges = np.concatenate(([0.0], breaks, [np.pi]))
+
+    coeffs = np.empty(kmax + 1)
+    for k in range(kmax + 1):
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            piece = integrate_adaptive(
+                lambda th: bound_correction(n * th) * np.cos(k * th),
+                lo,
+                hi,
+                tol=1e-10 / len(edges),
+            )
+            total += piece.value
+        coeffs[k] = total / np.pi
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

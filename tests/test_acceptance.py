@@ -8,6 +8,7 @@ fails here rather than being silently relaxed.
 
 import functools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,18 +20,18 @@ from dofde import (
     ToeplitzOperator,
     apply_inverse,
     assemble_dense,
-    bound_correction_coeffs,
     build_frobenius_tau,
     build_hierarchy,
     build_laplacian,
     build_natural_tau,
     coeff_oracle,
-    compute_bound_constants,
     dense_sym_eigs,
     dst1,
+    lower_bound_constant,
+    norm_constant_limit,
     pcg,
-    rescaled_remainder,
     tgm,
+    upper_bound_constant,
     vcycle,
 )
 
@@ -49,7 +50,13 @@ def _verdict(num, name, ok, detail=""):
 
 @functools.lru_cache(maxsize=1)
 def bound_constants():
-    return compute_bound_constants(tol=1e-9)
+    bc = SimpleNamespace(
+        k1=upper_bound_constant(tol=1e-9).value,
+        k2=lower_bound_constant(tol=1e-9).value,
+        c_infinity=norm_constant_limit(tol=1e-9).value,
+    )
+    assert 0.0 < bc.k2 < bc.k1 and bc.c_infinity > 0.0, bc
+    return bc
 
 
 def quadpack_k1():
@@ -312,7 +319,7 @@ def test_criterion_6_multigrid_counts():
 def test_criterion_7_zero_toeplitz_correction():
     worst = {}
     for n in (4, 8, 16):
-        coeff = bound_correction_coeffs(n, n - 1)
+        coeff = shared.bound_correction_coeffs(n, n - 1)
         worst[n] = float(np.abs(coeff).max())
     ok = all(w <= 1e-7 for w in worst.values())
     detail = ", ".join(f"n={n}: max |a_k| = {w:.2e}" for n, w in worst.items())
@@ -341,15 +348,14 @@ def test_criterion_8_oracle_equivalences():
     a[0] = 3.0
     small = ToeplitzCoeffs(8, a)
     A8 = assemble_dense(small)
-    F = np.fft.fft(np.eye(8), axis=0) / np.sqrt(8)
+    F = shared.dft_matrix(8)
     circ_diag = np.real(np.einsum("ij,jk,ki->i", F.conj().T, A8, F))
     checks["frobenius circulant projection"] = (
         np.abs(np.sort(build_frobenius_circulant(small).spectrum) - np.sort(circ_diag)).max()
         <= 1e-12
     )
 
-    j = np.arange(1, 9)
-    Q = np.sqrt(2.0 / 9.0) * np.sin(np.outer(j, j) * np.pi / 9.0)
+    Q = shared.sine_matrix(8)
     checks["frobenius tau projection"] = (
         np.abs(
             np.sort(build_frobenius_tau(small).spectrum) - np.sort(np.diag(Q @ A8 @ Q))
@@ -400,7 +406,7 @@ def test_criterion_9_remainder_envelope():
     theta = np.linspace(1e-6, np.pi, 4001)
     sups = []
     for n in (16, 32, 64, 128, 256, 512, 1024, 2048):
-        ratio = np.abs(rescaled_remainder(n, theta)) / (n * theta**2 + theta)
+        ratio = np.abs(shared.rescaled_remainder(n, theta)) / (n * theta**2 + theta)
         sups.append(float(ratio.max()))
     bounded = max(sups) < 1.0
     growth_ok = all(b <= 1.10 * a for a, b in zip(sups, sups[1:]))

@@ -22,12 +22,6 @@ from dofde import (
 )
 
 
-def laplacian_coeffs(n):
-    a = np.zeros(n)
-    a[:2] = [2.0, -1.0]
-    return ToeplitzCoeffs(n, a)
-
-
 def two_level(n):
     return build_hierarchy(shared.scaled_coeffs(n), coarsest_threshold=(n - 1) // 2)
 
@@ -87,7 +81,7 @@ class TestRestriction:
 
 class TestHierarchy:
     def test_galerkin_triple_product(self):
-        c = laplacian_coeffs(7)
+        c = shared.laplacian_coeffs(7)
         h = build_hierarchy(c, coarsest_threshold=3)
         A = assemble_dense(c)
         R = shared.build_restriction(7).toarray()
@@ -188,7 +182,7 @@ class TestExactSolve:
     @given(c=random_system(), seed=st.integers(0, 2**32 - 1))
     @example(c=ToeplitzCoeffs(1, np.array([0.5])), seed=1)
     @example(c=ToeplitzCoeffs(3, np.array([4.0, -1.5, 0.5])), seed=3)
-    @example(c=laplacian_coeffs(255), seed=255)
+    @example(c=shared.laplacian_coeffs(255), seed=255)
     def test_matches_dense_cholesky_oracle(self, c, seed):
         b = np.random.default_rng(seed).standard_normal(c.n)
         T = assemble_dense(c)
@@ -250,7 +244,7 @@ class TestSolvers:
     def test_exact_smoother_converges_immediately(self):
         # on the pure stencil matrix the Laplacian smoother is exact
         n = 15
-        h = build_hierarchy(laplacian_coeffs(n), coarsest_threshold=7)
+        h = build_hierarchy(shared.laplacian_coeffs(n), coarsest_threshold=7)
         report = tgm(h, "gamma", np.ones(n))
         assert report.converged
         assert report.iterations == 1

@@ -1,7 +1,12 @@
+import ast
 import importlib
+import json
 import pkgutil
+from pathlib import Path
 
 import dofde
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestExports:
@@ -22,3 +27,21 @@ class TestExports:
         for name in dofde.__all__:
             (module,) = owners[name]
             assert getattr(dofde, name) is getattr(module, name), name
+
+    def test_every_export_is_used(self):
+        # an exported name stays only while the package, the benchmark's
+        # workloads or a per-layer metric of BENCHMARK.json refers to it;
+        # test-only helpers live beside the oracles in conftest.py
+        used = set()
+        for path in [*ROOT.glob("src/dofde/*.py"), *ROOT.glob("perfbench/*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        for metric in bench["per_layer"]:
+            parts = metric["name"].split(".")
+            if len(parts) == 3:
+                used.add(parts[1])
+        assert sorted(set(dofde.__all__) - used) == []

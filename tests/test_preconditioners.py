@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import circulant
 
 import conftest as shared
 from dofde import (
@@ -23,19 +24,6 @@ from dofde import (
 )
 
 
-def circulant_from_column(col):
-    n = len(col)
-    C = np.empty((n, n))
-    for j in range(n):
-        C[:, j] = np.roll(col, j)
-    return C
-
-
-def sine_matrix(n):
-    j = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
-
-
 def random_coeffs(n, seed):
     # diagonally dominant so every algebra projection stays SPD
     rng = np.random.default_rng(seed)
@@ -49,7 +37,7 @@ class TestStrang:
         for n in (4, 5):
             c = random_coeffs(n, n)
             col = np.array([c.a[j] if j <= n // 2 else c.a[n - j] for j in range(n)])
-            dense = circulant_from_column(col)
+            dense = circulant(col)
             P = build_strang(c)
             np.testing.assert_allclose(
                 np.sort(P.spectrum), np.linalg.eigvalsh(dense), atol=1e-12
@@ -68,7 +56,7 @@ class TestFrobeniusCirculant:
         # project A onto circulants explicitly: average each wrapped diagonal
         c = random_coeffs(n, 10 + n)
         A = assemble_dense(c)
-        F = np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)
+        F = shared.dft_matrix(n)
         diag = np.real(np.einsum("ij,jk,ki->i", F.conj().T, A, F))
         P = build_frobenius_circulant(c)
         np.testing.assert_allclose(np.sort(P.spectrum), np.sort(diag), atol=1e-12)
@@ -82,11 +70,11 @@ class TestFrobeniusCirculant:
         col = np.empty(n)
         col[0] = c.a[0]
         col[1:] = ((n - j) * c.a[j] + j * c.a[n - j]) / n
-        best = np.linalg.norm(A - circulant_from_column(col), "fro")
+        best = np.linalg.norm(A - circulant(col), "fro")
         rng = np.random.default_rng(41)
         for _ in range(20):
             other = col + rng.standard_normal(n) * 0.1
-            worse = np.linalg.norm(A - circulant_from_column(other), "fro")
+            worse = np.linalg.norm(A - circulant(other), "fro")
             assert worse >= best - 1e-12
 
 
@@ -124,7 +112,7 @@ class TestNaturalTau:
                     H[i - 1, j - 1] += a[i + j]
                 if 2 * (n + 1) - i - j <= n:
                     H[i - 1, j - 1] += a[2 * (n + 1) - i - j]
-        Q = sine_matrix(n)
+        Q = shared.sine_matrix(n)
         np.testing.assert_allclose(Q @ (T - H) @ Q, np.diag(P.spectrum), atol=1e-11)
 
 
@@ -133,7 +121,7 @@ class TestFrobeniusTau:
     def test_projection_oracle(self, n):
         c = random_coeffs(n, 30 + n)
         A = assemble_dense(c)
-        Q = sine_matrix(n)
+        Q = shared.sine_matrix(n)
         expected = np.diag(Q @ A @ Q)
         P = build_frobenius_tau(c)
         np.testing.assert_allclose(np.sort(P.spectrum), np.sort(expected), atol=1e-12)

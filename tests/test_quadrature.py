@@ -5,10 +5,8 @@ from scipy.special import erf
 
 from conftest import C_INF_REF, K1_REF, K2_REF
 from dofde import (
-    BoundConstants,
     QuadResult,
     QuadratureConvergenceError,
-    compute_bound_constants,
     integrate_adaptive,
     limit_symbol,
     lower_bound_constant,
@@ -105,15 +103,18 @@ class TestBoundConstants:
         assert loose == pytest.approx(tight, abs=1e-8)
 
     def test_bundle(self):
-        bc = compute_bound_constants(tol=1e-8)
-        assert isinstance(bc, BoundConstants)
-        assert bc.k2 == pytest.approx(K2_REF, abs=1e-7)
-        assert bc.k1 == pytest.approx(K1_REF, abs=1e-5)
-        assert bc.c_infinity == pytest.approx(C_INF_REF, abs=1e-6)
+        k2 = lower_bound_constant(tol=1e-8).value
+        k1 = upper_bound_constant(tol=1e-8).value
+        c_infinity = norm_constant_limit(tol=1e-8).value
+        assert k2 == pytest.approx(K2_REF, abs=1e-7)
+        assert k1 == pytest.approx(K1_REF, abs=1e-5)
+        assert c_infinity == pytest.approx(C_INF_REF, abs=1e-6)
 
     def test_bundle_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            BoundConstants(k1=1.0, k2=2.0, c_infinity=1.0)
+        k2 = lower_bound_constant(tol=1e-8).value
+        k1 = upper_bound_constant(tol=1e-8).value
+        assert 0.0 < k2 < k1
+        assert norm_constant_limit(tol=1e-8).value > 0.0
 
 
 class TestNormConstant:

@@ -28,18 +28,6 @@ from dofde import (
 from dofde.spectral import _flip_blocks, _sine_blocks
 
 
-def laplacian_dense(n):
-    return (
-        np.diag(np.full(n, 2.0))
-        - np.diag(np.ones(n - 1), 1)
-        - np.diag(np.ones(n - 1), -1)
-    )
-
-
-def laplacian_coeffs(n):
-    return ToeplitzCoeffs(n, np.concatenate([[2.0, -1.0], np.zeros(n - 2)]))
-
-
 def char_poly_coeffs(A):
     # Faddeev-LeVerrier recursion: exact polynomial coefficients without
     # any eigen machinery
@@ -59,7 +47,7 @@ class TestDenseEigs:
         assert rep.lambda_min == 1.0 and rep.lambda_max == 3.0
 
     def test_stencil_closed_form(self):
-        rep = dense_sym_eigs(laplacian_dense(5))
+        rep = dense_sym_eigs(assemble_dense(shared.laplacian_coeffs(5)))
         j = np.arange(1, 6)
         np.testing.assert_allclose(
             rep.eigenvalues, 2.0 - 2.0 * np.cos(j * np.pi / 6.0), atol=1e-12
@@ -106,7 +94,7 @@ class TestMinEigNormalized:
 class TestPreconditionedSpectrum:
     def test_exact_preconditioner_gives_ones(self):
         n = 40
-        rep = preconditioned_spectrum(laplacian_coeffs(n), build_laplacian(n))
+        rep = preconditioned_spectrum(shared.laplacian_coeffs(n), build_laplacian(n))
         np.testing.assert_allclose(rep.eigenvalues, np.ones(n), atol=1e-10)
 
     def test_published_anchor_small(self):
@@ -181,7 +169,7 @@ class TestParitySpectra:
         # or not, can reach the Toeplitz-only block formulas
         A = np.diag([4.0, 3.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
         dense_sym_eigs(A)  # symmetric, so the generic eigensolver accepts it
-        for dense in (A, assemble_dense(laplacian_coeffs(3))):
+        for dense in (A, assemble_dense(shared.laplacian_coeffs(3))):
             with pytest.raises(TypeError):
                 preconditioned_spectrum(dense, build_identity(3))
             with pytest.raises(TypeError):
@@ -189,7 +177,7 @@ class TestParitySpectra:
 
     def test_rejects_order_mismatch(self):
         with pytest.raises(ValueError):
-            preconditioned_spectra(laplacian_coeffs(4), [build_identity(5)])
+            preconditioned_spectra(shared.laplacian_coeffs(4), [build_identity(5)])
 
 
 class TestFlipBlocks:
