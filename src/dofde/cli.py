@@ -210,14 +210,12 @@ def _cmd_mgm(args):
     for n in args.sizes:
         if (n + 1) & n or n < 3:
             raise CliError(f"mgm needs sizes one less than a power of two, got {n}")
-        scaled = _scaled_coeffs(n)
-        h_two = build_hierarchy(scaled, coarsest_threshold=(n - 1) // 2)
-        h_full = build_hierarchy(scaled)
+        h = build_hierarchy(_scaled_coeffs(n))
         b = np.ones(n)
         stop = StoppingRule(tol=args.tol)
         for name in cases:
-            t = tgm(h_two, name, b, stop=stop)
-            v = vcycle(h_full, name, b, stop=stop)
+            t = tgm(h, name, b, stop=stop)
+            v = vcycle(h, name, b, stop=stop)
             rows.append([str(n), name, str(t.iterations), str(v.iterations)])
     return ["n", "case", "tgm_iterations", "vcycle_iterations"], rows, {}
 

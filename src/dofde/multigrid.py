@@ -11,7 +11,7 @@ so every level is stored as its first column and built in O(n)
 (Fiorentino and Serra, Calcolo 1991; Chan, Chang and Sun, SIAM J. Sci.
 Comput. 19, 1998).  Level products use a cached circulant embedding,
 restriction and prolongation are stencil slices, and no level is
-assembled densely: the coarsest is solved exactly by the formula
+assembled densely: a cycle's coarsest level is solved exactly by the formula
 T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of Gohberg and Semencul (1972;
 Trench, J. SIAM 12, 1964), x = T^{-1} e_1 from one Frobenius-tau PCG
 solve per level, y = [0, x_{n-1}, ..., x_1], L(v) lower-triangular
@@ -22,7 +22,8 @@ steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
 discrete Laplacian preconditioners.  The table `MGM_CASES` declares the
 study's five named cases: each gives the (pre, post) smoothers of the
 finest level and of the coarser levels as (method, steps) pairs, and
-`vcycle` and `tgm` take a case by its name.  Their cycles run in
+`vcycle` and `tgm` take a case by its name; `tgm` is the V-cycle on
+the first two levels of the same hierarchy.  Their cycles run in
 krylov's stopping loop, the one `pcg` runs in.
 Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
 first column a.  Its inverse is the lower-triangular Toeplitz matrix of
@@ -71,6 +72,7 @@ MGM_CASES = {
 }
 
 _EXACT_SOLVE_TOL = 1e-13
+_COARSEST_SIZE = 15
 
 
 def _series_reciprocal(a):
@@ -146,10 +148,6 @@ class Hierarchy:
         """First column of every level's symmetric Toeplitz matrix."""
         return tuple(level.coeffs.a for level in self.levels)
 
-    @property
-    def depth(self):
-        return len(self.levels)
-
 
 def restrict(x):
     """R x for the unscaled [1, 2, 1] restriction around every second
@@ -184,18 +182,16 @@ def _is_pow2_minus_1(n):
     return n >= 3 and ((n + 1) & n) == 0
 
 
-def build_hierarchy(c, coarsest_threshold=15):
+def build_hierarchy(c):
     """Coarsen the symmetric Toeplitz matrix with coefficients c by the
-    Galerkin recurrence until the size drops to coarsest_threshold."""
+    Galerkin recurrence at least once, then until the size is at most 15."""
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("build_hierarchy takes ToeplitzCoeffs")
     if not _is_pow2_minus_1(c.n):
         raise ValueError("size must be one less than a power of two")
-    if coarsest_threshold < 1:
-        raise ValueError("coarsest_threshold must be positive")
 
     levels = [GridLevel(c)]
-    while levels[-1].n > coarsest_threshold:
+    while len(levels) == 1 or levels[-1].n > _COARSEST_SIZE:
         a = _galerkin_coarse(levels[-1].coeffs.a)
         levels.append(GridLevel(ToeplitzCoeffs(a.shape[0], a)))
     return Hierarchy(tuple(levels))
@@ -222,11 +218,11 @@ def _smoother(level, tau, method, steps):
     return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
 
 
-def _assemble_smoothers(h, pairs):
+def _assemble_smoothers(levels, pairs):
     """Per-level (pre, post) smoother callables for a case's pairs."""
     finest, coarse = pairs
     smoothers = []
-    for index, level in enumerate(h.levels[:-1]):
+    for index, level in enumerate(levels[:-1]):
         # the finest level is the problem's own Toeplitz matrix; the
         # coarse Galerkin levels get the Frobenius-optimal tau
         pair, tau = ((finest, PrecKind.NATURAL_TAU) if index == 0
@@ -235,31 +231,31 @@ def _assemble_smoothers(h, pairs):
     return smoothers
 
 
-def _cycle(h, smoothers, index, b, x):
-    if index == h.depth - 1:
-        return h.levels[-1].solve(b)
-    level = h.levels[index]
-    pre, post = smoothers[index]
+def _cycle(levels, smoothers, b, x):
+    if len(levels) == 1:
+        return levels[0].solve(b)
+    level = levels[0]
+    pre, post = smoothers[0]
     x = pre(x, b)
     coarse_residual = restrict(b - level.matvec(x))
-    correction = _cycle(h, smoothers, index + 1, coarse_residual,
+    correction = _cycle(levels[1:], smoothers[1:], coarse_residual,
                         np.zeros(coarse_residual.shape[0]))
     x = x + prolong(correction)
     return post(x, b)
 
 
-def _mgm_solve(h, case, b, stop):
+def _mgm_solve(levels, case, b, stop):
     if case not in MGM_CASES:
         raise ValueError(f"unknown multigrid case {case!r}")
     b = np.asarray(b, dtype=float)
-    finest = h.levels[0]
+    finest = levels[0]
     if b.shape != (finest.n,):
         raise ValueError("right-hand side length must match the finest level")
 
     def steps(x, r):
-        smoothers = _assemble_smoothers(h, MGM_CASES[case])
+        smoothers = _assemble_smoothers(levels, MGM_CASES[case])
         while True:
-            x = _cycle(h, smoothers, 0, b, x)
+            x = _cycle(levels, smoothers, b, x)
             yield x, b - finest.matvec(x)
 
     return _iterate(finest.matvec, b, None, stop, steps)
@@ -268,11 +264,10 @@ def _mgm_solve(h, case, b, stop):
 def vcycle(h, case, b, stop=None):
     """Iterate V-cycles from zero, smoothing as the MGM_CASES entry named
     `case`, until the scaled residual passes stop.tol."""
-    return _mgm_solve(h, case, b, stop)
+    return _mgm_solve(h.levels, case, b, stop)
 
 
 def tgm(h, case, b, stop=None):
-    """Two-grid iteration: a V-cycle on a hierarchy of exactly two levels."""
-    if h.depth != 2:
-        raise ValueError("two-grid solve needs a hierarchy with exactly two levels")
-    return _mgm_solve(h, case, b, stop)
+    """Two-grid iteration: the V-cycle on the first two levels of h, the
+    second solved exactly."""
+    return _mgm_solve(h.levels[:2], case, b, stop)

@@ -26,6 +26,7 @@ __all__ = [
 _DOUBLING_BUDGET = 4
 _STABILIZATION_TOL = 1e-10
 _MIN_SAMPLES = 1 << 16
+_ORACLE_TOL = 1e-10
 
 
 class CoeffStabilizationError(RuntimeError):
@@ -124,7 +125,7 @@ def coeffs_via_fft(n):
     )
 
 
-def coeff_oracle(n, k, tol=1e-10):
+def coeff_oracle(n, k):
     """Independent k-th coefficient: (1/pi) * int_0^pi f(theta) cos(k theta) dtheta
     by adaptive quadrature.  Slow; exists to cross-check coeffs_via_fft."""
     from .quadrature import integrate_adaptive
@@ -132,7 +133,7 @@ def coeff_oracle(n, k, tol=1e-10):
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     res = integrate_adaptive(lambda th: dist_order_symbol(n, th) * np.cos(k * th),
-                             0.0, np.pi, tol=tol)
+                             0.0, np.pi, tol=_ORACLE_TOL)
     return res.value / np.pi
 
 

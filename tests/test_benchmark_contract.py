@@ -68,8 +68,8 @@ def test_solver_and_quadrature_counters_keep_their_types():
     identity = dofde.build_preconditioner(dofde.PrecKind.IDENTITY, c)
     reports = [
         dofde.pcg(dofde.ToeplitzOperator(c), identity, b),
-        dofde.vcycle(dofde.build_hierarchy(c, coarsest_threshold=3), "alpha", b),
-        dofde.tgm(dofde.build_hierarchy(c, coarsest_threshold=7), "alpha", b),
+        dofde.vcycle(dofde.build_hierarchy(c), "alpha", b),
+        dofde.tgm(dofde.build_hierarchy(c), "alpha", b),
     ]
     for report in reports:
         assert isinstance(report, dofde.SolveReport)

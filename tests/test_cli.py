@@ -288,7 +288,7 @@ _REFERENCE_SIZES = {
     "outliers": "32..512",
     "mineig": "32..512",
     "pcg": "32..512",
-    "mgm": "31..511",
+    "mgm": "31..2047",
 }
 
 

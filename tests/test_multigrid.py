@@ -10,6 +10,7 @@ import dofde.multigrid
 from dofde import (
     MGM_CASES,
     GridLevel,
+    Hierarchy,
     StoppingRule,
     ToeplitzCoeffs,
     assemble_dense,
@@ -22,11 +23,7 @@ from dofde import (
 )
 
 
-def two_level(n):
-    return build_hierarchy(shared.scaled_coeffs(n), coarsest_threshold=(n - 1) // 2)
-
-
-def full_depth(n):
+def hierarchy(n):
     return build_hierarchy(shared.scaled_coeffs(n))
 
 
@@ -82,7 +79,7 @@ class TestRestriction:
 class TestHierarchy:
     def test_galerkin_triple_product(self):
         c = shared.laplacian_coeffs(7)
-        h = build_hierarchy(c, coarsest_threshold=3)
+        h = build_hierarchy(c)
         A = assemble_dense(c)
         R = shared.build_restriction(7).toarray()
         coarse = assemble_dense(h.levels[1].coeffs)
@@ -93,9 +90,14 @@ class TestHierarchy:
 
     @settings(deadline=None, max_examples=60)
     @given(c=random_system())
+    @example(c=shared.nonnegative_symbol_coeffs(3, np.random.default_rng(3)))
+    @example(c=shared.nonnegative_symbol_coeffs(7, np.random.default_rng(7)))
+    @example(c=shared.nonnegative_symbol_coeffs(15, np.random.default_rng(15)))
     def test_recurrence_matches_dense_galerkin_oracle(self, c):
-        h = build_hierarchy(c, coarsest_threshold=1)
-        assert [lv.n for lv in h.levels] == [2**j - 1 for j in range(c.n.bit_length(), 0, -1)]
+        # every hierarchy coarsens at least once, then down to order 15
+        h = build_hierarchy(c)
+        k = c.n.bit_length()
+        assert [lv.n for lv in h.levels] == [2**j - 1 for j in range(k, min(k - 1, 4) - 1, -1)]
         dense = assemble_dense(c)
         for lv in h.levels[1:]:
             dense = shared.galerkin_dense(dense)
@@ -103,14 +105,12 @@ class TestHierarchy:
             assert np.max(np.abs(assemble_dense(lv.coeffs) - dense)) <= 1e-13 * scale
 
     def test_threshold_stops_after_one_coarsening(self):
-        h = build_hierarchy(shared.scaled_coeffs(31), coarsest_threshold=15)
-        assert h.depth == 2
-        assert [m.shape[0] for m in h.matrices] == [31, 15]
+        assert [m.shape[0] for m in hierarchy(31).matrices] == [31, 15]
 
     def test_every_level_symmetric(self):
         # levels are stored as symmetric Toeplitz columns; Galerkin
         # coarsening must also keep every one positive definite
-        h = full_depth(63)
+        h = hierarchy(63)
         for lv in h.levels:
             M = assemble_dense(lv.coeffs)
             assert np.abs(M - M.T).max() == 0.0
@@ -129,7 +129,7 @@ class TestHierarchy:
         A = np.asarray(shared.dense_scaled(n))
         b = np.ones(n)
         x_star = np.linalg.solve(A, b)
-        coarse_residual = restrict(b - two_level(n).levels[0].matvec(x_star))
+        coarse_residual = restrict(b - hierarchy(n).levels[0].matvec(x_star))
         assert np.abs(coarse_residual).max() < 1e-12
 
 
@@ -217,11 +217,11 @@ class TestCaseConfigs:
         b = np.ones(63)
         for name in ("epsilon", "Alpha", ""):
             with pytest.raises(ValueError, match="unknown multigrid case"):
-                vcycle(full_depth(63), name, b)
+                vcycle(hierarchy(63), name, b)
             with pytest.raises(ValueError, match="unknown multigrid case"):
-                tgm(two_level(63), name, b)
+                tgm(hierarchy(63), name, b)
         with pytest.raises(ValueError, match="unknown multigrid case"):
-            vcycle(full_depth(31), "epsilon", np.zeros(31))
+            vcycle(hierarchy(31), "epsilon", np.zeros(31))
 
     def test_smoothers_looked_up_at_call_time(self, monkeypatch):
         # the traced benchmark wraps these module globals after import
@@ -234,7 +234,7 @@ class TestCaseConfigs:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(dofde.multigrid, name, counted)
-        report = vcycle(full_depth(63), "beta", np.ones(63))
+        report = vcycle(hierarchy(63), "beta", np.ones(63))
         assert report.converged
         # one presweep and one PCG postsmoothing step per non-coarsest level
         assert calls["gauss_seidel_sweep"] == calls["cg_smooth_step"] == 2 * report.iterations
@@ -244,44 +244,45 @@ class TestSolvers:
     def test_exact_smoother_converges_immediately(self):
         # on the pure stencil matrix the Laplacian smoother is exact
         n = 15
-        h = build_hierarchy(shared.laplacian_coeffs(n), coarsest_threshold=7)
+        h = build_hierarchy(shared.laplacian_coeffs(n))
         report = tgm(h, "gamma", np.ones(n))
         assert report.converged
         assert report.iterations == 1
 
     def test_alpha_count_smallest_size(self):
-        report = vcycle(full_depth(31), "alpha", np.ones(31))
+        report = vcycle(hierarchy(31), "alpha", np.ones(31))
         assert report.converged
         assert 8 <= report.iterations <= 10
 
     def test_gamma_count_midrange(self):
-        report = vcycle(full_depth(511), "gamma", np.ones(511))
+        report = vcycle(hierarchy(511), "gamma", np.ones(511))
         assert 2 <= report.iterations <= 4
 
     def test_delta_count(self):
         for n in (63, 127):
-            report = vcycle(full_depth(n), "delta", np.ones(n))
+            report = vcycle(hierarchy(n), "delta", np.ones(n))
             assert 1 <= report.iterations <= 3
 
     def test_beta_two_grid_count(self):
-        report = tgm(two_level(63), "beta", np.ones(63))
+        report = tgm(hierarchy(63), "beta", np.ones(63))
         assert 3 <= report.iterations <= 5
 
     def test_finest_only_count(self):
-        report = vcycle(full_depth(127), "finest_only", np.ones(127))
+        report = vcycle(hierarchy(127), "finest_only", np.ones(127))
         assert 2 <= report.iterations <= 4
 
     def test_two_grid_matches_vcycle_counts(self):
         n = 63
+        h = hierarchy(n)
         for case in ("alpha", "beta", "gamma", "delta"):
-            t = tgm(two_level(n), case, np.ones(n))
-            v = vcycle(full_depth(n), case, np.ones(n))
+            t = tgm(h, case, np.ones(n))
+            v = vcycle(h, case, np.ones(n))
             assert t.iterations == v.iterations
 
     def test_h_independence(self):
         for case in ("beta", "gamma", "delta"):
             counts = [
-                vcycle(full_depth(n), case, np.ones(n)).iterations
+                vcycle(hierarchy(n), case, np.ones(n)).iterations
                 for n in (31, 63, 127, 255)
             ]
             assert max(counts) - min(counts) <= 2
@@ -289,25 +290,42 @@ class TestSolvers:
     def test_residuals_decrease_monotonically(self):
         n = 63
         for case in ("alpha", "beta", "gamma", "delta"):
-            report = vcycle(full_depth(n), case, np.ones(n))
+            report = vcycle(hierarchy(n), case, np.ones(n))
             hist = report.residual_history
             assert np.all(np.diff(hist) < 0)
 
-    def test_two_grid_needs_two_levels(self):
-        h = full_depth(63)
-        assert h.depth > 2
-        with pytest.raises(ValueError):
-            tgm(h, "alpha", np.ones(63))
+    def test_two_grid_runs_first_two_levels(self):
+        # the levels below the second never enter a two-grid solve
+        for n in (63, 255):
+            h = hierarchy(n)
+            two = Hierarchy(build_hierarchy(shared.scaled_coeffs(n)).levels[:2])
+            for case in MGM_CASES:
+                full, first_two = tgm(h, case, np.ones(n)), tgm(two, case, np.ones(n))
+                assert full.iterations == first_two.iterations, (n, case)
+                np.testing.assert_array_equal(full.residual_history, first_two.residual_history)
+                np.testing.assert_array_equal(full.solution, first_two.solution)
+
+    def test_smallest_hierarchies_have_two_levels(self):
+        # at n <= 15 the one coarsening reaches the coarsest size, so the
+        # V-cycle is the two-grid method
+        for n in (3, 7, 15):
+            h = hierarchy(n)
+            assert [lv.n for lv in h.levels] == [n, (n - 1) // 2]
+            for case in MGM_CASES:
+                v, t = vcycle(h, case, np.ones(n)), tgm(h, case, np.ones(n))
+                assert v.iterations == t.iterations, (n, case)
+                np.testing.assert_array_equal(v.residual_history, t.residual_history)
+                np.testing.assert_array_equal(v.solution, t.solution)
 
     def test_max_iterations_unconverged(self):
         report = vcycle(
-            full_depth(31), "alpha", np.ones(31), stop=StoppingRule(max_iterations=2)
+            hierarchy(31), "alpha", np.ones(31), stop=StoppingRule(max_iterations=2)
         )
         assert not report.converged
         assert report.iterations == 2
 
     def test_zero_rhs(self):
-        report = vcycle(full_depth(31), "alpha", np.zeros(31))
+        report = vcycle(hierarchy(31), "alpha", np.zeros(31))
         assert report.converged and report.iterations == 0
 
 
@@ -316,8 +334,8 @@ class TestScale:
         # the coefficient hierarchy keeps 8 (n + n/2 + ...) < 16 n bytes;
         # a dense finest level alone would take 34 GB at this size
         n = 2**16 - 1
-        h = full_depth(n)
-        assert h.depth == 13
+        h = hierarchy(n)
+        assert len(h.levels) == 13
         assert sum(m.nbytes for m in h.matrices) <= 16 * n
         # the residual's rounding floor here is 5e-8 to 9e-8, so cap the
         # cycles: a solve that misses 1e-7 fails instead of running 10 n
@@ -331,7 +349,7 @@ class TestScale:
         # cap as in test_vcycles_at_65535
         n = 2**16 - 1
         stop = StoppingRule(tol=1e-7, max_iterations=30)
-        assert tgm(two_level(n), "gamma", np.ones(n), stop=stop).converged
+        assert tgm(hierarchy(n), "gamma", np.ones(n), stop=stop).converged
 
     def test_two_grid_memory_at_8191(self):
         # a dense coarse level of order (n - 1)/2 alone would hold n^2/4
@@ -340,7 +358,7 @@ class TestScale:
         c = shared.scaled_coeffs(n)
         tracemalloc.start()
         try:
-            report = tgm(build_hierarchy(c, coarsest_threshold=(n - 1) // 2), "gamma", np.ones(n))
+            report = tgm(build_hierarchy(c), "gamma", np.ones(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 from pathlib import Path
@@ -45,3 +47,28 @@ class TestExports:
             if len(parts) == 3:
                 used.add(parts[1])
         assert sorted(set(dofde.__all__) - used) == []
+
+    def test_every_parameter_is_set(self):
+        # a defaulted parameter of an exported function or dataclass stays
+        # only while a call in the package or the benchmark's workloads
+        # passes it, by position or by keyword; one that only tests set
+        # is a module constant.  Enums and other classes are skipped.
+        passed = {}
+        for path in [*ROOT.glob("src/dofde/*.py"), *ROOT.glob("perfbench/*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    given = passed.setdefault(name, set())
+                    given.update(range(len(node.args)))
+                    given.update(keyword.arg for keyword in node.keywords)
+        unset = []
+        for name in dofde.__all__:
+            obj = getattr(dofde, name)
+            if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+                continue
+            given = passed.get(name, set())
+            for index, param in enumerate(inspect.signature(obj).parameters.values()):
+                if param.default is not param.empty and not {index, param.name} & given:
+                    unset.append(f"{name}.{param.name}")
+        assert unset == []

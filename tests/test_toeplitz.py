@@ -17,13 +17,13 @@ class TestCoeffs:
     def test_against_quadrature_oracle_small(self):
         c = shared.coeffs(8)
         for k in range(8):
-            ref = coeff_oracle(8, k, tol=1e-11)
+            ref = coeff_oracle(8, k)
             assert c.a[k] == pytest.approx(ref, abs=1e-8)
 
     def test_against_quadrature_oracle_spot(self):
         c = shared.coeffs(16)
         for k in (0, 1, 7, 15):
-            assert c.a[k] == pytest.approx(coeff_oracle(16, k, tol=1e-11), abs=1e-8)
+            assert c.a[k] == pytest.approx(coeff_oracle(16, k), abs=1e-8)
 
     def test_stabilization_failure_raises(self, monkeypatch):
         # a jump off the sampling grid converges too slowly for the budget:
