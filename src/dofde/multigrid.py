@@ -9,13 +9,13 @@ again symmetric Toeplitz, with first column
 
 so every level is stored as its first column and built in O(n)
 (Fiorentino and Serra, Calcolo 1991; Chan, Chang and Sun, SIAM J. Sci.
-Comput. 19, 1998).  Level products use a cached circulant embedding,
-restriction and prolongation are stencil slices, and no level is
-assembled densely: a cycle's coarsest level is solved exactly by the formula
-T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of Gohberg and Semencul (1972;
-Trench, J. SIAM 12, 1964), x = T^{-1} e_1 from one Frobenius-tau PCG
-solve per level, y = [0, x_{n-1}, ..., x_1], L(v) lower-triangular
-Toeplitz with first column v.
+Comput. 19, 1998).  Restriction and prolongation are stencil slices,
+and no level is assembled densely: a cycle's coarsest level is solved
+exactly by the formula T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of
+Gohberg and Semencul (1972; Trench, J. SIAM 12, 1964), x = T^{-1} e_1
+from one Frobenius-tau PCG solve per level, y = [0, x_{n-1}, ..., x_1],
+L(v) lower-triangular Toeplitz with first column v, each L(v) product
+a cached rfft convolution, `toeplitz._product`, as is the matvec.
 
 Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
 steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
@@ -43,7 +43,7 @@ import numpy as np
 
 from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, _product
 
 __all__ = [
     "MGM_CASES",
@@ -106,35 +106,29 @@ class GridLevel:
         self.coeffs = c
         self.n = c.n
         self.matvec = ToeplitzOperator(c)
-        self._length = _next_pow2(2 * c.n)
-
-    def _lower_product(self, v_hat, r):
-        """L(v) r for lower-triangular Toeplitz L(v), v_hat = rfft(v, self._length)."""
-        return np.fft.irfft(v_hat * np.fft.rfft(r, self._length), self._length)[: self.n]
 
     @functools.cached_property
-    def _lower_inverse_spectrum(self):
-        return np.fft.rfft(_series_reciprocal(self.coeffs.a), self._length)
+    def _lower_inverse(self):
+        return _product(_series_reciprocal(self.coeffs.a), self.n)
 
     def solve_lower(self, r):
         """tril(T)^{-1} r: convolution with the reciprocal series."""
-        return self._lower_product(self._lower_inverse_spectrum, r)
+        return self._lower_inverse(r)
 
     @functools.cached_property
     def _inverse_generators(self):
-        """x_0 and the rows rfft(x), rfft(y) of x = T^{-1} e_1, y = [0, x_{n-1}, ..., x_1]."""
+        """x_0 and the products by L(x), L(y) of x = T^{-1} e_1, y = [0, x_{n-1}, ..., x_1]."""
         report = pcg(self.matvec, build_preconditioner(PrecKind.FROBENIUS_TAU, self.coeffs),
                      np.eye(1, self.n)[0], stop=StoppingRule(tol=_EXACT_SOLVE_TOL))
         if not report.converged:
             raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_EXACT_SOLVE_TOL:g}")
         x = report.solution
-        return x[0], np.fft.rfft([x, np.r_[0.0, x[:0:-1]]], self._length)
+        return x[0], _product(x, self.n), _product(np.r_[0.0, x[:0:-1]], self.n)
 
     def solve(self, r):
         """T^{-1} r by the Gohberg-Semencul formula, with L(v)^T r = J L(v) J r."""
-        x0, (x, y) = self._inverse_generators
-        lower = self._lower_product
-        return (lower(x, lower(x, r[::-1])[::-1]) - lower(y, lower(y, r[::-1])[::-1])) / x0
+        x0, lx, ly = self._inverse_generators
+        return (lx(lx(r[::-1])[::-1]) - ly(ly(r[::-1])[::-1])) / x0
 
 
 @dataclass(frozen=True)

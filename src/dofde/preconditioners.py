@@ -68,7 +68,7 @@ class Preconditioner:
     spectrum: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.spectrum, dtype=float)
+        s = np.array(self.spectrum, dtype=float)
         object.__setattr__(self, "spectrum", s)
         s.setflags(write=False)
 

@@ -2,8 +2,9 @@
 
 Fourier coefficients of the generating symbol (FFT sampling with
 doubling stabilization, plus an independent quadrature oracle), dense
-assembly, and the O(n log n) matrix-vector product through circulant
-embedding.
+assembly, and `_product`, the one cached rfft convolution behind every
+O(n log n) Toeplitz product: the matvec by circulant embedding here and
+multigrid's triangular products.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ToeplitzCoeffs:
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float)
         if a.shape != (self.n,):
             raise ValueError("coefficient vector must have length n")
         if not np.all(np.isfinite(a)):
@@ -143,29 +144,29 @@ def assemble_dense(c):
     return c.a[np.abs(idx[:, None] - idx[None, :])]
 
 
-class ToeplitzOperator:
-    """O(n log n) symmetric Toeplitz matvec via circulant embedding.
+def _product(col, n):
+    """x -> (col circularly convolved with x at m)[:n], m the least power
+    of two >= 2n, rfft(col, m) cached; L(col) x when len(col) <= n."""
+    m = _next_pow2(2 * n)
+    spectrum = np.fft.rfft(col, m)
+    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:n]
 
-    The first column is embedded into a circulant of the next power of
-    two >= 2n whose FFT is cached, so repeated products (Krylov loops)
-    cost two FFTs each.
-    """
+
+class ToeplitzOperator:
+    """O(n log n) symmetric Toeplitz matvec: the first column embedded
+    in a circulant of order m >= 2n, a power of two, run by `_product`,
+    so each product (Krylov loops) costs one rfft/irfft pair."""
 
     def __init__(self, c):
         self.n = c.n
         m = _next_pow2(2 * c.n)
         col = np.zeros(m)
         col[: c.n] = c.a
-        if c.n > 1:
-            col[m - c.n + 1 :] = c.a[1:][::-1]
-        self._spectrum = np.fft.fft(col)
-        self._m = m
+        col[m - c.n + 1 :] = c.a[:0:-1]
+        self._product = _product(col, c.n)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError("vector length must match matrix order")
-        xp = np.zeros(self._m)
-        xp[: self.n] = x
-        return np.fft.ifft(self._spectrum * np.fft.fft(xp))[: self.n].real
-
+        return self._product(x)

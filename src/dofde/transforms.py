@@ -1,9 +1,13 @@
 """The orthonormal DST-I, the sine transform of the tau algebra.
 
 The DST-I matrix is the symmetric involutory
-Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).  Complex FFTs are numpy's own
-(np.fft.fft unnormalized, np.fft.ifft with the 1/N factor), called
-directly where they are needed.
+Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).
+
+Every Toeplitz product runs on `toeplitz._product`, one rfft helper.
+numpy's complex FFT remains only in the circulant family, which divides
+by its spectrum at length n (moving that onto the helper is a change of
+its own), and in coefficient sampling and the tau spectra's cosine
+sums, where an rfft moves printed digits of the recorded tables.
 """
 
 from __future__ import annotations

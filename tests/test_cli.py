@@ -287,7 +287,7 @@ _REFERENCE_SIZES = {
     "spectrum": "32..512",
     "outliers": "32..512",
     "mineig": "32..512",
-    "pcg": "32..512",
+    "pcg": "32..2048",
     "mgm": "31..2047",
 }
 

@@ -176,6 +176,18 @@ class TestGaussSeidel:
         got = gauss_seidel_sweep(GridLevel(c), x, b, sweeps=sweeps)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=1)
+    @example(n=2, seed=2)
+    def test_solve_lower_matches_dense_triangular_solve(self, n, seed):
+        rng = np.random.default_rng(seed)
+        c = shared.nonnegative_symbol_coeffs(n, rng, int(rng.integers(1, n + 1)))
+        r = rng.standard_normal(n)
+        expected = np.linalg.solve(np.tril(assemble_dense(c)), r)
+        got = GridLevel(c).solve_lower(r)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 class TestExactSolve:
     @settings(deadline=None, max_examples=60)

@@ -9,6 +9,7 @@ import conftest as shared
 from dofde import (
     NotSPDError,
     PrecKind,
+    Preconditioner,
     ToeplitzCoeffs,
     apply_inverse,
     apply_inverse_sqrt,
@@ -241,6 +242,13 @@ class TestApplication:
         P = build_laplacian(4)
         with pytest.raises(ValueError):
             apply_inverse(P, np.ones(5))
+
+    def test_container_keeps_a_private_copy(self):
+        d = np.array([1.0, 2.0, 3.0])
+        P = Preconditioner(PrecKind.LAPLACIAN, 3, d)
+        d[0] = 5.0
+        assert d.flags.writeable and not P.spectrum.flags.writeable
+        np.testing.assert_array_equal(P.spectrum, [1.0, 2.0, 3.0])
 
 
 class TestRegistry:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 import dofde.toeplitz
@@ -50,6 +52,13 @@ class TestCoeffs:
         with pytest.raises(ValueError):
             c.a[0] = 5.0
 
+    def test_container_keeps_a_private_copy(self):
+        a = np.array([2.0, -1.0, 0.0, 0.0])
+        c = ToeplitzCoeffs(4, a)
+        a[0] = 3.0
+        assert a.flags.writeable
+        np.testing.assert_array_equal(c.a, [2.0, -1.0, 0.0, 0.0])
+
 
 class TestDenseAndMatvec:
     def test_assemble_structure(self):
@@ -65,9 +74,16 @@ class TestDenseAndMatvec:
         )
         np.testing.assert_array_equal(A, expected)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 128])
-    def test_matvec_matches_dense(self, n):
-        rng = np.random.default_rng(n)
+    @settings(deadline=None)
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=1)
+    @example(n=2, seed=2)
+    @example(n=3, seed=3)
+    @example(n=5, seed=5)
+    @example(n=16, seed=16)
+    @example(n=128, seed=128)
+    def test_matvec_matches_dense(self, n, seed):
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal(n)
         c = ToeplitzCoeffs(n, a)
         A = assemble_dense(c)
