@@ -74,15 +74,19 @@ class TestDenseAndMatvec:
         )
         np.testing.assert_array_equal(A, expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 128])
+    def test_matvec_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        c = ToeplitzCoeffs(n, a)
+        A = assemble_dense(c)
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(ToeplitzOperator(c)(x), A @ x, atol=1e-11)
+
     @settings(deadline=None)
     @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
-    @example(n=1, seed=1)
-    @example(n=2, seed=2)
-    @example(n=3, seed=3)
-    @example(n=5, seed=5)
-    @example(n=16, seed=16)
-    @example(n=128, seed=128)
-    def test_matvec_matches_dense(self, n, seed):
+    @example(n=1000, seed=0)
+    def test_matvec_matches_dense_random(self, n, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(n)
         c = ToeplitzCoeffs(n, a)
