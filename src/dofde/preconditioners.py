@@ -4,11 +4,15 @@ Five SPD preconditioners, each diagonal in a fast transform domain:
 two circulants (Strang and Frobenius-optimal, FFT domain), two tau
 matrices (natural and Frobenius-optimal, DST-I domain), and the
 tridiagonal finite-difference Laplacian, itself a tau matrix (DST-I
-domain), plus the identity.  Every inverse is applied by dividing in the
-transform domain, and `build_preconditioner` maps each kind to its
-builder.  All builders are scale equivariant: coefficients scaled by
+domain), plus the identity.  `build_preconditioner` maps each kind to
+its builder.  All builders are scale equivariant: coefficients scaled by
 alpha produce spectra scaled by alpha, so preconditioned spectra are
 invariant under system rescaling.
+
+Every inverse is a Toeplitz (for the sine kinds, Toeplitz minus Hankel)
+convolution whose kernel each `Preconditioner` caches when it is built,
+applied by the rfft helper of the Toeplitz matvec at a power-of-two
+length, never by a transform of length n (`_algebra_product`).
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import ToeplitzCoeffs
-from .transforms import dst1
+from .toeplitz import ToeplitzCoeffs, _symmetric_product
 
 __all__ = [
     "PrecKind",
@@ -61,16 +64,26 @@ class Preconditioner:
 
     Circulant kinds diagonalize under the FFT, tau kinds and the
     Laplacian under DST-I; the Identity carries an empty spectrum.
+    Raises ValueError unless the spectrum has n entries (none for the
+    identity); the builders also check that they are positive.
     """
 
     kind: PrecKind
     n: int
     spectrum: np.ndarray = field(repr=False)
+    _inverse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.array(self.spectrum, dtype=float)
+        length = 0 if self.kind is PrecKind.IDENTITY else self.n
+        if s.shape != (length,):
+            raise ValueError(
+                f"{self.kind.value} preconditioner of order {self.n} needs a "
+                f"spectrum of length {length}, got shape {s.shape}"
+            )
         object.__setattr__(self, "spectrum", s)
         s.setflags(write=False)
+        object.__setattr__(self, "_inverse", _algebra_product(self.kind, 1.0 / s))
 
 
 def _checked(kind, n, spectrum):
@@ -215,26 +228,42 @@ def build_preconditioner(kind, c):
     return _BUILDERS[kind](c)
 
 
-def _divide_in_transform(P, x, denom):
-    """x -> T^{-1} diag(1/denom) T x for P's diagonalizing transform T
-    (the identity map for the identity kind); x must be a vector of P's
-    order, and anything else raises ValueError."""
+def _algebra_product(kind, w):
+    """x -> M x for the matrix M of kind's algebra with transform-domain
+    eigenvalues w, by `toeplitz._symmetric_product`: M is P^{-1} for
+    w = 1/spectrum and P^{-1/2} for w = spectrum^(-1/2).
+
+    A symmetric circulant M is the symmetric Toeplitz matrix with first
+    column ifft(w).  A sine-algebra M = Q diag(w) Q is T(c) - H(c),
+    H_ij = c_{i+j+2}, where c_m = (1/(n+1)) sum_j w_j cos(j m pi/(n+1))
+    for m = 0..2n comes from one rfft of length 2(n+1) and is even
+    about n + 1 (Bini and Capovani, Linear Algebra Appl. 52/53, 1983)."""
+    if kind is PrecKind.IDENTITY:
+        return lambda x: x.copy()
+    if kind in _CIRCULANT:
+        return _symmetric_product(np.fft.ifft(w).real)
+    n = len(w)
+    ext = np.zeros(2 * (n + 1))
+    ext[1 : n + 1] = w
+    half = np.fft.rfft(ext).real / (n + 1)
+    c = np.concatenate([half, half[n:0:-1]])
+    return _symmetric_product(c[:n], hankel=-c[2 : 2 * n + 1])
+
+
+def _vector(P, x):
+    """x as a float vector of P's order; anything else raises ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (P.n,):
         raise ValueError("x must be a vector of the preconditioner's order")
-    if P.kind is PrecKind.IDENTITY:
-        return x.copy()
-    if P.kind in _CIRCULANT:
-        return np.real(np.fft.ifft(np.fft.fft(x) / denom))
-    return dst1(dst1(x) / denom)
+    return x
 
 
 def apply_inverse(P, x):
-    """Apply P^{-1} to the vector x through the diagonalizing transform."""
-    return _divide_in_transform(P, x, P.spectrum)
+    """Apply P^{-1} to the vector x by P's cached convolution."""
+    return P._inverse(_vector(P, x))
 
 
 def apply_inverse_sqrt(P, x):
-    """Apply P^{-1/2} to the vector x in the transform domain (divide by
-    the square root of the spectrum)."""
-    return _divide_in_transform(P, x, np.sqrt(P.spectrum))
+    """Apply P^{-1/2} to the vector x by a convolution built from the
+    square root of P's spectrum."""
+    return _algebra_product(P.kind, P.spectrum ** -0.5)(_vector(P, x))

@@ -1,10 +1,11 @@
 """Toeplitz realization of the distributed-order operator.
 
-Fourier coefficients of the generating symbol (FFT sampling with
-doubling stabilization, plus an independent quadrature oracle), dense
-assembly, and `_product`, the one cached rfft convolution behind every
-O(n log n) Toeplitz product: the matvec by circulant embedding here and
-multigrid's triangular products.
+Fourier coefficients of the generating symbol (chunked rfft sampling
+with doubling stabilization, plus an independent quadrature oracle),
+dense assembly, and `_product`, the one cached rfft convolution behind
+every O(n log n) Toeplitz product: the matvec by circulant embedding
+here, multigrid's triangular products and, with a Hankel term, every
+preconditioner inverse.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 _DOUBLING_BUDGET = 4
 _STABILIZATION_TOL = 1e-10
 _MIN_SAMPLES = 1 << 16
+_SAMPLE_CHUNK = 1 << 14
 _ORACLE_TOL = 1e-10
 
 
@@ -82,10 +84,12 @@ def _corner_slope(n):
 def coeffs_via_fft(n):
     """Fourier coefficients of the order-n symbol by uniform sampling + FFT.
 
-    Samples the symbol on a uniform grid of [0, 2pi), FFTs, keeps the
-    first n real coefficients, and doubles the sample count until two
-    successive coefficient vectors agree to 1e-10 in max norm (budget:
-    4 doublings, then CoeffStabilizationError).
+    Samples the symbol on a uniform grid of [0, 2pi), takes a real FFT,
+    keeps the first n coefficients, and doubles the sample count until
+    two successive coefficient vectors agree to 1e-10 in max norm
+    (budget: 4 doublings, then CoeffStabilizationError).  The m samples
+    fill one preallocated array, _SAMPLE_CHUNK at a time, so the working
+    memory is that array and the rfft's m/2 + 1 outputs.
 
     The periodic continuation of the symbol has a corner at theta = pi
     that would cap plain-sampling accuracy near 1e-6; the matched
@@ -102,9 +106,15 @@ def coeffs_via_fft(n):
     beta = _corner_slope(n) / (2.0 * np.pi)
 
     def sampled_coeffs(m):
-        theta = fold_angle(2.0 * np.pi * np.arange(m) / m)
-        vals = dist_order_symbol(n, theta) - beta * theta**2
-        spec = np.fft.fft(vals)[:n]
+        vals = np.empty(m)
+        for start in range(0, m, _SAMPLE_CHUNK):
+            k = np.arange(start, min(start + _SAMPLE_CHUNK, m))
+            theta = fold_angle(2.0 * np.pi * k / m)
+            vals[start : start + _SAMPLE_CHUNK] = dist_order_symbol(n, theta) - beta * theta**2
+        spec = np.fft.rfft(vals)
+        # free the samples and all but n outputs before the O(n) work below
+        del vals
+        spec = spec[:n].copy()
         if np.max(np.abs(spec.imag)) > 1e-12 * max(1.0, np.max(np.abs(spec.real))):
             raise CoeffStabilizationError("sampled symbol is not even")
         a = spec.real / m
@@ -144,12 +154,37 @@ def assemble_dense(c):
     return c.a[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _product(col, n):
+def _product(col, n, hankel=None):
     """x -> (col circularly convolved with x at m)[:n], m the least power
-    of two >= 2n, rfft(col, m) cached; L(col) x when len(col) <= n."""
+    of two >= 2n, rfft(col, m) cached; L(col) x when len(col) <= n.
+
+    With hankel (length <= 2n - 1), adds H x, H_ij = hankel[i + j]: the
+    correlation of hankel with x, whose transform is rfft(hankel, m)
+    times conj(rfft(x, m)), so the sum still costs one rfft/irfft pair.
+    """
     m = _next_pow2(2 * n)
     spectrum = np.fft.rfft(col, m)
-    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:n]
+    if hankel is None:
+        return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:n]
+    reflected = np.fft.rfft(hankel, m)
+
+    def apply(x):
+        f = np.fft.rfft(x, m)
+        return np.fft.irfft(spectrum * f + reflected * f.conj(), m)[:n]
+
+    return apply
+
+
+def _symmetric_product(a, hankel=None):
+    """`_product` of the symmetric Toeplitz matrix with first column a
+    (plus the Hankel term, if given): a embedded in a circulant of order
+    m >= 2n, a power of two."""
+    n = len(a)
+    m = _next_pow2(2 * n)
+    col = np.zeros(m)
+    col[:n] = a
+    col[m - n + 1 :] = a[:0:-1]
+    return _product(col, n, hankel)
 
 
 class ToeplitzOperator:
@@ -159,11 +194,7 @@ class ToeplitzOperator:
 
     def __init__(self, c):
         self.n = c.n
-        m = _next_pow2(2 * c.n)
-        col = np.zeros(m)
-        col[: c.n] = c.a
-        col[m - c.n + 1 :] = c.a[:0:-1]
-        self._product = _product(col, c.n)
+        self._product = _symmetric_product(c.a)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

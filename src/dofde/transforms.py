@@ -3,11 +3,14 @@
 The DST-I matrix is the symmetric involutory
 Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).
 
-Every Toeplitz product runs on `toeplitz._product`, one rfft helper.
-numpy's complex FFT remains only in the circulant family, which divides
-by its spectrum at length n (moving that onto the helper is a change of
-its own), and in coefficient sampling and the tau spectra's cosine
-sums, where an rfft moves printed digits of the recorded tables.
+Every Toeplitz product and every preconditioner inverse runs on
+`toeplitz._product`, one rfft helper at a power-of-two length, and
+coefficient sampling takes an rfft too.  dst1 remains for the one vector
+transform of the sine-domain spectral blocks.  numpy's complex FFT
+remains only where a spectrum or a kernel is formed: the circulant
+eigenvalues, the first columns of their inverse and inverse square root
+(ifft), and the tau spectra's cosine sums, where an rfft would move
+printed digits of the recorded tables.
 """
 
 from __future__ import annotations

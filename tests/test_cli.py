@@ -12,7 +12,6 @@ import pytest
 import conftest as shared
 import dofde.cli
 import dofde.multigrid
-import dofde.preconditioners
 import dofde.quadrature
 import dofde.spectral
 import dofde.toeplitz
@@ -324,8 +323,7 @@ class TestNoDenseSineTransform:
 
             return wrapper
 
-        for module in (dofde.spectral, dofde.preconditioners):
-            monkeypatch.setattr(module, "dst1", vectors_only("dst1", module.dst1))
+        monkeypatch.setattr(dofde.spectral, "dst1", vectors_only("dst1", dofde.spectral.dst1))
         for name in ("fft", "ifft", "rfft"):
             monkeypatch.setattr(np.fft, name, vectors_only(name, getattr(np.fft, name)))
         for argv in (["spectrum", "--precs", "all"], ["outliers"]):

@@ -6,11 +6,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import circulant
 
 import conftest as shared
+import dofde.spectral
+import dofde.transforms
 from dofde import (
     NotSPDError,
     PrecKind,
     Preconditioner,
     ToeplitzCoeffs,
+    ToeplitzOperator,
     apply_inverse,
     apply_inverse_sqrt,
     assemble_dense,
@@ -21,7 +24,7 @@ from dofde import (
     build_natural_tau,
     build_preconditioner,
     build_strang,
-    dst1,
+    pcg,
 )
 
 
@@ -179,10 +182,10 @@ class TestLaplacian:
         rng = np.random.default_rng(8)
         b = rng.standard_normal(n)
         A = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
-        # the sine-transform solve against a dense direct solve of the stencil
-        x_dst = apply_inverse(P, b)
-        np.testing.assert_allclose(x_dst, np.linalg.solve(A, b), atol=1e-11)
-        np.testing.assert_allclose(A @ x_dst, b, atol=1e-10)
+        # the Toeplitz-minus-Hankel solve against a dense direct solve of the stencil
+        x = apply_inverse(P, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-11)
+        np.testing.assert_allclose(A @ x, b, atol=1e-10)
 
     def test_hand_worked_solve(self):
         P = build_laplacian(2)
@@ -243,12 +246,82 @@ class TestApplication:
         with pytest.raises(ValueError):
             apply_inverse(P, np.ones(5))
 
+    def test_spectrum_length_checked_at_construction(self):
+        with pytest.raises(ValueError, match=r"laplacian .* order 3 .* length 3, got shape \(2,\)"):
+            Preconditioner(PrecKind.LAPLACIAN, 3, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"identity .* order 3 .* length 0, got shape \(3,\)"):
+            Preconditioner(PrecKind.IDENTITY, 3, np.ones(3))
+        assert Preconditioner(PrecKind.IDENTITY, 3, np.empty(0)).spectrum.shape == (0,)
+
     def test_container_keeps_a_private_copy(self):
         d = np.array([1.0, 2.0, 3.0])
         P = Preconditioner(PrecKind.LAPLACIAN, 3, d)
         d[0] = 5.0
         assert d.flags.writeable and not P.spectrum.flags.writeable
         np.testing.assert_array_equal(P.spectrum, [1.0, 2.0, 3.0])
+
+
+NON_IDENTITY = [kind for kind in PrecKind if kind is not PrecKind.IDENTITY]
+
+
+def dense_inverse(P, x):
+    """P^{-1} x without a fast transform: a dense solve with the circulant
+    whose first column is ifft(lambda), or Q diag(1/d) Q x with the
+    explicit sine matrix.  The Laplacian's condition number, about
+    4 (n+1)^2 / pi^2, would cost a solve with the assembled Q diag(d) Q
+    about 5e-12 of relative accuracy at n = 511, so the sine kinds divide
+    in their transform domain, which stays within 2e-15."""
+    if P.kind in (PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT):
+        return np.linalg.solve(circulant(np.fft.ifft(P.spectrum).real), x)
+    Q = shared.sine_matrix(P.n)
+    return Q @ ((Q @ x) / P.spectrum)
+
+
+class TestInverseDenseOracle:
+    # the inverses are rfft convolutions with kernels derived from the
+    # spectrum; this checks them against dense linear algebra
+    @pytest.mark.parametrize("kind", NON_IDENTITY)
+    @settings(deadline=None, max_examples=30)
+    @given(n=st.integers(2, 700), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    @example(n=4, seed=0)
+    @example(n=5, seed=0)
+    @example(n=63, seed=0)
+    @example(n=64, seed=0)
+    @example(n=65, seed=0)
+    @example(n=511, seed=0)
+    @example(n=512, seed=0)
+    @example(n=513, seed=0)
+    def test_inverse_matches_dense_oracle(self, kind, n, seed):
+        P = build_preconditioner(kind, random_coeffs(n, seed))
+        x = np.random.default_rng(seed).standard_normal(n)
+        want = dense_inverse(P, x)
+        got = apply_inverse(P, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        twice = apply_inverse_sqrt(P, apply_inverse_sqrt(P, x))
+        assert np.linalg.norm(twice - got) <= 1e-12 * np.linalg.norm(got)
+
+
+class TestNoTransformOnApplyPath:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_pcg_runs_without_complex_fft_or_dst(self, monkeypatch, n):
+        # once built, every preconditioner applies by rfft convolution
+        # only: a complex FFT or a sine transform inside pcg fails here
+        c = shared.scaled_coeffs(n)
+        A = ToeplitzOperator(c)
+        b = shared.manufactured_rhs(n)
+        precs = [build_preconditioner(kind, c) for kind in PrecKind]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex FFT or DST on the apply path")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        for module in (dofde.spectral, dofde.transforms):
+            monkeypatch.setattr(module, "dst1", forbidden)
+        for P in precs:
+            assert pcg(A, P, b).converged, P.kind
 
 
 class TestRegistry:

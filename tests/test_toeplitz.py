@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,42 @@ class TestCoeffs:
                             lambda n, t: (np.abs(t) < 1.0).astype(float))
         with pytest.raises(CoeffStabilizationError, match="within 4 doublings"):
             coeffs_via_fft(4)
+
+    def test_sampling_memory_is_linear_in_the_samples(self, monkeypatch):
+        # the samples fill one array chunk by chunk and go through one
+        # rfft, so the peak is that array plus the m/2 + 1 complex outputs,
+        # about 2 m floats at the final sample count m = 2^19 (sampling
+        # starts at 4n = 2^18, and one doubling verifies it)
+        evaluated = []
+        symbol = dofde.toeplitz.dist_order_symbol
+
+        def counting(n, theta):
+            evaluated.append(np.size(theta))
+            return symbol(n, theta)
+
+        monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol", counting)
+        tracemalloc.start()
+        try:
+            coeffs_via_fft(65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = 1 << 19
+        assert sum(evaluated) == m // 2 + m
+        assert peak <= 3 * m * 8
+
+    @settings(deadline=None, max_examples=25)
+    @given(nk=st.integers(2, 4096).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, min(n, 2048) - 1))))
+    @example(nk=(4096, 2047))
+    @example(nk=(2049, 2047))
+    @example(nk=(2, 1))
+    def test_matches_quadrature_oracle_random(self, nk):
+        # 1e-9 absolute is the tolerance the benchmark checks coefficients
+        # to; k stays below 2048, because at n = 4096 and k near n the
+        # oracle's adaptive quadrature exhausts its interval budget
+        n, k = nk
+        assert abs(shared.coeffs(n).a[k] - coeff_oracle(n, k)) <= 1e-9
 
     def test_leading_coefficient_positive(self):
         for n in (4, 32, 256):
