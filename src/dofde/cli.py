@@ -96,6 +96,14 @@ def _fmt(x):
     return "%.10e" % float(x)
 
 
+def _iterations(report, what):
+    """The iteration count of a converged solve; a solve that stopped at
+    its cap (then report.iterations) is a CliError, not a count."""
+    if not report.converged:
+        raise CliError(f"{what} did not converge within its cap of {report.iterations} iterations")
+    return str(report.iterations)
+
+
 def _scaled_coeffs(n):
     c = coeffs_via_fft(n)
     return ToeplitzCoeffs(n, c.a / n)
@@ -126,9 +134,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_cn(args):
-    rows = []
-    for n in args.sizes:
-        rows.append([str(n), _fmt(norm_constant(n, tol=args.quad_tol).value)])
+    rows = [[str(n), _fmt(norm_constant(n))] for n in args.sizes]
     return ["n", "c_n"], rows, {}
 
 
@@ -168,7 +174,7 @@ def _cmd_pcg(args):
         for kind in precs:
             P = build_preconditioner(kind, scaled)
             report = pcg(op, P, b, stop=stop)
-            row.append(str(report.iterations))
+            row.append(_iterations(report, f"pcg n={n} preconditioner {kind.value}"))
             histories[f"n={n},{kind.value}"] = [float(r) for r in report.residual_history]
         rows.append(row)
     return columns, rows, {"residual_histories": histories}
@@ -216,7 +222,8 @@ def _cmd_mgm(args):
         for name in cases:
             t = tgm(h, name, b, stop=stop)
             v = vcycle(h, name, b, stop=stop)
-            rows.append([str(n), name, str(t.iterations), str(v.iterations)])
+            rows.append([str(n), name, _iterations(t, f"mgm n={n} case {name} tgm"),
+                         _iterations(v, f"mgm n={n} case {name} vcycle")])
     return ["n", "case", "tgm_iterations", "vcycle_iterations"], rows, {}
 
 

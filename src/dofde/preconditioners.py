@@ -202,11 +202,12 @@ def build_frobenius_tau(c):
 
 def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
-    diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1))."""
+    diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
+    formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
     if n < 1:
         raise ValueError("n must be positive")
     j = np.arange(1, n + 1)
-    d = 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
+    d = 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=d)
 
 

@@ -7,11 +7,11 @@ soon as the global error estimate drops under the requested tolerance.
 Improper integrals are truncated with dyadic blocks driven by analytic
 tail majorants.
 
-On top of the engine sit the four constants of the minimal-eigenvalue
-analysis: the lower and upper bound constants, the limiting eigenvector
-normalization constant, and its finite-n counterpart, an integral of the
-squared modulus of the Laplacian eigenvector's transform.  Each returns
-a QuadResult (value, error estimate, integrand evaluations).
+On top of the engine sit three constants of the minimal-eigenvalue
+analysis: the lower and upper bound constants and the limiting
+eigenvector normalization constant.  Each returns a QuadResult (value,
+error estimate, integrand evaluations).  The finite-n normalization
+constants need no quadrature: Parseval gives them in closed form.
 """
 
 from __future__ import annotations
@@ -283,42 +283,17 @@ def upper_bound_constant(tol=1e-8):
     )
 
 
-def _eigfun_sq(n, theta):
-    """|psi(theta)|^2 for the transform psi of the discrete Laplacian's
-    first eigenvector, psi(theta) = -2/((n+1)^(3/2) sin s)
-    * sum_{j=1}^n sin(js) e^(ij theta) with s = pi/(n+1), in the stable
-    product form
-    sin((n+1)(t-s)/2)^2 / ((n+1)^3 sin((t-s)/2)^2 sin((t+s)/2)^2),
-    t = |theta|.  The modulus is even, so folding theta to |theta| keeps
-    both removable poles +-s on the patched side and the value finite
-    there."""
-    theta = np.abs(np.asarray(theta, dtype=float))
-    s = np.pi / (n + 1)
-    d = (theta - s) / 2.0
-    ratio = np.empty_like(d)
-    near = np.abs(d) < _PATCH_RADIUS
-    # sin((n+1)x)/sin(x) -> n+1 as x -> 0, next order -((n+1)^3-(n+1))/6 x^2
-    m = n + 1
-    ratio[near] = m - (m**3 - m) / 6.0 * d[near] ** 2
-    dn = d[~near]
-    ratio[~near] = np.sin(m * dn) / np.sin(dn)
-    return ratio**2 / (m**3 * np.sin((theta + s) / 2.0) ** 2)
-
-
-def norm_constant(n, tol=1e-8):
+def norm_constant(n):
     """Finite-n eigenvector normalization constant
-    c_n = ((1/pi) * int_0^pi |psi(theta)|^2 dtheta)^(-1/2), as a
-    QuadResult; converges to norm_constant_limit as n grows."""
+    c_n = ((1/pi) * int_0^pi |psi(theta)|^2 dtheta)^(-1/2) for the
+    transform psi(theta) = -2/((n+1)^(3/2) sin s) * sum_{j=1}^n
+    sin(js) e^(ij theta), s = pi/(n+1), of the discrete Laplacian's first
+    eigenvector; converges to norm_constant_limit as n grows.
+
+    |psi|^2 is even, so by Parseval its mean over [0, pi] is the sum of
+    psi's squared coefficients, 4/((n+1)^3 sin^2 s) * sum_j sin^2(js)
+    = 2/((n+1)^2 sin^2 s); hence c_n = (n+1) sin(s)/sqrt(2) exactly.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_tol(tol)
-    s = np.pi / (n + 1)
-    f = lambda th: _eigfun_sq(n, th)
-    # split at the removable pole so each piece is smooth inside
-    left = integrate_adaptive(f, 0.0, s, tol=tol / 8.0)
-    right = integrate_adaptive(f, s, np.pi, tol=tol / 8.0)
-    integral = (left.value + right.value) / np.pi
-    err_i = (left.abs_error_estimate + right.abs_error_estimate) / np.pi
-    c = integral**-0.5
-    err_c = 0.5 * c / integral * err_i
-    return QuadResult(c, err_c, left.evaluations + right.evaluations)
+    return (n + 1) * np.sin(np.pi / (n + 1)) / np.sqrt(2.0)

@@ -214,8 +214,8 @@ def nonnegative_symbol_coeffs(n, rng, width=None):
 def laplacian_eigvec_transform(n, theta):
     """psi(theta) = -2/((n+1)^(3/2) sin s) * sum_{j=1}^n sin(js) e^(ij theta),
     s = pi/(n+1), by the direct n-term sum: the transform of the discrete
-    Laplacian's first eigenvector, whose squared modulus the package
-    evaluates in product form (`quadrature._eigfun_sq`)."""
+    Laplacian's first eigenvector, whose mean squared modulus the package
+    takes in closed form (`quadrature.norm_constant`)."""
     theta = np.asarray(theta, dtype=float)
     m = n + 1
     s = np.pi / m

@@ -164,6 +164,22 @@ class TestErrorPaths:
         assert main(["mgm", "--sizes", "7"]) == 2
         assert "error: PCG for T^-1 e_1" in capsys.readouterr().err
 
+    def test_mgm_nonconvergence_is_an_error(self, capsys):
+        # no solve reaches tol 1e-300: the cap 10 n is not an iteration count
+        assert main(["mgm", "--sizes", "7", "--tol", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: mgm n=7 case alpha tgm did not converge "
+                                "within its cap of 70 iterations\n")
+        assert captured.out == ""
+
+    def test_pcg_nonconvergence_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dofde.cli, "pcg", shared.one_step_pcg)
+        assert main(["pcg", "--sizes", "32", "--precs", "natural_tau"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: pcg n=32 preconditioner natural_tau did not "
+                                "converge within its cap of 1 iterations\n")
+        assert captured.out == ""
+
     def test_mineig_rejects_tiny_size(self, capsys):
         assert main(["mineig", "--sizes", "2"]) == 2
         assert "mineig" in capsys.readouterr().err
@@ -249,6 +265,7 @@ class TestExitStatus:
         (["pcg", "--sizes", "32", "--tol", "nan"], 2),
         (["bounds", "--quad-tol", "nan"], 2),
         (["cn", "--sizes", "8"], 0),
+        (["mgm", "--sizes", "7", "--tol", "1e-300"], 2),
     ])
     def test_exit_status(self, argv, status):
         env = dict(os.environ)
@@ -281,8 +298,12 @@ def _cell_matches(got, want):
     return abs(g - w) <= 1e-8 * abs(w) + 1e-12
 
 
-# Sizes replayed per command: each a prefix of the command's default range.
+# Sizes replayed per command: each a prefix of the command's default range;
+# None replays a table without a size column whole.
 _REFERENCE_SIZES = {
+    "bounds": None,
+    "cn": "8..4096",
+    "coeffs": "32..2048",
     "spectrum": "32..512",
     "outliers": "32..512",
     "mineig": "32..512",
@@ -295,13 +316,16 @@ class TestReferenceTables:
     @pytest.mark.parametrize("command", list(_REFERENCE_SIZES))
     def test_rows_match_recorded_reference(self, command, tmp_path):
         sizes_text = _REFERENCE_SIZES[command]
-        assert main([command, "--sizes", sizes_text, "--out", str(tmp_path)]) == 0
+        argv = [command, "--out", str(tmp_path)]
+        assert main(argv + (["--sizes", sizes_text] if sizes_text else [])) == 0
         got = _read_csv(tmp_path / f"{command}.csv")
         want = _read_csv(REFERENCE_DIR / f"{command}.csv")
         assert got[0] == want[0]
-        sizes = {str(n) for n in parse_sizes(sizes_text)}
-        assert {row[0] for row in got[1:]} == sizes
-        want_rows = [row for row in want[1:] if row[0] in sizes]
+        want_rows = want[1:]
+        if sizes_text:
+            sizes = {str(n) for n in parse_sizes(sizes_text)}
+            assert {row[0] for row in got[1:]} == sizes
+            want_rows = [row for row in want_rows if row[0] in sizes]
         assert len(got) - 1 == len(want_rows)
         for g, w in zip(got[1:], want_rows):
             assert len(g) == len(w) and all(map(_cell_matches, g, w)), (g, w)

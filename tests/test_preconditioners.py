@@ -176,6 +176,18 @@ class TestLaplacian:
             P.spectrum, 2.0 - 2.0 * np.cos(j * np.pi / (n + 1)), atol=1e-14
         )
 
+    @pytest.mark.parametrize("n", [511, 2048])
+    def test_inverse_matches_exact_green_function(self, n):
+        # tridiag(-1, 2, -1)^-1 = min(i,j)(n+1-max(i,j))/(n+1); a spectrum
+        # formed as 2 - 2 cos(j pi/(n+1)) cancels at small j and misses
+        # this by 1.5e-12 at n = 511 and 3.2e-11 at 2048
+        i = np.arange(1, n + 1)
+        G = np.minimum.outer(i, i) * (n + 1 - np.maximum.outer(i, i)) / (n + 1)
+        b = np.random.default_rng(0).standard_normal(n)
+        want = G @ b
+        got = apply_inverse(build_laplacian(n), b)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_direct_and_spectral_solves_agree(self):
         n = 100
         P = build_laplacian(n)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
-from conftest import C_INF_REF, K1_REF, K2_REF
+from conftest import C_INF_REF, K1_REF, K2_REF, laplacian_eigvec_transform
 from dofde import (
     QuadResult,
     QuadratureConvergenceError,
@@ -67,8 +69,6 @@ class TestIntegrateAdaptive:
         for constant in (lower_bound_constant, upper_bound_constant, norm_constant_limit):
             with pytest.raises(ValueError):
                 constant(tol=np.nan)
-        with pytest.raises(ValueError):
-            norm_constant(8, tol=np.nan)
 
     def test_matches_library_quadrature(self):
         # independent oracle: adaptive Clenshaw-Curtis/QAGS from scipy
@@ -119,15 +119,35 @@ class TestBoundConstants:
 
 class TestNormConstant:
     def test_small_order_frozen(self):
-        assert norm_constant(8).value == pytest.approx(2.1766028638317773718, abs=1e-8)
+        assert norm_constant(8) == pytest.approx(2.1766028638317773718, rel=1e-15)
 
     def test_large_order_frozen(self):
-        assert norm_constant(1024).value == pytest.approx(2.2214379910322742, abs=1e-7)
+        assert norm_constant(1024) == pytest.approx(2.2214379910322742, rel=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 256))
+    @example(n=2)
+    @example(n=3)
+    @example(n=255)
+    @example(n=256)
+    @example(n=512)
+    def test_closed_form_matches_quadrature(self, n):
+        # the definition c_n = ((1/pi) int_0^pi |psi|^2)^(-1/2), psi by its
+        # direct n-term sum, integrated by QUADPACK split at s = pi/(n+1)
+        def mod_sq(theta):
+            return abs(laplacian_eigvec_transform(n, theta)) ** 2
+
+        s = np.pi / (n + 1)
+        integral = sum(
+            quad(mod_sq, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            for lo, hi in ((0.0, s), (s, np.pi))
+        )
+        assert norm_constant(n) == pytest.approx((integral / np.pi) ** -0.5, rel=1e-12)
 
     def test_converges_to_limit(self):
         # the normalization sequence approaches pi/sqrt(2) from below
-        c64 = norm_constant(64).value
-        c512 = norm_constant(512).value
+        c64 = norm_constant(64)
+        c512 = norm_constant(512)
         assert abs(c512 - C_INF_REF) < abs(c64 - C_INF_REF)
         assert abs(c512 - C_INF_REF) < 1e-4
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     bound_correction,
@@ -10,7 +8,7 @@ from conftest import (
     rescaled_remainder,
 )
 from dofde import build_laplacian, dist_order_symbol, fold_angle, limit_symbol
-from dofde.quadrature import _PATCH_RADIUS, _eigfun_sq, integrate_adaptive
+from dofde.quadrature import integrate_adaptive
 
 
 def direct_sum(n, theta):
@@ -124,43 +122,9 @@ class TestLaplacianPieces:
         )
 
     def test_eigenfunction_frozen_modulus(self):
-        assert np.sqrt(_eigfun_sq(4, np.pi / 2)) == pytest.approx(
-            0.15635160606788384, rel=1e-12
-        )
         val = laplacian_eigvec_transform(4, np.pi / 2)
+        assert abs(val) == pytest.approx(0.15635160606788384, rel=1e-12)
         assert val.real == pytest.approx(0.11055728090000841, rel=1e-10)
-
-    def test_endpoint_vanishing_parity(self):
-        # at theta = pi the value dies iff n is even
-        assert np.sqrt(_eigfun_sq(4, np.pi)) < 1e-12
-        assert np.sqrt(_eigfun_sq(5, np.pi)) > 1e-3
-
-    def test_finite_at_poles(self):
-        # both removable poles theta = +-s, not only the one the product
-        # form patches
-        n = 6
-        s = np.pi / (n + 1)
-        with np.errstate(all="raise"):
-            vals = _eigfun_sq(n, np.array([-s, s]))
-        want = np.abs(laplacian_eigvec_transform(n, np.array([-s, s]))) ** 2
-        np.testing.assert_allclose(vals, want, rtol=1e-13)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(2, 512),
-        theta=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=32),
-        near=st.lists(st.floats(-2 * _PATCH_RADIUS, 2 * _PATCH_RADIUS),
-                      min_size=1, max_size=8),
-        side=st.sampled_from([-1.0, 1.0]),
-    )
-    def test_matches_direct_sum(self, n, theta, near, side):
-        # the product form against the direct sum over random angles and
-        # within 2 _PATCH_RADIUS of a pole, where the patch branch takes over
-        s = np.pi / (n + 1)
-        t = np.concatenate([theta, side * (s + np.asarray(near))])
-        want = np.abs(laplacian_eigvec_transform(n, t)) ** 2
-        err = np.abs(_eigfun_sq(n, t) - want).max()
-        assert err <= 1e-13 * want.max()
 
 
 class TestFoldAngle:
