@@ -12,7 +12,10 @@ invariant under system rescaling.
 Every inverse is a Toeplitz (for the sine kinds, Toeplitz minus Hankel)
 convolution whose kernel each `Preconditioner` caches when it is built,
 applied by the rfft helper of the Toeplitz matvec at a power-of-two
-length, never by a transform of length n (`_algebra_product`).
+length, never by a transform of length n (`_algebra_product`).  The tau
+spectra and the sine kinds' kernels are cosine sums, each one
+zero-padded rfft of length 2(n+1) (`transforms._tau_transform`); only
+the circulants take numpy's complex FFT.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import ToeplitzCoeffs, _symmetric_product
+from .transforms import _tau_transform
 
 __all__ = [
     "PrecKind",
@@ -53,8 +57,8 @@ class PrecKind(enum.Enum):
     LAPLACIAN = "laplacian"
 
 
-# transform domain of each kind
-_CIRCULANT = {PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT}
+# the kinds diagonal in the DST-I domain; the others but the identity
+# are circulants
 _SINE = {PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN}
 
 
@@ -141,18 +145,10 @@ def build_frobenius_circulant(c):
     return _checked(PrecKind.FROBENIUS_CIRCULANT, n, _real_fft_spectrum(col))
 
 
-def _cosine_sums(w):
-    """sum_{k=1}^{n-1} w_k cos(j k pi/(n+1)) for j = 1..n, n = len(w),
-    via an FFT of length 2(n+1); w[0] is ignored."""
-    n = len(w)
-    ext = np.zeros(2 * (n + 1))
-    ext[1:n] = w[1:]
-    return np.fft.fft(ext).real[1 : n + 1]
-
-
 def _natural_tau_spectrum(a):
     # d_j = a0 + 2 sum_k a_k cos(j k pi/(n+1))
-    return a[0] + 2.0 * _cosine_sums(a)
+    n = len(a)
+    return a[0] + 2.0 * _tau_transform(a[1:], n).real[1 : n + 1]
 
 
 def _frobenius_tau_spectrum(a):
@@ -171,8 +167,9 @@ def _frobenius_tau_spectrum(a):
     s = np.empty(n)
     for p in (0, 1):
         s[p::2] = np.cumsum(a[p::2][::-1])[::-1]
-    k = np.arange(n)
-    return a[0] + 2.0 / (n + 1) * (_cosine_sums((n - k) * a + 2.0 * s) + s[0] - a[0])
+    k = np.arange(1, n)
+    sums = _tau_transform((n - k) * a[1:] + 2.0 * s[1:], n).real[1 : n + 1]
+    return a[0] + 2.0 / (n + 1) * (sums + s[0] - a[0])
 
 
 def build_natural_tau(c):
@@ -192,7 +189,7 @@ def build_frobenius_tau(c):
     """Frobenius-optimal tau matrix of the symmetric Toeplitz matrix T
     with coefficients c (ToeplitzCoeffs): since Q is orthogonal, the
     minimizer over Q diag(d) Q has d = diag(Q T Q), which has a closed
-    form computed in O(n log n) by one FFT.  Raises TypeError for any
+    form computed in O(n log n) by one rfft.  Raises TypeError for any
     other input.
     """
     if not isinstance(c, ToeplitzCoeffs):
@@ -237,16 +234,14 @@ def _algebra_product(kind, w):
     A symmetric circulant M is the symmetric Toeplitz matrix with first
     column ifft(w).  A sine-algebra M = Q diag(w) Q is T(c) - H(c),
     H_ij = c_{i+j+2}, where c_m = (1/(n+1)) sum_j w_j cos(j m pi/(n+1))
-    for m = 0..2n comes from one rfft of length 2(n+1) and is even
+    for m = 0..2n comes from `_tau_transform` and is even
     about n + 1 (Bini and Capovani, Linear Algebra Appl. 52/53, 1983)."""
     if kind is PrecKind.IDENTITY:
         return lambda x: x.copy()
-    if kind in _CIRCULANT:
+    if kind not in _SINE:
         return _symmetric_product(np.fft.ifft(w).real)
     n = len(w)
-    ext = np.zeros(2 * (n + 1))
-    ext[1 : n + 1] = w
-    half = np.fft.rfft(ext).real / (n + 1)
+    half = _tau_transform(w, n).real / (n + 1)
     c = np.concatenate([half, half[n:0:-1]])
     return _symmetric_product(c[:n], hankel=-c[2 : 2 * n + 1])
 

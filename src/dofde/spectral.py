@@ -155,9 +155,7 @@ def dense_sym_eigs(A):
     tridiagonal QL/QR iteration, as provided by LAPACK's symmetric
     driver; non-convergence surfaces as LinAlgError.
     """
-    A = _check_symmetric(A)
-    w = np.linalg.eigvalsh(A)
-    return SpectrumReport(w, float(w[0]), float(w[-1]))
+    return _merged_spectrum([_check_symmetric(A)])
 
 
 def min_eig_normalized(n):

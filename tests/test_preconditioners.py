@@ -82,42 +82,53 @@ class TestFrobeniusCirculant:
             assert worse >= best - 1e-12
 
 
+def toeplitz_minus_hankel(c):
+    """The natural tau matrix as a dense T - H: the Toeplitz part
+    corrected by mirrored Hankel flaps in both corners,
+    H_ij = a_{i+j} + a_{2(n+1)-i-j} (1-based, a_k = 0 for k >= n)."""
+    n = c.n
+    a = np.concatenate([c.a, np.zeros(n + 2)])
+    i = np.arange(1, n + 1)
+    s = i[:, None] + i
+    return assemble_dense(c) - (a[s] + a[2 * (n + 1) - s])
+
+
 class TestNaturalTau:
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_toeplitz_minus_hankel_identity(self, n):
         # the sine algebra member with the same central diagonals is the
         # Toeplitz part corrected by mirrored Hankel flaps in both corners
         c = random_coeffs(n, 20 + n)
-        a = np.concatenate([c.a, np.zeros(n + 2)])
-        T = assemble_dense(c)
-        H = np.zeros((n, n))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j <= n:
-                    H[i - 1, j - 1] += a[i + j]
-                mirror = 2 * (n + 1) - i - j
-                if mirror <= n:
-                    H[i - 1, j - 1] += a[mirror]
         P = build_natural_tau(c)
         np.testing.assert_allclose(
-            np.sort(P.spectrum), np.linalg.eigvalsh(T - H), atol=1e-12
+            np.sort(P.spectrum), np.linalg.eigvalsh(toeplitz_minus_hankel(c)), atol=1e-12
         )
 
     def test_eigenvectors_are_sine_columns(self):
         n = 7
         c = random_coeffs(n, 33)
         P = build_natural_tau(c)
-        a = np.concatenate([c.a, np.zeros(n + 2)])
-        T = assemble_dense(c)
-        H = np.zeros((n, n))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j <= n:
-                    H[i - 1, j - 1] += a[i + j]
-                if 2 * (n + 1) - i - j <= n:
-                    H[i - 1, j - 1] += a[2 * (n + 1) - i - j]
         Q = shared.sine_matrix(n)
-        np.testing.assert_allclose(Q @ (T - H) @ Q, np.diag(P.spectrum), atol=1e-11)
+        np.testing.assert_allclose(
+            Q @ toeplitz_minus_hankel(c) @ Q, np.diag(P.spectrum), atol=1e-11
+        )
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=63, seed=0)
+    @example(n=64, seed=0)
+    @example(n=100, seed=0)
+    @example(n=255, seed=0)
+    @example(n=256, seed=0)
+    def test_spectrum_matches_dense_oracle(self, n, seed):
+        # at 63 and 255 the transform length 2(n+1) is a power of two, at
+        # 100 and 256 n+1 is a prime
+        c = random_coeffs(n, seed)
+        Q = shared.sine_matrix(n)
+        oracle = np.diag(Q @ toeplitz_minus_hankel(c) @ Q)
+        np.testing.assert_allclose(build_natural_tau(c).spectrum, oracle, rtol=0, atol=1e-12)
 
 
 class TestFrobeniusTau:
@@ -334,6 +345,24 @@ class TestNoTransformOnApplyPath:
             monkeypatch.setattr(module, "dst1", forbidden)
         for P in precs:
             assert pcg(A, P, b).converged, P.kind
+
+
+class TestNoComplexFftOnTauSide:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_tau_builds_and_dst_run_without_complex_fft(self, monkeypatch, n):
+        # every cosine or sine sum of the tau algebra is one zero-padded
+        # rfft; numpy's complex FFT belongs to the circulants only
+        c = shared.scaled_coeffs(n)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex FFT on the tau side")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        build_natural_tau(c)
+        build_frobenius_tau(c)
+        build_laplacian(n)
+        dofde.transforms.dst1(np.ones(n))
 
 
 class TestRegistry:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 import dofde
@@ -17,6 +19,21 @@ class TestDst1:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
         np.testing.assert_allclose(dst1(x), shared.sine_matrix(n) @ x, atol=1e-13)
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=63, seed=0)
+    @example(n=64, seed=0)
+    @example(n=100, seed=0)
+    @example(n=255, seed=0)
+    @example(n=256, seed=0)
+    def test_matches_dense_sine_matrix_at_random_sizes(self, n, seed):
+        # at 63 and 255 the transform length 2(n+1) is a power of two, at
+        # 100 and 256 n+1 is a prime
+        x = np.random.default_rng(seed).standard_normal(n)
+        np.testing.assert_allclose(dst1(x), shared.sine_matrix(n) @ x, rtol=0, atol=1e-13)
 
     def test_involution(self):
         # the normalized sine matrix is symmetric orthogonal
