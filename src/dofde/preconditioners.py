@@ -1,7 +1,7 @@
 """The preconditioner family for the distributed-order Toeplitz systems.
 
 Five SPD preconditioners, each diagonal in a fast transform domain:
-two circulants (Strang and Frobenius-optimal, FFT domain), two tau
+two circulants (Strang and Frobenius-optimal, DFT domain), two tau
 matrices (natural and Frobenius-optimal, DST-I domain), and the
 tridiagonal finite-difference Laplacian, itself a tau matrix (DST-I
 domain), plus the identity.  `build_preconditioner` maps each kind to
@@ -12,10 +12,10 @@ invariant under system rescaling.
 Every inverse is a Toeplitz (for the sine kinds, Toeplitz minus Hankel)
 convolution whose kernel each `Preconditioner` caches when it is built,
 applied by the rfft helper of the Toeplitz matvec at a power-of-two
-length, never by a transform of length n (`_algebra_product`).  The tau
-spectra and the sine kinds' kernels are cosine sums, each one
-zero-padded rfft of length 2(n+1) (`transforms._tau_transform`); only
-the circulants take numpy's complex FFT.
+length, never by a transform of length n (`_algebra_product`).  Every
+spectrum and kernel is a real cosine sum: one zero-padded rfft of length
+2(n+1) for the tau algebra (`transforms._tau_transform`) and one rfft of
+length n, mirrored, for the circulants (`transforms._circulant_transform`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import ToeplitzCoeffs, _symmetric_product
-from .transforms import _tau_transform
+from .transforms import _circulant_transform, _tau_transform
 
 __all__ = [
     "PrecKind",
@@ -100,14 +100,6 @@ def _checked(kind, n, spectrum):
     return Preconditioner(kind=kind, n=n, spectrum=spectrum)
 
 
-def _real_fft_spectrum(col):
-    spec = np.fft.fft(col)
-    scale = max(1.0, float(np.max(np.abs(spec.real))))
-    if np.max(np.abs(spec.imag)) > 1e-10 * scale:
-        raise NotSPDError("circulant first column is not symmetric")
-    return spec.real
-
-
 def build_identity(n):
     """No preconditioning; apply_inverse is the identity map."""
     if n < 1:
@@ -119,7 +111,7 @@ def build_strang(c):
     """Strang circulant: copy the central diagonals and wrap them around.
 
     First column s[j] = a[j] for j <= n/2 and a[n-j] beyond; eigenvalues
-    are the FFT of that column.  Raises NotSPDError when the wrap makes
+    are the DFT of that even column.  Raises NotSPDError when the wrap makes
     the circulant singular or indefinite (e.g. for the Laplacian symbol).
     """
     n = c.n
@@ -128,13 +120,13 @@ def build_strang(c):
     j = np.arange(n)
     # modular index keeps a[n - j] in range at j = 0 (both branches evaluate)
     col = np.where(j <= n // 2, c.a[j], c.a[(n - j) % n])
-    return _checked(PrecKind.STRANG_CIRCULANT, n, _real_fft_spectrum(col))
+    return _checked(PrecKind.STRANG_CIRCULANT, n, _circulant_transform(col))
 
 
 def build_frobenius_circulant(c):
     """Frobenius-optimal circulant: the closest circulant in Frobenius
     norm, whose first column averages the wrapped diagonals,
-    col[j] = ((n-j) a[j] + j a[n-j]) / n."""
+    col[j] = ((n-j) a[j] + j a[n-j]) / n, even like Strang's."""
     n = c.n
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -142,7 +134,7 @@ def build_frobenius_circulant(c):
     col = np.empty(n)
     col[0] = c.a[0]
     col[1:] = ((n - j) * c.a[j] + j * c.a[n - j]) / n
-    return _checked(PrecKind.FROBENIUS_CIRCULANT, n, _real_fft_spectrum(col))
+    return _checked(PrecKind.FROBENIUS_CIRCULANT, n, _circulant_transform(col))
 
 
 def _natural_tau_spectrum(a):
@@ -232,14 +224,15 @@ def _algebra_product(kind, w):
     w = 1/spectrum and P^{-1/2} for w = spectrum^(-1/2).
 
     A symmetric circulant M is the symmetric Toeplitz matrix with first
-    column ifft(w).  A sine-algebra M = Q diag(w) Q is T(c) - H(c),
-    H_ij = c_{i+j+2}, where c_m = (1/(n+1)) sum_j w_j cos(j m pi/(n+1))
-    for m = 0..2n comes from `_tau_transform` and is even
-    about n + 1 (Bini and Capovani, Linear Algebra Appl. 52/53, 1983)."""
+    column _circulant_transform(w) / n, the inverse DFT of the even w.  A
+    sine-algebra M = Q diag(w) Q is T(c) - H(c), H_ij = c_{i+j+2}, where
+    c_m = (1/(n+1)) sum_j w_j cos(j m pi/(n+1)) for m = 0..2n comes from
+    `_tau_transform` and is even about n + 1 (Bini and Capovani, Linear
+    Algebra Appl. 52/53, 1983)."""
     if kind is PrecKind.IDENTITY:
         return lambda x: x.copy()
     if kind not in _SINE:
-        return _symmetric_product(np.fft.ifft(w).real)
+        return _symmetric_product(_circulant_transform(w) / len(w))
     n = len(w)
     half = _tau_transform(w, n).real / (n + 1)
     c = np.concatenate([half, half[n:0:-1]])

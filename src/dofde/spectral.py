@@ -14,7 +14,7 @@ column, and on centrosymmetric matrices the fold is an algebra
 homomorphism: the blocks of a product are the products of the blocks.
 
 A symmetric circulant is itself symmetric Toeplitz, so for the circulant
-kinds P^(-1/2), the circulant with first column ifft(lambda^(-1/2)),
+kinds P^(-1/2), whose first column is the inverse DFT of lambda^(-1/2),
 folds like A does, and each block of P^(-1/2) A P^(-1/2) is the product
 S A S of the folded blocks (Strang's and T. Chan's optimal circulant,
 SIAM J. Sci. Stat. Comput. 9, 1988, are both symmetric).
@@ -29,8 +29,8 @@ O(n) generators (Bini and Capovani, Linear Algebra Appl. 52/53, 1983;
 Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), and its
 diagonal is the Frobenius-tau closed form.  Each parity block then
 costs O(n^2) to form, and only its eigensolve is dense.  No spectrum
-assembles the n x n matrix A or transforms a matrix; the dense routes
-survive as test oracles.
+assembles the n x n matrix A or transforms a matrix, every transform is
+a real rfft of a vector, and the dense routes survive as test oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .preconditioners import _SINE, PrecKind, _frobenius_tau_spectrum
 from .toeplitz import ToeplitzCoeffs, coeffs_via_fft
-from .transforms import dst1
+from .transforms import _circulant_transform, dst1
 
 __all__ = [
     "SpectrumReport",
@@ -177,8 +177,8 @@ def preconditioned_spectra(c, precs):
     columns form the two blocks.  The identity and the circulant kinds
     share the parity blocks of A, folded from c; a circulant's blocks
     are S A S with S the folded blocks of the symmetric circulant
-    P^(-1/2), whose first column is ifft(lambda^(-1/2)).  Raises
-    TypeError unless c is ToeplitzCoeffs and ValueError when a
+    P^(-1/2), whose first column is the inverse DFT of lambda^(-1/2).
+    Raises TypeError unless c is ToeplitzCoeffs and ValueError when a
     preconditioner has the wrong order.
     """
     if not isinstance(c, ToeplitzCoeffs):
@@ -200,7 +200,7 @@ def preconditioned_spectra(c, precs):
             s = 1.0 / np.sqrt(P.spectrum)
             blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(blocks)]
         elif P.kind is not PrecKind.IDENTITY:
-            s = np.fft.ifft(1.0 / np.sqrt(P.spectrum)).real
+            s = _circulant_transform(1.0 / np.sqrt(P.spectrum)) / c.n
             blocks = (S @ b @ S for S, b in zip(_flip_blocks(s), blocks))
         reports.append(_merged_spectrum(blocks))
         # free this kind's blocks before the next kind forms its own

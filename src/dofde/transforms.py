@@ -1,15 +1,13 @@
-"""The tau-algebra transform and the orthonormal DST-I built on it.
+"""The real transforms of the two preconditioner algebras, and the
+orthonormal DST-I Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)) built on one.
 
-The DST-I matrix is the symmetric involutory
-Q_jk = sqrt(2/(n+1)) * sin(j*k*pi/(n+1)).
-
-Every Toeplitz product and every preconditioner inverse runs on
-`toeplitz._product`, one rfft helper at a power-of-two length, and
-coefficient sampling takes an rfft too.  Every cosine or sine sum of the
-tau algebra (the tau spectra, the sine kinds' inverse kernels, dst1) is
-one zero-padded rfft of length 2(n+1), `_tau_transform`.  numpy's
-complex FFT remains only for the circulants: their eigenvalues and the
-first columns of their inverse and inverse square root (ifft).
+Every transform in the package is a real rfft.  Toeplitz products and
+preconditioner inverses run on `toeplitz._product` at a power-of-two
+length, and coefficient sampling takes one rfft.  Each cosine or sine sum
+of the tau algebra (tau spectra, sine kinds' inverse kernels, dst1) is one
+zero-padded rfft of length 2(n+1), `_tau_transform`; each cosine sum of
+the circulants (spectra, first columns of the inverse and inverse square
+root) is one rfft of length n, mirrored, `_circulant_transform`.
 """
 
 from __future__ import annotations
@@ -24,6 +22,14 @@ def _tau_transform(w, n):
     has real part sum_k w_k cos(j k pi/(n+1)) and imaginary part
     -sum_k w_k sin(j k pi/(n+1)), k = 1..len(w), for j = 0..n+1."""
     return np.fft.rfft(np.r_[0.0, w], 2 * (n + 1))
+
+
+def _circulant_transform(w):
+    """sum_k w_k cos(2 pi jk/n), j = 0..n-1, for a real w of length n:
+    the DFT of a w even about 0 (w_k = w_{n-k}), and n times its inverse.
+    The sum is even in j, so the rfft's real part is mirrored."""
+    h = np.fft.rfft(w).real
+    return np.r_[h, h[(len(w) - 1) // 2 : 0 : -1]]
 
 
 def dst1(x):

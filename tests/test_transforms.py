@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import conftest as shared
 import dofde
 from dofde import dst1
+from dofde.transforms import _circulant_transform
 
 
 class TestDst1:
@@ -18,7 +19,7 @@ class TestDst1:
     def test_matches_dense_sine_matrix(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(dst1(x), shared.sine_matrix(n) @ x, atol=1e-13)
+        np.testing.assert_allclose(dst1(x), shared.sine_matrix(n) @ x, rtol=0, atol=1e-13)
 
     @settings(deadline=None)
     @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
@@ -39,7 +40,7 @@ class TestDst1:
         # the normalized sine matrix is symmetric orthogonal
         rng = np.random.default_rng(21)
         x = rng.standard_normal(40)
-        np.testing.assert_allclose(dst1(dst1(x)), x, atol=1e-12)
+        np.testing.assert_allclose(dst1(dst1(x)), x, rtol=0, atol=1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(22)
@@ -57,8 +58,29 @@ class TestDst1:
         rng = np.random.default_rng(24)
         x, y = rng.standard_normal((2, 12))
         np.testing.assert_allclose(
-            dst1(2.0 * x - 3.0 * y), 2.0 * dst1(x) - 3.0 * dst1(y), atol=1e-13
+            dst1(2.0 * x - 3.0 * y), 2.0 * dst1(x) - 3.0 * dst1(y), rtol=0, atol=1e-13
         )
+
+
+class TestCirculantTransform:
+    @settings(deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    @example(n=4, seed=0)
+    @example(n=64, seed=0)
+    @example(n=65, seed=0)
+    @example(n=255, seed=0)
+    @example(n=257, seed=0)
+    def test_matches_complex_fft_and_inverts(self, n, seed):
+        # for w even about index 0 (w_k = w_{n-k}) the DFT is real and
+        # the inverse DFT is the same cosine sum divided by n
+        w = np.random.default_rng(seed).standard_normal(n)
+        w = w + w[-np.arange(n)]
+        h = _circulant_transform(w)
+        np.testing.assert_allclose(h, np.fft.fft(w).real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_circulant_transform(h) / n, w, rtol=0, atol=1e-13)
 
 
 class TestImportCost:
