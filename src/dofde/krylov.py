@@ -96,8 +96,8 @@ def pcg(apply_A, P, b, x0=None, stop=None):
     whose residual_history holds the scaled residual before each
     iteration and after every update; iterations is the first k whose
     scaled residual drops under stop.tol.  Hitting max_iterations
-    returns converged=False rather than raising; a non-positive inner
-    product raises BreakdownError.
+    returns converged=False rather than raising; an inner product that
+    is not positive (NaN included) raises BreakdownError.
     """
 
     def steps(x, r):
@@ -105,13 +105,13 @@ def pcg(apply_A, P, b, x0=None, stop=None):
         while True:
             z = apply_inverse(P, r)
             rho_new = float(r @ z)
-            if rho_new <= 0.0:
+            if not rho_new > 0.0:
                 raise BreakdownError("preconditioned inner product <= 0")
             p = z if p is None else z + (rho_new / rho) * p
             rho = rho_new
             q = np.asarray(apply_A(p), dtype=float)
             curvature = float(p @ q)
-            if curvature <= 0.0:
+            if not curvature > 0.0:
                 raise BreakdownError("operator inner product <= 0")
             alpha = rho / curvature
             x = x + alpha * p

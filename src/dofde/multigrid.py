@@ -18,10 +18,11 @@ L(v) lower-triangular Toeplitz with first column v, each L(v) product
 a cached rfft convolution, `toeplitz._product`, as is the matvec.
 
 Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
-steps (`pcg` run by `cg_smooth_step`) with the sine-transform and
-discrete Laplacian preconditioners.  The table `MGM_CASES` declares the
-study's five named cases: each gives the (pre, post) smoothers of the
-finest level and of the coarser levels as (method, steps) pairs, and
+steps (`pcg` run by `cg_smooth_step`) with the natural tau, Frobenius
+tau and discrete Laplacian preconditioners.  The table `MGM_CASES`
+declares the study's five named cases: each gives the (pre, post)
+smoothers of the finest level and of the coarser levels as (method,
+steps) pairs, the method "gs" or a PrecKind value, and
 `vcycle` and `tgm` take a case by its name; `tgm` is the V-cycle on
 the first two levels of the same hierarchy.  Their cycles run in
 krylov's stopping loop, the one `pcg` runs in.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, _product
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _product
 
 __all__ = [
     "MGM_CASES",
@@ -60,15 +61,16 @@ __all__ = [
 # The five smoother configurations of the study, by name: the finest
 # level's (pre, post) smoothers, then those of every coarser non-coarsest
 # level.  A smoother is (method, steps): "gs" is forward Gauss-Seidel
-# sweeps, "laplacian" and "tau" are restarted PCG steps preconditioned by
-# the discrete Laplacian and by a sine-transform (tau) matrix, natural tau
-# on the finest level and Frobenius-optimal tau below it.
+# sweeps, any other method is restarted PCG steps preconditioned by the
+# PrecKind of that value.  The finest level, the problem's own Toeplitz
+# matrix, takes natural tau, and the coarse Galerkin levels take
+# Frobenius-optimal tau.
 MGM_CASES = {
     "alpha": ((("gs", 1), ("gs", 1)), (("gs", 1), ("gs", 1))),
-    "beta": ((("gs", 1), ("tau", 1)), (("gs", 1), ("tau", 1))),
-    "gamma": ((("laplacian", 1), ("tau", 1)), (("laplacian", 1), ("tau", 1))),
-    "delta": ((("laplacian", 1), ("tau", 2)), (("laplacian", 1), ("tau", 2))),
-    "finest_only": ((("laplacian", 1), ("tau", 1)), (("gs", 1), ("gs", 1))),
+    "beta": ((("gs", 1), ("natural_tau", 1)), (("gs", 1), ("frobenius_tau", 1))),
+    "gamma": ((("laplacian", 1), ("natural_tau", 1)), (("laplacian", 1), ("frobenius_tau", 1))),
+    "delta": ((("laplacian", 1), ("natural_tau", 2)), (("laplacian", 1), ("frobenius_tau", 2))),
+    "finest_only": ((("laplacian", 1), ("natural_tau", 1)), (("gs", 1), ("gs", 1))),
 }
 
 _EXACT_SOLVE_TOL = 1e-13
@@ -81,18 +83,16 @@ def _series_reciprocal(a):
     Newton's iteration g <- g - g (a g - 1) doubles the number of
     correct terms per step.  With g exact to m terms, a g - 1 starts at
     z^m, so only its terms m..2m-1 (h) are formed and the new terms are
-    -(g h)[:m].  One FFT length L >= 2m serves both products: the
-    wrap-around of a g lands below index m, which is discarded.
+    -(g h)[:m].  Both are lower-triangular Toeplitz products,
+    `toeplitz._product`.
     """
     n = len(a)
     g = np.array([1.0 / a[0]])
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        L = _next_pow2(m2)
-        G = np.fft.rfft(g, L)
-        h = np.fft.irfft(np.fft.rfft(a[:m2], L) * G, L)[m:m2]
-        g = np.concatenate([g, -np.fft.irfft(G * np.fft.rfft(h, L), L)[: m2 - m]])
+        h = _product(a[:m2], m2)(g)[m:]
+        g = np.r_[g, -_product(g[: m2 - m], m2 - m)(h)]
         m = m2
     return g
 
@@ -202,27 +202,23 @@ def gauss_seidel_sweep(level, x, b, sweeps=1):
     return x
 
 
-def _smoother(level, tau, method, steps):
+def _smoother(level, method, steps):
     """One smoother callable (x, b) -> x on the GridLevel.  It looks up
     gauss_seidel_sweep or cg_smooth_step as a module global each time it
     runs, so a wrapper set on the module later still sees every call."""
     if method == "gs":
         return lambda x, b: gauss_seidel_sweep(level, x, b, steps)
-    P = build_preconditioner(PrecKind.LAPLACIAN if method == "laplacian" else tau, level.coeffs)
+    P = build_preconditioner(PrecKind(method), level.coeffs)
     return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
 
 
 def _assemble_smoothers(levels, pairs):
-    """Per-level (pre, post) smoother callables for a case's pairs."""
+    """Per-level (pre, post) smoother callables for a case's pairs: the
+    finest pair on the first level, the coarse pair on the others."""
     finest, coarse = pairs
-    smoothers = []
-    for index, level in enumerate(levels[:-1]):
-        # the finest level is the problem's own Toeplitz matrix; the
-        # coarse Galerkin levels get the Frobenius-optimal tau
-        pair, tau = ((finest, PrecKind.NATURAL_TAU) if index == 0
-                     else (coarse, PrecKind.FROBENIUS_TAU))
-        smoothers.append(tuple(_smoother(level, tau, method, steps) for method, steps in pair))
-    return smoothers
+    return [tuple(_smoother(level, method, steps) for method, steps in
+                  (finest if index == 0 else coarse))
+            for index, level in enumerate(levels[:-1])]
 
 
 def _cycle(levels, smoothers, b, x):

@@ -5,9 +5,11 @@ two circulants (Strang and Frobenius-optimal, DFT domain), two tau
 matrices (natural and Frobenius-optimal, DST-I domain), and the
 tridiagonal finite-difference Laplacian, itself a tau matrix (DST-I
 domain), plus the identity.  `build_preconditioner` maps each kind to
-its builder.  All builders are scale equivariant: coefficients scaled by
-alpha produce spectra scaled by alpha, so preconditioned spectra are
-invariant under system rescaling.
+its builder.  A `Preconditioner` checks itself when it is made, so one
+made directly is held to what a built one is: a spectrum entry that is
+not positive, NaN included, raises NotSPDError.  All builders are scale
+equivariant: coefficients scaled by alpha produce spectra scaled by
+alpha, so preconditioned spectra are invariant under system rescaling.
 
 Every inverse is a Toeplitz (for the sine kinds, Toeplitz minus Hankel)
 convolution whose kernel each `Preconditioner` caches when it is built,
@@ -68,8 +70,9 @@ class Preconditioner:
 
     Circulant kinds diagonalize under the FFT, tau kinds and the
     Laplacian under DST-I; the Identity carries an empty spectrum.
-    Raises ValueError unless the spectrum has n entries (none for the
-    identity); the builders also check that they are positive.
+    Raises ValueError unless n >= 1 and the spectrum has n entries (none
+    for the identity), and NotSPDError unless every entry is positive,
+    so a NaN entry is rejected too.
     """
 
     kind: PrecKind
@@ -78,6 +81,8 @@ class Preconditioner:
     _inverse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         s = np.array(self.spectrum, dtype=float)
         length = 0 if self.kind is PrecKind.IDENTITY else self.n
         if s.shape != (length,):
@@ -85,25 +90,18 @@ class Preconditioner:
                 f"{self.kind.value} preconditioner of order {self.n} needs a "
                 f"spectrum of length {length}, got shape {s.shape}"
             )
+        if not np.all(s > 0.0):
+            raise NotSPDError(
+                f"{self.kind.value} preconditioner of order {self.n} is not positive "
+                f"definite (min transform eigenvalue {np.min(s):.6e})"
+            )
         object.__setattr__(self, "spectrum", s)
         s.setflags(write=False)
         object.__setattr__(self, "_inverse", _algebra_product(self.kind, 1.0 / s))
 
 
-def _checked(kind, n, spectrum):
-    spectrum = np.asarray(spectrum, dtype=float)
-    if np.min(spectrum) <= 0.0:
-        raise NotSPDError(
-            f"{kind.value} preconditioner of order {n} is not positive "
-            f"definite (min transform eigenvalue {np.min(spectrum):.6e})"
-        )
-    return Preconditioner(kind=kind, n=n, spectrum=spectrum)
-
-
 def build_identity(n):
     """No preconditioning; apply_inverse is the identity map."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return Preconditioner(kind=PrecKind.IDENTITY, n=n, spectrum=np.empty(0))
 
 
@@ -120,7 +118,8 @@ def build_strang(c):
     j = np.arange(n)
     # modular index keeps a[n - j] in range at j = 0 (both branches evaluate)
     col = np.where(j <= n // 2, c.a[j], c.a[(n - j) % n])
-    return _checked(PrecKind.STRANG_CIRCULANT, n, _circulant_transform(col))
+    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=n,
+                          spectrum=_circulant_transform(col))
 
 
 def build_frobenius_circulant(c):
@@ -134,7 +133,8 @@ def build_frobenius_circulant(c):
     col = np.empty(n)
     col[0] = c.a[0]
     col[1:] = ((n - j) * c.a[j] + j * c.a[n - j]) / n
-    return _checked(PrecKind.FROBENIUS_CIRCULANT, n, _circulant_transform(col))
+    return Preconditioner(kind=PrecKind.FROBENIUS_CIRCULANT, n=n,
+                          spectrum=_circulant_transform(col))
 
 
 def _natural_tau_spectrum(a):
@@ -172,9 +172,8 @@ def build_natural_tau(c):
     Equals the Toeplitz matrix minus its two Hankel corner corrections;
     for a tridiagonal symbol it reproduces the Toeplitz matrix exactly.
     """
-    if c.n < 1:
-        raise ValueError("n must be positive")
-    return _checked(PrecKind.NATURAL_TAU, c.n, _natural_tau_spectrum(c.a))
+    return Preconditioner(kind=PrecKind.NATURAL_TAU, n=c.n,
+                          spectrum=_natural_tau_spectrum(c.a))
 
 
 def build_frobenius_tau(c):
@@ -186,15 +185,14 @@ def build_frobenius_tau(c):
     """
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("build_frobenius_tau takes ToeplitzCoeffs")
-    return _checked(PrecKind.FROBENIUS_TAU, c.n, _frobenius_tau_spectrum(c.a))
+    return Preconditioner(kind=PrecKind.FROBENIUS_TAU, n=c.n,
+                          spectrum=_frobenius_tau_spectrum(c.a))
 
 
 def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
     diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
     formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
-    if n < 1:
-        raise ValueError("n must be positive")
     j = np.arange(1, n + 1)
     d = 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=d)

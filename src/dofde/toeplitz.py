@@ -42,13 +42,16 @@ class ToeplitzCoeffs:
 
     a[k] = (1/2pi) * int_{-pi}^{pi} f(theta) exp(-i k theta) dtheta,
     real because f is even.  Entry (i, j) of the induced symmetric
-    Toeplitz matrix is a[|i - j|].
+    Toeplitz matrix is a[|i - j|].  Raises ValueError unless n >= 1 and
+    a holds n finite entries.
     """
 
     n: int
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         a = np.array(self.a, dtype=float)
         if a.shape != (self.n,):
             raise ValueError("coefficient vector must have length n")

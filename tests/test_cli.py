@@ -11,11 +11,12 @@ import pytest
 
 import conftest as shared
 import dofde.cli
+import dofde.krylov
 import dofde.multigrid
 import dofde.quadrature
 import dofde.spectral
 import dofde.toeplitz
-from dofde import MGM_CASES, NotSPDError, PrecKind, Preconditioner
+from dofde import MGM_CASES, NotSPDError
 from dofde.cli import CliError, main, parse_sizes
 
 # Tables recorded from an earlier version of the program; read, never written.
@@ -249,9 +250,8 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: integrand returned a non-finite value")
 
     def test_breakdown_reported(self, capsys, monkeypatch):
-        # a negative spectrum makes the preconditioned inner product negative
-        monkeypatch.setattr(dofde.cli, "build_preconditioner",
-                            lambda kind, c: Preconditioner(PrecKind.NATURAL_TAU, c.n, -np.ones(c.n)))
+        # a negated preconditioner apply makes the inner product negative
+        monkeypatch.setattr(dofde.krylov, "apply_inverse", lambda P, r: -r)
         assert main(["pcg", "--sizes", "32", "--precs", "natural_tau"]) == 2
         assert capsys.readouterr().err.startswith("error: preconditioned inner product <= 0")
 

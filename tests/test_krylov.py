@@ -103,6 +103,14 @@ class TestPcgBasics:
             pcg(lambda x: matvecs.append(x) or x, build_identity(8), np.ones(8))
         assert len(matvecs) == 1
 
+    def test_nan_right_hand_side_breaks_down(self):
+        # NaN fails every positivity test, so the solve stops on its first
+        # step instead of running to the iteration cap
+        b = np.ones(8)
+        b[0] = np.nan
+        with pytest.raises(BreakdownError, match="preconditioned inner product"):
+            pcg(scaled_operator(8), build_identity(8), b)
+
 
 class TestIterationCounts:
     def test_natural_tau_small(self):
@@ -175,7 +183,7 @@ class TestSmoothStep:
         rng = np.random.default_rng(14)
         b = rng.standard_normal(n)
         x = cg_smooth_step(lambda v: A @ v, P, np.zeros(n), b, steps=1)
-        np.testing.assert_allclose(A @ x, b, atol=1e-10)
+        np.testing.assert_allclose(A @ x, b, atol=1e-10, rtol=0)
 
     def test_errors_decrease_monotonically_in_energy_norm(self):
         n = 64
@@ -215,7 +223,7 @@ class TestSmoothStep:
         b = np.ones(n)
         x_star = np.linalg.solve(A, b)
         out = cg_smooth_step(lambda v: A @ v, P, x_star, b, steps=3)
-        np.testing.assert_allclose(out, x_star, atol=1e-12)
+        np.testing.assert_allclose(out, x_star, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_one_preconditioner_apply_per_step(self, monkeypatch, steps):

@@ -83,7 +83,7 @@ class TestHierarchy:
         A = assemble_dense(c)
         R = shared.build_restriction(7).toarray()
         coarse = assemble_dense(h.levels[1].coeffs)
-        np.testing.assert_allclose(coarse, R @ A @ R.T, atol=1e-13)
+        np.testing.assert_allclose(coarse, R @ A @ R.T, atol=1e-13, rtol=0)
         assert np.all(np.diag(coarse) > 0)
         # tridiagonal: nothing beyond the first off-diagonal
         assert abs(coarse[0, 2]) < 1e-14
@@ -137,13 +137,13 @@ class TestGaussSeidel:
     def test_diagonal_system_one_sweep(self):
         b = np.array([2.0, 8.0, 32.0])
         x = gauss_seidel_sweep(level([2.0, 0.0, 0.0]), np.zeros(3), b, sweeps=1)
-        np.testing.assert_allclose(x, [1.0, 4.0, 16.0], atol=1e-14)
+        np.testing.assert_allclose(x, [1.0, 4.0, 16.0], atol=1e-14, rtol=0)
 
     def test_hand_worked_two_by_two(self):
         # [[2, 1], [1, 2]] from zero: x0 = 1/2, x1 = (2 - 1/2)/2
         b = np.array([1.0, 2.0])
         x = gauss_seidel_sweep(level([2.0, 1.0]), np.zeros(2), b, sweeps=1)
-        np.testing.assert_allclose(x, [0.5, 0.75], atol=1e-14)
+        np.testing.assert_allclose(x, [0.5, 0.75], atol=1e-14, rtol=0)
 
     def test_energy_error_non_increasing(self):
         rng = np.random.default_rng(77)
@@ -218,11 +218,18 @@ class TestCaseConfigs:
         assert list(MGM_CASES) == ["alpha", "beta", "gamma", "delta", "finest_only"]
         for finest, coarse in MGM_CASES.values():
             for method, steps in finest + coarse:
-                assert method in ("gs", "laplacian", "tau") and steps >= 1
-        # gamma smooths once before and once after; delta twice after;
+                assert method in ("gs", "laplacian", "natural_tau", "frobenius_tau")
+                assert steps >= 1
+        # natural tau smooths the finest level and Frobenius tau the others;
+        # gamma smooths once before and once after, delta twice after;
         # finest_only falls back to Gauss-Seidel below the finest level
-        assert MGM_CASES["gamma"][0] == (("laplacian", 1), ("tau", 1))
-        assert MGM_CASES["delta"][0] == (("laplacian", 1), ("tau", 2))
+        assert MGM_CASES["beta"] == ((("gs", 1), ("natural_tau", 1)),
+                                     (("gs", 1), ("frobenius_tau", 1)))
+        assert MGM_CASES["gamma"] == ((("laplacian", 1), ("natural_tau", 1)),
+                                      (("laplacian", 1), ("frobenius_tau", 1)))
+        assert MGM_CASES["delta"] == ((("laplacian", 1), ("natural_tau", 2)),
+                                      (("laplacian", 1), ("frobenius_tau", 2)))
+        assert MGM_CASES["finest_only"][0] == (("laplacian", 1), ("natural_tau", 1))
         assert MGM_CASES["finest_only"][1] == MGM_CASES["alpha"][1]
 
     def test_unknown_case_rejected(self):

@@ -72,3 +72,16 @@ class TestExports:
                 if param.default is not param.empty and not {index, param.name} & given:
                     unset.append(f"{name}.{param.name}")
         assert unset == []
+
+
+class TestLayers:
+    def test_fft_called_only_in_the_transform_layers(self):
+        # every FFT runs in toeplitz (the rfft convolution `_product` and
+        # the coefficient sampling) or transforms (the algebra transforms)
+        callers = set()
+        for path in ROOT.glob("src/dofde/*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                        and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                    callers.add(path.name)
+        assert callers <= {"toeplitz.py", "transforms.py"}

@@ -44,7 +44,7 @@ class TestStrang:
             dense = circulant(col)
             P = build_strang(c)
             np.testing.assert_allclose(
-                np.sort(P.spectrum), np.linalg.eigvalsh(dense), atol=1e-12
+                np.sort(P.spectrum), np.linalg.eigvalsh(dense), atol=1e-12, rtol=0
             )
 
     def test_not_spd_raises_with_name(self):
@@ -63,7 +63,7 @@ class TestFrobeniusCirculant:
         F = shared.dft_matrix(n)
         diag = np.real(np.einsum("ij,jk,ki->i", F.conj().T, A, F))
         P = build_frobenius_circulant(c)
-        np.testing.assert_allclose(np.sort(P.spectrum), np.sort(diag), atol=1e-12)
+        np.testing.assert_allclose(np.sort(P.spectrum), np.sort(diag), atol=1e-12, rtol=0)
 
     def test_optimality(self):
         # any perturbation of the projected column worsens the Frobenius fit
@@ -140,13 +140,13 @@ class TestFrobeniusTau:
         Q = shared.sine_matrix(n)
         expected = np.diag(Q @ A @ Q)
         P = build_frobenius_tau(c)
-        np.testing.assert_allclose(np.sort(P.spectrum), np.sort(expected), atol=1e-12)
+        np.testing.assert_allclose(np.sort(P.spectrum), np.sort(expected), atol=1e-12, rtol=0)
 
     def test_input_routes_agree(self):
         c = random_coeffs(9, 55)
         from_coeffs = build_frobenius_tau(c)
         from_dense = shared.frobenius_tau_dense(assemble_dense(c))
-        np.testing.assert_allclose(from_coeffs.spectrum, from_dense, atol=1e-11)
+        np.testing.assert_allclose(from_coeffs.spectrum, from_dense, atol=1e-11, rtol=0)
 
     def test_rejects_asymmetric(self):
         # the builder takes ToeplitzCoeffs only; the dense oracle keeps
@@ -185,7 +185,7 @@ class TestLaplacian:
         P = build_laplacian(n)
         j = np.arange(1, n + 1)
         np.testing.assert_allclose(
-            P.spectrum, 2.0 - 2.0 * np.cos(j * np.pi / (n + 1)), atol=1e-14
+            P.spectrum, 2.0 - 2.0 * np.cos(j * np.pi / (n + 1)), atol=1e-14, rtol=0
         )
 
     @pytest.mark.parametrize("n", [511, 2048])
@@ -208,13 +208,13 @@ class TestLaplacian:
         A = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
         # the Toeplitz-minus-Hankel solve against a dense direct solve of the stencil
         x = apply_inverse(P, b)
-        np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-11)
-        np.testing.assert_allclose(A @ x, b, atol=1e-10)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-11, rtol=0)
+        np.testing.assert_allclose(A @ x, b, atol=1e-10, rtol=0)
 
     def test_hand_worked_solve(self):
         P = build_laplacian(2)
         np.testing.assert_allclose(
-            apply_inverse(P, np.array([1.0, 0.0])), [2.0 / 3.0, 1.0 / 3.0], atol=1e-14
+            apply_inverse(P, np.array([1.0, 0.0])), [2.0 / 3.0, 1.0 / 3.0], atol=1e-14, rtol=0
         )
 
     def test_matrix_right_hand_side_rejected(self):
@@ -248,7 +248,7 @@ class TestApplication:
         rng = np.random.default_rng(17)
         x = rng.standard_normal(n)
         twice = apply_inverse_sqrt(P, apply_inverse_sqrt(P, x))
-        np.testing.assert_allclose(twice, apply_inverse(P, x), atol=1e-10)
+        np.testing.assert_allclose(twice, apply_inverse(P, x), atol=1e-10, rtol=0)
 
     def test_identity_is_noop(self):
         P = build_identity(5)
@@ -286,6 +286,22 @@ class TestApplication:
 
 
 NON_IDENTITY = [kind for kind in PrecKind if kind is not PrecKind.IDENTITY]
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("kind", NON_IDENTITY)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_spectrum_must_be_positive(self, kind, bad):
+        # every construction checks, not only the builders; NaN fails too
+        spectrum = np.array([1.0, bad, 3.0])
+        message = f"{kind.value} preconditioner of order 3 is not positive definite"
+        with pytest.raises(NotSPDError, match=message):
+            Preconditioner(kind, 3, spectrum)
+
+    @pytest.mark.parametrize("build", [build_identity, build_laplacian])
+    def test_order_must_be_positive(self, build):
+        with pytest.raises(ValueError, match="n must be positive"):
+            build(0)
 
 
 def dense_inverse(P, x):

@@ -43,14 +43,14 @@ def char_poly_coeffs(A):
 class TestDenseEigs:
     def test_diagonal(self):
         rep = dense_sym_eigs(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(rep.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(rep.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14, rtol=0)
         assert rep.lambda_min == 1.0 and rep.lambda_max == 3.0
 
     def test_stencil_closed_form(self):
         rep = dense_sym_eigs(assemble_dense(shared.laplacian_coeffs(5)))
         j = np.arange(1, 6)
         np.testing.assert_allclose(
-            rep.eigenvalues, 2.0 - 2.0 * np.cos(j * np.pi / 6.0), atol=1e-12
+            rep.eigenvalues, 2.0 - 2.0 * np.cos(j * np.pi / 6.0), atol=1e-12, rtol=0
         )
         assert rep.lambda_min == pytest.approx(4 * np.sin(np.pi / 12.0) ** 2, rel=1e-12)
 
@@ -69,7 +69,8 @@ class TestDenseEigs:
         A = 0.5 * (M + M.T)
         roots = np.sort(np.roots(char_poly_coeffs(A)).real)
         rep = dense_sym_eigs(A)
-        np.testing.assert_allclose(rep.eigenvalues, roots, atol=1e-10 * max(1, np.abs(A).max()))
+        np.testing.assert_allclose(rep.eigenvalues, roots,
+                                   atol=1e-10 * max(1, np.abs(A).max()), rtol=0)
 
     def test_sorted_invariant(self):
         rep = dense_sym_eigs(np.asarray(shared.dense_scaled(32)))
@@ -95,7 +96,7 @@ class TestPreconditionedSpectrum:
     def test_exact_preconditioner_gives_ones(self):
         n = 40
         rep = preconditioned_spectrum(shared.laplacian_coeffs(n), build_laplacian(n))
-        np.testing.assert_allclose(rep.eigenvalues, np.ones(n), atol=1e-10)
+        np.testing.assert_allclose(rep.eigenvalues, np.ones(n), atol=1e-10, rtol=0)
 
     def test_published_anchor_small(self):
         rep = shared.prec_spectrum(PrecKind.NATURAL_TAU, 32)
@@ -109,7 +110,7 @@ class TestPreconditionedSpectrum:
             product = shared.prec_power_dense(P, -1.0) @ A  # P^(-1) A, not symmetric
             general = np.sort(np.linalg.eigvals(product).real)
             sym = shared.prec_spectrum(kind, n).eigenvalues
-            np.testing.assert_allclose(sym, general, atol=1e-8)
+            np.testing.assert_allclose(sym, general, atol=1e-8, rtol=0)
 
     def test_scaling_invariance(self):
         n = 24

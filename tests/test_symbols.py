@@ -118,7 +118,7 @@ class TestLaplacianPieces:
         theta = np.arange(1, n + 1) * np.pi / (n + 1)
         np.testing.assert_allclose(
             np.sort(build_laplacian(n).spectrum), 4.0 * np.sin(theta / 2.0) ** 2,
-            atol=1e-14,
+            atol=1e-14, rtol=0,
         )
 
     def test_eigenfunction_frozen_modulus(self):
@@ -139,7 +139,7 @@ class TestFoldAngle:
         folded = fold_angle(sigma)
         assert np.all(np.abs(folded) <= np.pi + 1e-12)
         np.testing.assert_allclose(
-            fold_angle(sigma + 2 * np.pi), folded, atol=1e-10
+            fold_angle(sigma + 2 * np.pi), folded, atol=1e-10, rtol=0
         )
 
 
@@ -155,7 +155,7 @@ class TestBoundCorrection:
     def test_periodicity(self):
         sigma = np.linspace(0.0, 2 * np.pi, 101)
         np.testing.assert_allclose(
-            bound_correction(sigma + 2 * np.pi), bound_correction(sigma), atol=1e-10
+            bound_correction(sigma + 2 * np.pi), bound_correction(sigma), atol=1e-10, rtol=0
         )
 
     def test_coefficients_vanish(self):
