@@ -31,6 +31,14 @@ diagonal is the Frobenius-tau closed form.  Each parity block then
 costs O(n^2) to form, and only its eigensolve is dense.  No spectrum
 assembles the n x n matrix A or transforms a matrix, every transform is
 a real rfft of a vector, and the dense routes survive as test oracles.
+
+The two flip parities run one after the other.  Each forms its block of
+A (or of Q A Q) from strided Toeplitz and Hankel views of O(n) tables,
+with no index arrays, then scales or multiplies it for each kind and
+takes its eigenvalues; only those cross to the other parity, where the
+two halves are merged per kind.  So at most three n^2/4 arrays are
+alive at once (a circulant's S, A's block and S A), two for the sine
+kinds alone and one for `min_eig_normalized`.
 """
 
 from __future__ import annotations
@@ -86,65 +94,91 @@ def _check_symmetric(A):
     return A
 
 
-def _flip_blocks(a):
-    """The flip-even and flip-odd blocks of the symmetric Toeplitz matrix
-    T with first column a, folded from a alone.
+def _toeplitz_view(c, m):
+    """The m x m Toeplitz view T_ij = c[m - 1 + i - j] of a vector c with
+    at least 2m - 1 entries, without a copy."""
+    return np.lib.stride_tricks.sliding_window_view(c, m)[:m, ::-1]
+
+
+def _hankel_view(c, m):
+    """The m x m Hankel view H_ij = c[i + j] of a vector c with at least
+    2m - 1 entries, without a copy."""
+    return np.lib.stride_tricks.sliding_window_view(c, m)[:m]
+
+
+def _flip_block(a, p):
+    """The flip-even (p = 0) or flip-odd (p = 1) block of the symmetric
+    Toeplitz matrix T with first column a, folded from a alone.
 
     With m = n // 2, T11 = a[|i - j|] and (T12 J)_ij = a[n-1-i-j] for
     i, j < m, the flip-odd eigenvectors [x; (0); -Jx] see T11 - T12 J,
     and the flip-even ones [x; (t); Jx] see T11 + T12 J, bordered for
-    odd n by sqrt(2) a[m-i] and a[0].  Both blocks are exactly
+    odd n by sqrt(2) a[m-i] and a[0].  T11 and T12 J are strided views
+    of a, so the block is the only n^2/4 array formed, and it is exactly
     symmetric.
     """
     n = len(a)
     m = n // 2
-    i = np.arange(m)
-    t11 = a[np.abs(i[:, None] - i)]
-    t12j = a[n - 1 - i[:, None] - i]
-    even, odd = t11 + t12j, t11 - t12j
+    t11 = _toeplitz_view(np.r_[a[m - 1 : 0 : -1], a[:m]], m)
+    t12j = _hankel_view(a[::-1], m)
+    if p:
+        return t11 - t12j
+    block = np.empty((n - m, n - m))
+    np.add(t11, t12j, out=block[:m, :m])
     if n % 2:
-        border = np.sqrt(2.0) * a[m:0:-1]
-        even = np.block([[even, border[:, None]], [border[None, :], a[:1, None]]])
-    return [even, odd]
+        block[m, :m] = block[:m, m] = np.sqrt(2.0) * a[m:0:-1]
+        block[m, m] = a[0]
+    return block
 
 
-def _sine_blocks(a):
-    """The even- and odd-indexed principal blocks of B = Q T Q for the
-    symmetric Toeplitz matrix T with first column a, in O(n^2).
+def _sine_generators(a):
+    """The O(n) generators of B = Q T Q for the symmetric Toeplitz matrix
+    T with first column a, which `_sine_block` expands one parity at a
+    time: the table half_m = sin(m theta/2), q = Q e_1, u^ = Q u and
+    diag(B).
 
     With theta = pi/(n+1), H = tridiag(1, 0, 1), u_k = a_k for k = 1..n
-    (a_n := 0), q = Q e_1 and u^ = Q u,
-    H T - T H = u e_1^T - e_1 u^T + (J u) e_n^T - e_n (J u)^T, and
-    Q J = diag((-1)^(j+1)) Q, so for j = k (mod 2), j != k,
+    (a_n := 0), H T - T H = u e_1^T - e_1 u^T + (J u) e_n^T - e_n (J u)^T,
+    and Q J = diag((-1)^(j+1)) Q, so for j = k (mod 2), j != k,
     B_jk = (u^_j q_k - q_j u^_k) / (-2 sin((j+k) theta/2) sin((j-k) theta/2)),
-    while B is zero across parities.  Both sines come from one table of
-    sin(m theta/2), which avoids the cancellation of
-    cos(j theta) - cos(k theta); the diagonal is diag(Q T Q) in closed
-    form.  Numerator and denominator are antisymmetric to the last bit,
-    so each block is exactly symmetric.
+    while B is zero across parities.  Both sines come from the one table,
+    which avoids the cancellation of cos(j theta) - cos(k theta); the
+    diagonal is diag(Q T Q) in closed form.
     """
     n = len(a)
     half = np.sin(np.arange(2 * n + 2) * (0.5 * np.pi / (n + 1)))
     q = np.sqrt(2.0 / (n + 1)) * half[2 : 2 * n + 1 : 2]
     u = np.zeros(n)
     u[: n - 1] = a[1:]
-    u_hat = dst1(u)
-    diag = _frobenius_tau_spectrum(a)
-    blocks = []
-    for p in (0, 1):
-        j = np.arange(p + 1, n + 1, 2)
-        uj, qj = u_hat[j - 1], q[j - 1]
-        diff = j[:, None] - j[None, :]
-        den = -2.0 * np.sign(diff) * half[np.abs(diff)] * half[j[:, None] + j[None, :]]
-        np.fill_diagonal(den, 1.0)
-        block = (np.outer(uj, qj) - np.outer(qj, uj)) / den
-        np.fill_diagonal(block, diag[j - 1])
-        blocks.append(block)
-    return blocks
+    return half, q, dst1(u), _frobenius_tau_spectrum(a)
 
 
-def _merged_spectrum(blocks):
-    w = np.sort(np.concatenate(list(map(np.linalg.eigvalsh, blocks))))
+def _sine_block(generators, p):
+    """The principal block of B = Q T Q on the indices j = p + 1,
+    p + 3, ... (1-based), in O(n^2) from `_sine_generators`.
+
+    The numerator X - X^T, X = u^_j q_k, is divided in place by the
+    denominator, a Toeplitz view of the signed table -2 sign(d) half_2|d|
+    (d = (j - k)/2) times a Hankel view of half_(j+k); at most two n^2/4
+    arrays are alive.  Numerator and denominator are antisymmetric to the
+    last bit, so the block is exactly symmetric.
+    """
+    half, q, u_hat, diag = generators
+    x = np.outer(u_hat[p::2], q[p::2])
+    block = x - x.T
+    del x
+    m = len(block)
+    # the 1 at d = 0 keeps 0/0 off the diagonal, which is overwritten below
+    twice = 2.0 * half[2 : 2 * m : 2]
+    signed = np.r_[twice[::-1], 1.0, -twice]
+    block /= _toeplitz_view(signed, m) * _hankel_view(half[2 * p + 2 :: 2], m)
+    np.fill_diagonal(block, diag[p::2])
+    return block
+
+
+def _merged_spectrum(parts):
+    """The SpectrumReport of the eigenvalue arrays in parts, merged."""
+    w = np.sort(np.concatenate(parts))
     return SpectrumReport(w, float(w[0]), float(w[-1]))
 
 
@@ -155,16 +189,61 @@ def dense_sym_eigs(A):
     tridiagonal QL/QR iteration, as provided by LAPACK's symmetric
     driver; non-convergence surfaces as LinAlgError.
     """
-    return _merged_spectrum([_check_symmetric(A)])
+    return _merged_spectrum([np.linalg.eigvalsh(_check_symmetric(A))])
 
 
 def min_eig_normalized(n):
     """n times the smallest eigenvalue of the order-n stiffness matrix,
     computed by dense eigensolves of its two flip-parity blocks, which
-    are folded from the coefficient vector."""
+    are folded from the coefficient vector one at a time."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    return n * _merged_spectrum(_flip_blocks(coeffs_via_fft(n).a)).lambda_min
+    a = coeffs_via_fft(n).a
+    halves = [np.linalg.eigvalsh(_flip_block(a, p)) for p in (0, 1)]
+    return n * _merged_spectrum(halves).lambda_min
+
+
+def _inverse_root(P):
+    """P^(-1/2) as a vector: d^(-1/2) on a sine kind's transform domain,
+    the first column of a circulant's (the inverse DFT of
+    lambda^(-1/2)), and None for the identity."""
+    if P.kind is PrecKind.IDENTITY:
+        return None
+    s = 1.0 / np.sqrt(P.spectrum)
+    return s if P.kind in _SINE else _circulant_transform(s) / P.n
+
+
+def _folded_eigenvalues(a, root, p):
+    """Eigenvalues of parity p's block of P^(-1/2) A P^(-1/2) for the
+    identity (root None) or a circulant: S A S, written back into A's
+    block, with S the block of P^(-1/2) folded from its first column."""
+    block = _flip_block(a, p)
+    if root is not None:
+        S = _flip_block(root, p)
+        np.matmul(S @ block, S, out=block)
+    return np.linalg.eigvalsh(block)
+
+
+def _scaled_eigenvalues(block, s):
+    """Eigenvalues of diag(s) block diag(s), formed in one new array."""
+    scaled = s[:, None] * block
+    scaled *= s
+    return np.linalg.eigvalsh(scaled)
+
+
+def _parity_spectra(a, precs, roots, generators, p):
+    """Eigenvalues of parity p's block of P^(-1/2) A P^(-1/2), one array
+    per P in precs.  The identity and circulant kinds run first, each on
+    its own fold of A; the sine kinds then share one block of Q A Q,
+    expanded from the generators and scaled by d^(-1/2) on both sides for
+    each kind."""
+    sine = [P.kind in _SINE for P in precs]
+    spectra = [None if s else _folded_eigenvalues(a, root, p) for s, root in zip(sine, roots)]
+    if generators is not None:
+        block = _sine_block(generators, p)
+        spectra = [_scaled_eigenvalues(block, root[p::2]) if s else w
+                   for s, root, w in zip(sine, roots, spectra)]
+    return spectra
 
 
 def preconditioned_spectra(c, precs):
@@ -175,37 +254,24 @@ def preconditioned_spectra(c, precs):
     from c without a dense transform: for P = Q diag(d) Q the spectrum
     is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed rows and
     columns form the two blocks.  The identity and the circulant kinds
-    share the parity blocks of A, folded from c; a circulant's blocks
-    are S A S with S the folded blocks of the symmetric circulant
-    P^(-1/2), whose first column is the inverse DFT of lambda^(-1/2).
+    fold the parity blocks of A from c; a circulant's blocks are S A S
+    with S the folded blocks of the symmetric circulant P^(-1/2), whose
+    first column is the inverse DFT of lambda^(-1/2).
     Raises TypeError unless c is ToeplitzCoeffs and ValueError when a
-    preconditioner has the wrong order.
+    preconditioner has the wrong order, before any block is formed.
     """
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
-    # each family (sine-domain or not) shares A's blocks until its last
-    # kind; a circulant's products S A S come one per eigensolve (mapped
-    # by _merged_spectrum), so no two of them are alive at once
-    shared = {}
-    last = {P.kind in _SINE: i for i, P in enumerate(precs)}
-    reports = []
-    for i, P in enumerate(precs):
-        if P.n != c.n:
-            raise ValueError("preconditioner order must match the matrix")
-        sine = P.kind in _SINE
-        if sine not in shared:
-            shared[sine] = (_sine_blocks if sine else _flip_blocks)(c.a)
-        blocks = shared[sine] if i < last[sine] else shared.pop(sine)
-        if sine:
-            s = 1.0 / np.sqrt(P.spectrum)
-            blocks = [s[p::2, None] * b * s[None, p::2] for p, b in enumerate(blocks)]
-        elif P.kind is not PrecKind.IDENTITY:
-            s = _circulant_transform(1.0 / np.sqrt(P.spectrum)) / c.n
-            blocks = (S @ b @ S for S, b in zip(_flip_blocks(s), blocks))
-        reports.append(_merged_spectrum(blocks))
-        # free this kind's blocks before the next kind forms its own
-        del blocks
-    return reports
+    if any(P.n != c.n for P in precs):
+        raise ValueError("preconditioner order must match the matrix")
+    # one flip parity at a time, each run to its last eigensolve before
+    # the other starts: only O(n) eigenvalues cross from one to the next,
+    # and at most three n^2/4 arrays are alive (a circulant's S, A's
+    # block and the product S A)
+    roots = [_inverse_root(P) for P in precs]
+    generators = _sine_generators(c.a) if any(P.kind in _SINE for P in precs) else None
+    halves = [_parity_spectra(c.a, precs, roots, generators, p) for p in (0, 1)]
+    return [_merged_spectrum(pair) for pair in zip(*halves)]
 
 
 def preconditioned_spectrum(c, P):

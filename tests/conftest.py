@@ -6,6 +6,7 @@ individual test modules and the acceptance suite both draw on it.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +21,7 @@ from dofde import (
     build_preconditioner,
     coeffs_via_fft,
     dist_order_symbol,
+    dst1,
     fold_angle,
     integrate_adaptive,
     limit_symbol,
@@ -27,6 +29,7 @@ from dofde import (
     pcg,
     preconditioned_spectrum,
 )
+from dofde.preconditioners import _frobenius_tau_spectrum
 from dofde.symbols import _check_order
 
 
@@ -62,6 +65,18 @@ def build_prec(kind, n):
 @functools.lru_cache(maxsize=None)
 def prec_spectrum(kind, n):
     return preconditioned_spectrum(scaled_coeffs(n), build_prec(kind, n))
+
+
+def peak_traced_bytes(fn):
+    """(peak, result): the tracemalloc peak in bytes while fn() runs, and
+    what fn returned.  The memory guards bound the peak in floats of the
+    problem size."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +150,52 @@ def flip_blocks_dense(M):
     else:
         even = m11 + m12j
     return [0.5 * (b + b.T) for b in (even, odd)]
+
+
+def flip_blocks_gather(a):
+    """Both flip-parity blocks of the symmetric Toeplitz matrix with first
+    column a, gathered by index arrays: T11 = a[|i - j|] and
+    (T12 J)_ij = a[n-1-i-j], i, j < n // 2, give [T11 + T12 J bordered
+    for odd n by sqrt(2) a[m-i] and a[0], T11 - T12 J].  The package
+    folds each block from strided views instead (`spectral._flip_block`)
+    with the same arithmetic, so the two agree bit for bit."""
+    n = len(a)
+    m = n // 2
+    i = np.arange(m)
+    t11 = a[np.abs(i[:, None] - i)]
+    t12j = a[n - 1 - i[:, None] - i]
+    even, odd = t11 + t12j, t11 - t12j
+    if n % 2:
+        border = np.sqrt(2.0) * a[m:0:-1]
+        even = np.block([[even, border[:, None]], [border[None, :], a[:1, None]]])
+    return [even, odd]
+
+
+def sine_blocks_gather(a):
+    """Both parity blocks of B = Q T Q from the displacement identity,
+    with index arrays, np.sign and two outer products:
+    B_jk = (u^_j q_k - q_j u^_k) / (-2 sign(j - k) half_|j-k| half_(j+k))
+    off the diagonal, diag(Q T Q) on it.  The package forms each block
+    from strided views of the same tables (`spectral._sine_block`), with
+    the same arithmetic, so the two agree bit for bit."""
+    n = len(a)
+    half = np.sin(np.arange(2 * n + 2) * (0.5 * np.pi / (n + 1)))
+    q = np.sqrt(2.0 / (n + 1)) * half[2 : 2 * n + 1 : 2]
+    u = np.zeros(n)
+    u[: n - 1] = a[1:]
+    u_hat = dst1(u)
+    diag = _frobenius_tau_spectrum(a)
+    blocks = []
+    for p in (0, 1):
+        j = np.arange(p + 1, n + 1, 2)
+        uj, qj = u_hat[j - 1], q[j - 1]
+        diff = j[:, None] - j[None, :]
+        den = -2.0 * np.sign(diff) * half[np.abs(diff)] * half[j[:, None] + j[None, :]]
+        np.fill_diagonal(den, 1.0)
+        block = (np.outer(uj, qj) - np.outer(qj, uj)) / den
+        np.fill_diagonal(block, diag[j - 1])
+        blocks.append(block)
+    return blocks
 
 
 def frobenius_tau_dense(A):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -375,11 +373,7 @@ class TestScale:
         # floats, about 2,000 n here; the hierarchy and the solve stay O(n)
         n = 8191
         c = shared.scaled_coeffs(n)
-        tracemalloc.start()
-        try:
-            report = tgm(build_hierarchy(c), "gamma", np.ones(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, report = shared.peak_traced_bytes(
+            lambda: tgm(build_hierarchy(c), "gamma", np.ones(n)))
         assert report.converged
         assert peak <= 64 * 8 * n

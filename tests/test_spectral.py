@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +23,7 @@ from dofde import (
     preconditioned_spectra,
     preconditioned_spectrum,
 )
-from dofde.spectral import _flip_blocks, _sine_blocks
+from dofde.spectral import _flip_block, _sine_block, _sine_generators
 
 
 def char_poly_coeffs(A):
@@ -90,6 +88,14 @@ class TestMinEigNormalized:
     def test_small_order_rejected(self):
         with pytest.raises(ValueError):
             min_eig_normalized(3)
+
+    def test_min_eig_holds_one_quarter_block(self):
+        # one folded block at a time: 0.285 n^2 floats measured, with the
+        # coefficients, and a margin of 0.045 n^2; both blocks at once
+        # need 0.5
+        n = 1024
+        peak, _ = shared.peak_traced_bytes(lambda: min_eig_normalized(n))
+        assert peak < 0.33 * n * n * 8, peak / (n * n * 8)
 
 
 class TestPreconditionedSpectrum:
@@ -180,6 +186,18 @@ class TestParitySpectra:
         with pytest.raises(ValueError):
             preconditioned_spectra(shared.laplacian_coeffs(4), [build_identity(5)])
 
+    def test_order_mismatch_raises_before_any_eigensolve(self, monkeypatch):
+        # a wrong order late in the list must not cost the eigensolves of
+        # the kinds before it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        c = shared.scaled_coeffs(6)
+        precs = [build_identity(6), build_strang(c), build_natural_tau(c), build_laplacian(7)]
+        with pytest.raises(ValueError):
+            preconditioned_spectra(c, precs)
+        assert calls == []
+
 
 class TestFlipBlocks:
     """The parity blocks folded from the first column against the blocks
@@ -194,30 +212,46 @@ class TestFlipBlocks:
     @example(a=np.array([0.7, -0.3, 0.1]))
     def test_fold_equals_dense_oracle(self, a):
         n = len(a)
-        blocks = _flip_blocks(a)
+        blocks = [_flip_block(a, p) for p in (0, 1)]
         oracle = shared.flip_blocks_dense(assemble_dense(ToeplitzCoeffs(n, a)))
         assert [b.shape for b in blocks] == [(n - n // 2,) * 2, (n // 2,) * 2]
         for block, want in zip(blocks, oracle):
             np.testing.assert_array_equal(block, want)
 
     def test_circulant_spectra_stay_below_dense_memory(self):
-        # the circulant blocks are products of half-size folded blocks
-        # (about 1.75 n^2 floats at the peak); assembling A and
-        # transforming it column by column peaked near 7.5 n^2.  With the
-        # sine kinds after them, as `dofde spectrum` runs them, A's folded
-        # blocks must be gone before the sine blocks are built: holding
-        # them on peaks near 2.0 n^2
+        # one flip parity at a time: a circulant kind holds A's block, S's
+        # block and the product S A, three n^2/4 arrays (0.764 n^2 floats
+        # measured with the sine kinds after them, as `dofde spectrum`
+        # runs them; the bound leaves 0.036 n^2 for the O(n) vectors).
+        # Forming both parities' blocks before the first eigensolve needs
+        # a fourth, 1.0 n^2; assembling A and transforming it column by
+        # column peaked near 7.5 n^2
         n = 1024
         c = shared.scaled_coeffs(n)
         kinds = [k for k in PrecKind if k is not PrecKind.IDENTITY]
         precs = [shared.build_prec(kind, n) for kind in kinds]
-        tracemalloc.start()
-        try:
-            preconditioned_spectra(c, precs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.9 * n * n * 8, peak / (n * n * 8)
+        peak, _ = shared.peak_traced_bytes(lambda: preconditioned_spectra(c, precs))
+        assert peak < 0.8 * n * n * 8, peak / (n * n * 8)
+
+
+class TestParityBuilders:
+    """The per-parity builders, which fold from strided views, against the
+    gather-based builders they replaced, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.integers(1, 300).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+    @example(a=np.array([0.7]))
+    @example(a=np.array([0.7, -0.3]))
+    @example(a=np.array([0.7, -0.3, 0.1]))
+    @example(a=np.array([0.7, -0.3, 0.1, -0.05]))
+    @example(a=np.array([0.7, -0.3, 0.1, -0.05, 0.02]))
+    def test_blocks_equal_gather_oracles(self, a):
+        generators = _sine_generators(a)
+        for p, (flip, sine) in enumerate(zip(shared.flip_blocks_gather(a),
+                                             shared.sine_blocks_gather(a))):
+            assert np.array_equal(_flip_block(a, p), flip), p
+            assert np.array_equal(_sine_block(generators, p), sine), p
 
 
 class TestSineBlocks:
@@ -236,7 +270,8 @@ class TestSineBlocks:
     def test_blocks_match_dense_oracle(self, a):
         n = len(a)
         B = shared.sine_transform_dense(assemble_dense(ToeplitzCoeffs(n, a)))
-        blocks = _sine_blocks(a)
+        generators = _sine_generators(a)
+        blocks = [_sine_block(generators, p) for p in (0, 1)]
         scale = np.abs(B).max()
         for p, block in enumerate(blocks):
             assert block.shape == B[p::2, p::2].shape
@@ -254,6 +289,18 @@ class TestSineBlocks:
             oracle = dense_sym_eigs(shared.explicit_preconditioned(A, P))
             assert rep.lambda_min == pytest.approx(oracle.lambda_min, rel=1e-9), P.kind
             assert rep.lambda_max == pytest.approx(oracle.lambda_max, rel=1e-9), P.kind
+
+    def test_sine_spectra_hold_two_quarter_blocks(self):
+        # the `outliers` pair: one block of Q A Q and one scaled copy, or
+        # the numerator and denominator while the block is formed: 0.526
+        # n^2 floats measured, and a margin of 0.044 n^2; both parities'
+        # blocks at once need 0.75
+        n = 1024
+        c = shared.scaled_coeffs(n)
+        kinds = [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
+        precs = [shared.build_prec(kind, n) for kind in kinds]
+        peak, _ = shared.peak_traced_bytes(lambda: preconditioned_spectra(c, precs))
+        assert peak < 0.57 * n * n * 8, peak / (n * n * 8)
 
 
 class TestOutliers:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,12 +48,7 @@ class TestCoeffs:
             return symbol(n, theta)
 
         monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol", counting)
-        tracemalloc.start()
-        try:
-            coeffs_via_fft(65536)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = shared.peak_traced_bytes(lambda: coeffs_via_fft(65536))
         m = 1 << 19
         assert sum(evaluated) == m // 2 + m
         assert peak <= 3 * m * 8
