@@ -182,7 +182,7 @@ def build_hierarchy(c):
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("build_hierarchy takes ToeplitzCoeffs")
     if not _is_pow2_minus_1(c.n):
-        raise ValueError("size must be one less than a power of two")
+        raise ValueError(f"size must be one less than a power of two, got {c.n}")
 
     levels = [GridLevel(c)]
     while len(levels) == 1 or levels[-1].n > _COARSEST_SIZE:

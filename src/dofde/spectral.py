@@ -14,7 +14,7 @@ column, and on centrosymmetric matrices the fold is an algebra
 homomorphism: the blocks of a product are the products of the blocks.
 
 A symmetric circulant is itself symmetric Toeplitz, so for the circulant
-kinds P^(-1/2), whose first column is the inverse DFT of lambda^(-1/2),
+kinds P^(-1/2), whose first column is `apply_inverse_sqrt(P, e_1)`,
 folds like A does, and each block of P^(-1/2) A P^(-1/2) is the product
 S A S of the folded blocks (Strang's and T. Chan's optimal circulant,
 SIAM J. Sci. Stat. Comput. 9, 1988, are both symmetric).
@@ -38,7 +38,8 @@ with no index arrays, then scales or multiplies it for each kind and
 takes its eigenvalues; only those cross to the other parity, where the
 two halves are merged per kind.  So at most three n^2/4 arrays are
 alive at once (a circulant's S, A's block and S A), two for the sine
-kinds alone and one for `min_eig_normalized`.
+kinds alone and one for the identity, whose row `min_eig_normalized`
+reads.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preconditioners import _SINE, PrecKind, _frobenius_tau_spectrum
-from .toeplitz import ToeplitzCoeffs, coeffs_via_fft
-from .transforms import _circulant_transform, dst1
+from .preconditioners import (_SINE, PrecKind, _frobenius_tau_spectrum, apply_inverse_sqrt,
+                              build_identity)
+from .toeplitz import ToeplitzCoeffs
+from .transforms import dst1
 
 __all__ = [
     "SpectrumReport",
@@ -192,25 +194,23 @@ def dense_sym_eigs(A):
     return _merged_spectrum([np.linalg.eigvalsh(_check_symmetric(A))])
 
 
-def min_eig_normalized(n):
-    """n times the smallest eigenvalue of the order-n stiffness matrix,
-    computed by dense eigensolves of its two flip-parity blocks, which
-    are folded from the coefficient vector one at a time."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    a = coeffs_via_fft(n).a
-    halves = [np.linalg.eigvalsh(_flip_block(a, p)) for p in (0, 1)]
-    return n * _merged_spectrum(halves).lambda_min
+def min_eig_normalized(c):
+    """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
+    with coefficients c (ToeplitzCoeffs): the identity row of
+    `preconditioned_spectra`, so A's two flip-parity blocks are folded
+    and solved one at a time."""
+    return c.n * preconditioned_spectra(c, [build_identity(c.n)])[0].lambda_min
 
 
 def _inverse_root(P):
     """P^(-1/2) as a vector: d^(-1/2) on a sine kind's transform domain,
-    the first column of a circulant's (the inverse DFT of
-    lambda^(-1/2)), and None for the identity."""
+    a circulant's first column, which `apply_inverse_sqrt(P, e_1)`
+    forms, and None for the identity."""
     if P.kind is PrecKind.IDENTITY:
         return None
-    s = 1.0 / np.sqrt(P.spectrum)
-    return s if P.kind in _SINE else _circulant_transform(s) / P.n
+    if P.kind in _SINE:
+        return 1.0 / np.sqrt(P.spectrum)
+    return apply_inverse_sqrt(P, np.eye(1, P.n)[0])
 
 
 def _folded_eigenvalues(a, root, p):
@@ -256,7 +256,7 @@ def preconditioned_spectra(c, precs):
     columns form the two blocks.  The identity and the circulant kinds
     fold the parity blocks of A from c; a circulant's blocks are S A S
     with S the folded blocks of the symmetric circulant P^(-1/2), whose
-    first column is the inverse DFT of lambda^(-1/2).
+    first column `apply_inverse_sqrt` gives.
     Raises TypeError unless c is ToeplitzCoeffs and ValueError when a
     preconditioner has the wrong order, before any block is formed.
     """

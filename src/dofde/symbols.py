@@ -31,7 +31,7 @@ def _check_angle(theta):
 
 def _check_order(n):
     if int(n) != n or n < 2:
-        raise ValueError("matrix order n must be an integer >= 2")
+        raise ValueError(f"matrix order n must be an integer >= 2, got {n}")
     return int(n)
 
 

@@ -13,6 +13,7 @@ import conftest as shared
 import dofde.cli
 import dofde.krylov
 import dofde.multigrid
+import dofde.preconditioners
 import dofde.quadrature
 import dofde.spectral
 import dofde.toeplitz
@@ -182,8 +183,25 @@ class TestErrorPaths:
         assert captured.out == ""
 
     def test_mineig_rejects_tiny_size(self, capsys):
-        assert main(["mineig", "--sizes", "2"]) == 2
-        assert "mineig" in capsys.readouterr().err
+        # the symbol has no order 1, and the coefficient layer says so
+        assert main(["mineig", "--sizes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix order n must be an integer >= 2, got 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["cn", "--sizes", "8"], ["all"]])
+    def test_out_that_is_a_file_fails_before_any_table(self, argv, capsys, monkeypatch, tmp_path):
+        def never(args):
+            raise AssertionError("a runner ran although --out is not a directory")
+
+        for command, (_, sizes) in dofde.cli._COMMANDS.items():
+            monkeypatch.setitem(dofde.cli._COMMANDS, command, (never, sizes))
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write to --out") and captured.out == ""
+        assert out.read_text() == "kept\n"
 
     def test_unknown_preconditioner(self, capsys):
         assert main(["pcg", "--sizes", "32", "--precs", "jacobi"]) == 2
@@ -236,7 +254,7 @@ class TestErrorPaths:
                 main(argv)
             assert exc.value.code == 2
         assert main(["pcg", "--sizes", "1"]) == 2
-        assert "pcg needs n >= 2" in capsys.readouterr().err
+        assert "matrix order n must be an integer >= 2, got 1" in capsys.readouterr().err
 
     def test_coefficient_failure_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol",
@@ -347,9 +365,11 @@ class TestNoDenseSineTransform:
 
             return wrapper
 
-        for name in ("dst1", "_circulant_transform"):
-            transform = getattr(dofde.spectral, name)
-            monkeypatch.setattr(dofde.spectral, name, vectors_only(name, transform))
+        # the circulant kinds' P^(-1/2) column comes from apply_inverse_sqrt,
+        # so their transform runs in the preconditioner layer
+        for module, name in ((dofde.spectral, "dst1"),
+                             (dofde.preconditioners, "_circulant_transform")):
+            monkeypatch.setattr(module, name, vectors_only(name, getattr(module, name)))
         for name in ("fft", "ifft", "rfft"):
             monkeypatch.setattr(np.fft, name, vectors_only(name, getattr(np.fft, name)))
         for argv in (["spectrum", "--precs", "all"], ["outliers"]):

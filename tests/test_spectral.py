@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import conftest as shared
+import dofde.spectral
 from dofde import (
     PrecKind,
     SpectrumReport,
@@ -15,6 +16,7 @@ from dofde import (
     build_identity,
     build_laplacian,
     build_natural_tau,
+    build_preconditioner,
     build_strang,
     coeffs_via_fft,
     count_outliers,
@@ -83,18 +85,25 @@ class TestDenseEigs:
 
 class TestMinEigNormalized:
     def test_frozen_midsize(self):
-        assert min_eig_normalized(64) == pytest.approx(5.039164, abs=5e-6)
+        assert min_eig_normalized(shared.coeffs(64)) == pytest.approx(5.039164, abs=5e-6)
 
-    def test_small_order_rejected(self):
-        with pytest.raises(ValueError):
-            min_eig_normalized(3)
+    def test_small_orders_match_dense(self):
+        # the identity row folds every order, so no small n is special:
+        # the coefficients (orders 2 to 5) and random nonnegative symbols
+        # (orders 1 to 5) against the full dense eigensolve
+        rng = np.random.default_rng(5)
+        cases = [shared.coeffs(n) for n in range(2, 6)]
+        cases += [shared.nonnegative_symbol_coeffs(n, rng) for n in range(1, 6)]
+        for c in cases:
+            oracle = c.n * np.linalg.eigvalsh(assemble_dense(c))[0]
+            assert min_eig_normalized(c) == pytest.approx(oracle, rel=1e-12), c.n
 
     def test_min_eig_holds_one_quarter_block(self):
         # one folded block at a time: 0.285 n^2 floats measured, with the
         # coefficients, and a margin of 0.045 n^2; both blocks at once
         # need 0.5
         n = 1024
-        peak, _ = shared.peak_traced_bytes(lambda: min_eig_normalized(n))
+        peak, _ = shared.peak_traced_bytes(lambda: min_eig_normalized(coeffs_via_fft(n)))
         assert peak < 0.33 * n * n * 8, peak / (n * n * 8)
 
 
@@ -169,7 +178,7 @@ class TestParitySpectra:
     @example(n=5)
     def test_min_eig_matches_full_eigensolve(self, n):
         oracle = n * dense_sym_eigs(assemble_dense(coeffs_via_fft(n))).lambda_min
-        assert min_eig_normalized(n) == pytest.approx(oracle, rel=1e-10)
+        assert min_eig_normalized(shared.coeffs(n)) == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_symmetric_matrix_that_does_not_commute_with_flip(self):
         # only ToeplitzCoeffs are accepted, so no dense matrix, Toeplitz
@@ -196,6 +205,24 @@ class TestParitySpectra:
         precs = [build_identity(6), build_strang(c), build_natural_tau(c), build_laplacian(7)]
         with pytest.raises(ValueError):
             preconditioned_spectra(c, precs)
+        assert calls == []
+
+    def test_circulant_root_comes_from_apply_inverse_sqrt(self, monkeypatch):
+        # one P^(-1/2) source: each circulant's first column is one
+        # apply_inverse_sqrt of e_1, and no other kind applies the root
+        calls = []
+        apply = dofde.spectral.apply_inverse_sqrt
+        monkeypatch.setattr(dofde.spectral, "apply_inverse_sqrt",
+                            lambda P, x: calls.append(P.kind) or apply(P, x))
+        n = 33
+        c = shared.scaled_coeffs(n)
+        precs = [build_preconditioner(kind, c) for kind in PrecKind]
+        for _ in range(2):
+            preconditioned_spectra(c, precs)
+        circulants = [PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT]
+        assert calls == 2 * circulants
+        calls.clear()
+        preconditioned_spectra(c, [P for P in precs if P.kind not in circulants])
         assert calls == []
 
 
