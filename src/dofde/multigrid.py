@@ -23,16 +23,18 @@ tau and discrete Laplacian preconditioners.  The table `MGM_CASES`
 declares the study's five named cases: each gives the (pre, post)
 smoothers of the finest level and of the coarser levels as (method,
 steps) pairs, the method "gs" or a PrecKind value, and
-`vcycle` and `tgm` take a case by its name; `tgm` is the V-cycle on
-the first two levels of the same hierarchy.  Their cycles run in
-krylov's stopping loop, the one `pcg` runs in.
+`vcycle` and `tgm` take a case by its name and run its pairs, read from
+`MGM_CASES`, through `_smooth`; `tgm` is the V-cycle on the first two
+levels of the same hierarchy.  A level builds each preconditioner kind
+once, for its smoothers and its exact solve.  The cycles run in krylov's
+stopping loop, the one `pcg` runs in.
 Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
 first column a.  Its inverse is the lower-triangular Toeplitz matrix of
 the power-series reciprocal of a(z) = sum_k a_k z^k, computed once per
-level by Newton's iteration and applied as an FFT convolution.  When the
-symbol a_0 + 2 sum_k a_k cos(k theta) is nonnegative, Re a(z) >= a_0/2
-on the closed unit disc, so 1/a(z) is bounded there by 2/a_0 and the
-reciprocal series is well conditioned.
+level by Newton's iteration (`toeplitz._series_reciprocal`) and applied
+as an FFT convolution.  When the symbol a_0 + 2 sum_k a_k cos(k theta)
+is nonnegative, Re a(z) >= a_0/2 on the closed unit disc, so 1/a(z) is
+bounded there by 2/a_0 and the reciprocal series is well conditioned.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _product
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _product, _series_reciprocal
 
 __all__ = [
     "MGM_CASES",
@@ -77,48 +79,32 @@ _EXACT_SOLVE_TOL = 1e-13
 _COARSEST_SIZE = 15
 
 
-def _series_reciprocal(a):
-    """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
-
-    Newton's iteration g <- g - g (a g - 1) doubles the number of
-    correct terms per step.  With g exact to m terms, a g - 1 starts at
-    z^m, so only its terms m..2m-1 (h) are formed and the new terms are
-    -(g h)[:m].  Both are lower-triangular Toeplitz products,
-    `toeplitz._product`.
-    """
-    n = len(a)
-    g = np.array([1.0 / a[0]])
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        h = _product(a[:m2], m2)(g)[m:]
-        g = np.r_[g, -_product(g[: m2 - m], m2 - m)(h)]
-        m = m2
-    return g
-
-
 class GridLevel:
     """One level of the hierarchy: a symmetric Toeplitz matrix held as
-    its coefficients, with a cached matvec and, built on first use, the
-    inverses of its lower triangle and of the whole matrix."""
+    its coefficients, with a cached matvec and, built on first use, its
+    preconditioners and the inverses of its lower triangle and of T."""
 
     def __init__(self, c):
         self.coeffs = c
         self.n = c.n
         self.matvec = ToeplitzOperator(c)
+        self._preconditioners = {}
+
+    def _preconditioner(self, kind):
+        """The level's preconditioner of the given PrecKind, built once."""
+        if kind not in self._preconditioners:
+            self._preconditioners[kind] = build_preconditioner(kind, self.coeffs)
+        return self._preconditioners[kind]
 
     @functools.cached_property
-    def _lower_inverse(self):
+    def solve_lower(self):
+        """r -> tril(T)^{-1} r: convolution with the reciprocal series."""
         return _product(_series_reciprocal(self.coeffs.a), self.n)
-
-    def solve_lower(self, r):
-        """tril(T)^{-1} r: convolution with the reciprocal series."""
-        return self._lower_inverse(r)
 
     @functools.cached_property
     def _inverse_generators(self):
         """x_0 and the products by L(x), L(y) of x = T^{-1} e_1, y = [0, x_{n-1}, ..., x_1]."""
-        report = pcg(self.matvec, build_preconditioner(PrecKind.FROBENIUS_TAU, self.coeffs),
+        report = pcg(self.matvec, self._preconditioner(PrecKind.FROBENIUS_TAU),
                      np.eye(1, self.n)[0], stop=StoppingRule(tol=_EXACT_SOLVE_TOL))
         if not report.converged:
             raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_EXACT_SOLVE_TOL:g}")
@@ -202,36 +188,26 @@ def gauss_seidel_sweep(level, x, b, sweeps=1):
     return x
 
 
-def _smoother(level, method, steps):
-    """One smoother callable (x, b) -> x on the GridLevel.  It looks up
-    gauss_seidel_sweep or cg_smooth_step as a module global each time it
-    runs, so a wrapper set on the module later still sees every call."""
+def _smooth(level, smoother, x, b):
+    """One (method, steps) smoother of `MGM_CASES` on the GridLevel from x,
+    by the module globals gauss_seidel_sweep or cg_smooth_step, looked up
+    at call time so that a wrapper set on the module sees every call."""
+    method, steps = smoother
     if method == "gs":
-        return lambda x, b: gauss_seidel_sweep(level, x, b, steps)
-    P = build_preconditioner(PrecKind(method), level.coeffs)
-    return lambda x, b: cg_smooth_step(level.matvec, P, x, b, steps)
+        return gauss_seidel_sweep(level, x, b, steps)
+    return cg_smooth_step(level.matvec, level._preconditioner(PrecKind(method)), x, b, steps)
 
 
-def _assemble_smoothers(levels, pairs):
-    """Per-level (pre, post) smoother callables for a case's pairs: the
-    finest pair on the first level, the coarse pair on the others."""
-    finest, coarse = pairs
-    return [tuple(_smoother(level, method, steps) for method, steps in
-                  (finest if index == 0 else coarse))
-            for index, level in enumerate(levels[:-1])]
-
-
-def _cycle(levels, smoothers, b, x):
+def _cycle(levels, pairs, b, x):
+    """One V-cycle from x: pairs[0] is the first level's (pre, post)
+    smoothers, pairs[1] those of every coarser non-coarsest level."""
     if len(levels) == 1:
         return levels[0].solve(b)
-    level = levels[0]
-    pre, post = smoothers[0]
-    x = pre(x, b)
-    coarse_residual = restrict(b - level.matvec(x))
-    correction = _cycle(levels[1:], smoothers[1:], coarse_residual,
-                        np.zeros(coarse_residual.shape[0]))
-    x = x + prolong(correction)
-    return post(x, b)
+    level, (pre, post) = levels[0], pairs[0]
+    x = _smooth(level, pre, x, b)
+    r = restrict(b - level.matvec(x))
+    x = x + prolong(_cycle(levels[1:], (pairs[1], pairs[1]), r, np.zeros(r.shape[0])))
+    return _smooth(level, post, x, b)
 
 
 def _mgm_solve(levels, case, b, stop):
@@ -243,9 +219,8 @@ def _mgm_solve(levels, case, b, stop):
         raise ValueError("right-hand side length must match the finest level")
 
     def steps(x, r):
-        smoothers = _assemble_smoothers(levels, MGM_CASES[case])
         while True:
-            x = _cycle(levels, smoothers, b, x)
+            x = _cycle(levels, MGM_CASES[case], b, x)
             yield x, b - finest.matvec(x)
 
     return _iterate(finest.matvec, b, None, stop, steps)

@@ -5,7 +5,8 @@ with doubling stabilization, plus an independent quadrature oracle),
 dense assembly, and `_product`, the one cached rfft convolution behind
 every O(n log n) Toeplitz product: the matvec by circulant embedding
 here, multigrid's triangular products and, with a Hankel term, every
-preconditioner inverse.
+preconditioner inverse, each checking its operand there; and beside it
+`_series_reciprocal`, the Newton reciprocal behind multigrid's tril(T)^-1.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ def assemble_dense(c):
 
 def _product(col, n, hankel=None):
     """x -> (col circularly convolved with x at m)[:n], m the least power
-    of two >= 2n, rfft(col, m) cached; L(col) x when len(col) <= n.
+    of two >= 2n, rfft(col, m) cached; L(col) x when len(col) <= n.  It
+    raises ValueError unless x converts to a float vector of length n.
 
     With hankel (length <= 2n - 1), adds H x, H_ij = hankel[i + j]: the
     correlation of hankel with x, whose transform is rfft(hankel, m)
@@ -167,15 +169,40 @@ def _product(col, n, hankel=None):
     """
     m = _next_pow2(2 * n)
     spectrum = np.fft.rfft(col, m)
-    if hankel is None:
-        return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:n]
-    reflected = np.fft.rfft(hankel, m)
+    reflected = None if hankel is None else np.fft.rfft(hankel, m)
 
     def apply(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"operand must be a vector of length {n}, got shape {x.shape}")
+        if reflected is None:
+            return np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:n]
         f = np.fft.rfft(x, m)
         return np.fft.irfft(spectrum * f + reflected * f.conj(), m)[:n]
 
     return apply
+
+
+def _series_reciprocal(a):
+    """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
+
+    Newton's iteration g <- g - g (a g - 1) doubles the correct terms
+    per step: with g exact to m terms, only the terms m..m2-1 (h) of
+    a g - 1 are formed, m2 = min(2m, n), and the new terms are -(g h)[:m2 - m].
+    Both products share rfft(g, L), L the least power of two >= m2: the
+    wrap-around of a g lands below index m, which is discarded.
+    """
+    n = len(a)
+    g = np.array([1.0 / a[0]])
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        L = _next_pow2(m2)
+        G = np.fft.rfft(g, L)
+        h = np.fft.irfft(np.fft.rfft(a[:m2], L) * G, L)[m:m2]
+        g = np.concatenate([g, -np.fft.irfft(G * np.fft.rfft(h, L), L)[: m2 - m]])
+        m = m2
+    return g
 
 
 def _symmetric_product(a, hankel=None):
@@ -200,7 +227,4 @@ class ToeplitzOperator:
         self._product = _symmetric_product(c.a)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError("vector length must match matrix order")
         return self._product(x)

@@ -256,6 +256,25 @@ class TestCaseConfigs:
         # one presweep and one PCG postsmoothing step per non-coarsest level
         assert calls["gauss_seidel_sweep"] == calls["cg_smooth_step"] == 2 * report.iterations
 
+    def test_each_level_builds_each_kind_once(self, monkeypatch):
+        # the smoothers and the exact solves of every case share one
+        # preconditioner per level and kind
+        built = []
+        original = dofde.multigrid.build_preconditioner
+
+        def counted(kind, c):
+            built.append((c.n, kind.value))
+            return original(kind, c)
+
+        monkeypatch.setattr(dofde.multigrid, "build_preconditioner", counted)
+        h = hierarchy(63)
+        for case in MGM_CASES:
+            assert tgm(h, case, np.ones(63)).converged
+            assert vcycle(h, case, np.ones(63)).converged
+        assert sorted(built) == sorted([(63, "laplacian"), (63, "natural_tau"),
+                                        (31, "laplacian"), (31, "frobenius_tau"),
+                                        (15, "frobenius_tau")])
+
 
 class TestSolvers:
     def test_exact_smoother_converges_immediately(self):

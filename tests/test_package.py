@@ -85,3 +85,12 @@ class TestLayers:
                         and isinstance(node.value, ast.Name) and node.value.id == "np"):
                     callers.add(path.name)
         assert callers <= {"toeplitz.py", "transforms.py"}
+
+    def test_multigrid_builds_preconditioners_at_one_site(self):
+        # a level builds and keeps its preconditioners in one place, which
+        # its smoothers and its exact solve both draw on
+        tree = ast.parse((ROOT / "src/dofde/multigrid.py").read_text())
+        sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 == "build_preconditioner"]
+        assert len(sites) == 1

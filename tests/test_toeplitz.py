@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,14 @@ import conftest as shared
 import dofde.toeplitz
 from dofde import (
     CoeffStabilizationError,
+    GridLevel,
     ToeplitzCoeffs,
     ToeplitzOperator,
+    apply_inverse,
+    apply_inverse_sqrt,
     assemble_dense,
+    build_frobenius_tau,
+    build_identity,
     coeff_oracle,
     coeffs_via_fft,
 )
@@ -140,6 +147,54 @@ class TestDenseAndMatvec:
         op = ToeplitzOperator(shared.coeffs(8))
         with pytest.raises(ValueError):
             op(np.ones(9))
+
+
+# Every fast operator of order n, by name; each runs `_product` or, for the
+# identity preconditioner, `preconditioners._vector`.
+OPERATORS = {
+    "GridLevel.solve": lambda c: GridLevel(c).solve,
+    "GridLevel.solve_lower": lambda c: GridLevel(c).solve_lower,
+    "ToeplitzOperator": ToeplitzOperator,
+    "apply_inverse[identity]": lambda c: partial(apply_inverse, build_identity(c.n)),
+    "apply_inverse[frobenius_tau]": lambda c: partial(apply_inverse, build_frobenius_tau(c)),
+    "apply_inverse_sqrt[identity]": lambda c: partial(apply_inverse_sqrt, build_identity(c.n)),
+    "apply_inverse_sqrt[frobenius_tau]":
+        lambda c: partial(apply_inverse_sqrt, build_frobenius_tau(c)),
+}
+
+
+class TestOperandCheck:
+    @pytest.mark.parametrize("name", OPERATORS)
+    @pytest.mark.parametrize("shape", [(8,), (7, 2)], ids=["too_long", "two_columns"])
+    def test_wrong_shape_rejected(self, name, shape):
+        # one entry too long, or one column per right-hand side
+        c = shared.nonnegative_symbol_coeffs(7, np.random.default_rng(7))
+        op = OPERATORS[name](c)
+        with pytest.raises(ValueError):
+            op(np.ones(shape))
+        assert op(np.ones(7)).shape == (7,)
+
+
+class TestSeriesReciprocal:
+    def test_newton_steps_run_at_one_fft_length(self, monkeypatch):
+        # each of the 11 Newton steps to 2047 terms transforms a, g and h
+        # once, at the least power of two >= the terms it makes
+        terms = 2047
+        a = shared.nonnegative_symbol_coeffs(terms, np.random.default_rng(terms)).a
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(x, n=None, *args, **kwargs):
+            lengths.append(len(x) if n is None else n)
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        g = dofde.toeplitz._series_reciprocal(a)
+        monkeypatch.undo()
+        assert max(lengths) <= 2048
+        assert len(lengths) == 3 * 11
+        residual = np.convolve(a, g)[:terms] - np.eye(1, terms)[0]
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(g)
 
 
 class TestStiffnessMatrix:
