@@ -6,6 +6,10 @@ minimum eigenvalues, the stiffness coefficients, the five-way PCG
 comparison, preconditioned spectra, outlier counts, and the multigrid
 cases.  Output is deterministic CSV (or JSON with extra diagnostics),
 one file per experiment when a directory is given, stdout otherwise.
+
+Each command yields rows of raw values; every float cell prints as
+`%.10e`, integers and names print as they are, and a JSON payload's
+`rows` hold the same cells as the CSV.
 """
 
 from __future__ import annotations
@@ -51,19 +55,17 @@ def parse_sizes(text):
             raise CliError(f"bad size range {text!r}") from exc
         if lo < 2 or hi < lo:
             raise CliError(f"bad size range {text!r}")
-        if lo & (lo - 1) == 0:
-            step = lambda m: 2 * m
-        elif (lo + 1) & lo == 0:
-            step = lambda m: 2 * m + 1
-        else:
+        # n -> 2n+1 is a doubling of n + 1, so both rules double lo + shift
+        shift = int(lo & (lo - 1) != 0)
+        m = lo + shift
+        if m & (m - 1):
             raise CliError(
                 f"range start {lo} must be a power of two or one less than one"
             )
         sizes = []
-        m = lo
-        while m <= hi:
-            sizes.append(m)
-            m = step(m)
+        while m - shift <= hi:
+            sizes.append(m - shift)
+            m *= 2
         return sizes
     return _parse_list(text, int, "size")
 
@@ -89,16 +91,12 @@ def _parse_precs(text):
         raise CliError(f"unknown preconditioner in {text!r}") from exc
 
 
-def _fmt(x):
-    return "%.10e" % float(x)
-
-
 def _iterations(report, what):
     """The iteration count of a converged solve; a solve that stopped at
     its cap (then report.iterations) is a CliError, not a count."""
     if not report.converged:
         raise CliError(f"{what} did not converge within its cap of {report.iterations} iterations")
-    return str(report.iterations)
+    return report.iterations
 
 
 def _scaled_coeffs(n):
@@ -108,16 +106,16 @@ def _scaled_coeffs(n):
 
 # ---------------------------------------------------------------------------
 # command implementations: each takes the parsed arguments, with `sizes`
-# resolved to a list, and returns (columns, rows, extras)
+# resolved to a list, and returns (columns, rows of raw values, extras)
 
 def _cmd_bounds(args):
     upper = upper_bound_constant(tol=args.quad_tol)
     lower = lower_bound_constant(tol=args.quad_tol)
     limit = norm_constant_limit(tol=args.quad_tol)
     rows = [
-        ["k1", _fmt(upper.value), _fmt(upper.abs_error_estimate)],
-        ["k2", _fmt(lower.value), _fmt(lower.abs_error_estimate)],
-        ["c_infinity", _fmt(limit.value), _fmt(limit.abs_error_estimate)],
+        ["k1", upper.value, upper.abs_error_estimate],
+        ["k2", lower.value, lower.abs_error_estimate],
+        ["c_infinity", limit.value, limit.abs_error_estimate],
     ]
     extras = {"evaluations": {
         "k1": upper.evaluations,
@@ -126,29 +124,24 @@ def _cmd_bounds(args):
     }}
     if args.out is None and args.format == "csv":
         # a one-line summary ahead of the CSV, on stdout only
-        sys.stdout.write(", ".join(f"{name}={float(val):.4f}" for name, val, _ in rows) + "\n")
+        sys.stdout.write(", ".join(f"{name}={val:.4f}" for name, val, _ in rows) + "\n")
     return ["constant", "value", "error_estimate"], rows, extras
 
 
 def _cmd_cn(args):
-    rows = [[str(n), _fmt(norm_constant(n))] for n in args.sizes]
+    rows = [[n, norm_constant(n)] for n in args.sizes]
     return ["n", "c_n"], rows, {}
 
 
 def _cmd_mineig(args):
     upper = upper_bound_constant(tol=args.quad_tol).value
     lower = lower_bound_constant(tol=args.quad_tol).value
-    rows = [[str(n), _fmt(min_eig_normalized(coeffs_via_fft(n))), _fmt(lower), _fmt(upper)]
-            for n in args.sizes]
+    rows = [[n, min_eig_normalized(coeffs_via_fft(n)), lower, upper] for n in args.sizes]
     return ["n", "normalized_min_eig", "k2", "k1"], rows, {}
 
 
 def _cmd_coeffs(args):
-    rows = []
-    for n in args.sizes:
-        c = coeffs_via_fft(n)
-        for k in range(n):
-            rows.append([str(n), str(k), _fmt(c.a[k])])
+    rows = [[n, k, a] for n in args.sizes for k, a in enumerate(coeffs_via_fft(n).a)]
     return ["n", "k", "coefficient"], rows, {}
 
 
@@ -161,11 +154,10 @@ def _cmd_pcg(args):
         scaled = _scaled_coeffs(n)
         op = ToeplitzOperator(scaled)
         b = np.ones(n)
-        stop = StoppingRule(tol=args.tol)
-        row = [str(n)]
+        row = [n]
         for kind in precs:
             P = build_preconditioner(kind, scaled)
-            report = pcg(op, P, b, stop=stop)
+            report = pcg(op, P, b, stop=args.stop)
             row.append(_iterations(report, f"pcg n={n} preconditioner {kind.value}"))
             histories[f"n={n},{kind.value}"] = [float(r) for r in report.residual_history]
         rows.append(row)
@@ -184,7 +176,7 @@ def _spectra(args, default_precs):
 
 def _cmd_spectrum(args):
     rows = [
-        [str(n), kind.value, _fmt(s.lambda_min), _fmt(s.lambda_max)]
+        [n, kind.value, s.lambda_min, s.lambda_max]
         for n, kind, s in _spectra(args, [k for k in PrecKind if k is not PrecKind.IDENTITY])
     ]
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
@@ -195,10 +187,7 @@ def _cmd_outliers(args):
     for n, kind, s in _spectra(args, [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]):
         for eps in args.eps:
             rep = count_outliers(s, eps)
-            rows.append([
-                str(n), kind.value, _fmt(eps),
-                str(rep.n_out_left), str(rep.n_out_right), _fmt(rep.percent),
-            ])
+            rows.append([n, kind.value, eps, rep.n_out_left, rep.n_out_right, rep.percent])
     return ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"], rows, {}
 
 
@@ -208,11 +197,10 @@ def _cmd_mgm(args):
     for n in args.sizes:
         h = build_hierarchy(_scaled_coeffs(n))
         b = np.ones(n)
-        stop = StoppingRule(tol=args.tol)
         for name in cases:
-            t = tgm(h, name, b, stop=stop)
-            v = vcycle(h, name, b, stop=stop)
-            rows.append([str(n), name, _iterations(t, f"mgm n={n} case {name} tgm"),
+            t = tgm(h, name, b, stop=args.stop)
+            v = vcycle(h, name, b, stop=args.stop)
+            rows.append([n, name, _iterations(t, f"mgm n={n} case {name} tgm"),
                          _iterations(v, f"mgm n={n} case {name} vcycle")])
     return ["n", "case", "tgm_iterations", "vcycle_iterations"], rows, {}
 
@@ -230,38 +218,6 @@ _COMMANDS = {
 }
 
 
-def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(command, columns, rows, extras, wall_time):
-    payload = {
-        "command": command,
-        "columns": columns,
-        "rows": rows,
-        "wall_time_seconds": wall_time,
-    }
-    payload.update(extras)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args, command, columns, rows, extras, wall_time):
-    if args.format == "json":
-        text = _json_text(command, columns, rows, extras, wall_time)
-        suffix = ".json"
-    else:
-        text = _csv_text(columns, rows)
-        suffix = ".csv"
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    path = os.path.join(args.out, command + suffix)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _run_one(args, command):
     runner, default_sizes = _COMMANDS[command]
     sizes = args.sizes or (parse_sizes(default_sizes) if default_sizes else [])
@@ -269,7 +225,19 @@ def _run_one(args, command):
     start = time.perf_counter()
     columns, rows, extras = runner(sub)
     wall = time.perf_counter() - start
-    _emit(sub, command, columns, rows, extras, wall)
+    rows = [["%.10e" % v if isinstance(v, float) else str(v) for v in row] for row in rows]
+    if args.format == "json":
+        payload = {"command": command, "columns": columns, "rows": rows,
+                   "wall_time_seconds": wall, **extras}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(",".join(line) for line in [columns, *rows]) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    path = os.path.join(args.out, f"{command}.{args.format}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def main(argv=None):
@@ -283,7 +251,8 @@ def main(argv=None):
     parser.add_argument("--precs", help="comma list of preconditioner names, or 'all'")
     parser.add_argument("--eps", help="comma list of outlier half-widths", default="1e-1,1e-2")
     parser.add_argument("--case", choices=[*MGM_CASES, "all"], default="all")
-    parser.add_argument("--tol", type=float, default=1e-7, help="solver stopping tolerance")
+    parser.add_argument("--tol", type=float, default=StoppingRule.tol,
+                        help="solver stopping tolerance")
     parser.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature tolerance")
     parser.add_argument("--out", help="output directory (required for 'all')")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -293,6 +262,7 @@ def main(argv=None):
         args.sizes = parse_sizes(args.sizes) if args.sizes else []
         args.precs = _parse_precs(args.precs) if args.precs else []
         args.eps = _parse_list(args.eps, float, "eps")
+        args.stop = StoppingRule(tol=args.tol)
         if args.command != "all":
             commands = [args.command]
         elif not args.out:

@@ -133,14 +133,16 @@ def restrict(x):
     """R x for the unscaled [1, 2, 1] restriction around every second
     point: a vector of odd length n >= 3 goes to length (n - 1)/2."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] < 3 or x.shape[0] % 2 == 0:
-        raise ValueError("restriction needs an odd size of at least 3")
+    if x.ndim != 1 or x.shape[0] < 3 or x.shape[0] % 2 == 0:
+        raise ValueError("restriction needs a vector of odd size at least 3")
     return x[0:-2:2] + 2.0 * x[1:-1:2] + x[2::2]
 
 
 def prolong(y):
     """R^T y, the transpose of `restrict`: length m goes to 2m + 1."""
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("prolongation needs a vector")
     z = np.zeros(2 * y.shape[0] + 1)
     z[0:-2:2] += y
     z[1:-1:2] += 2.0 * y

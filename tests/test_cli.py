@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import conftest as shared
 import dofde.cli
@@ -17,11 +20,38 @@ import dofde.preconditioners
 import dofde.quadrature
 import dofde.spectral
 import dofde.toeplitz
-from dofde import MGM_CASES, NotSPDError
+from dofde import MGM_CASES, NotSPDError, PrecKind
 from dofde.cli import CliError, main, parse_sizes
 
 # Tables recorded from an earlier version of the program; read, never written.
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "full"
+
+
+def _benchmark_tiny_sizes():
+    """The benchmark's `TINY_SIZES` table, read from its source without
+    importing the benchmark."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TINY_SIZES":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no TINY_SIZES")
+
+
+def _sizes_oracle(lo, hi):
+    """The sizes of `lo..hi`, or None where the range is an error: doubling
+    from a power of two, n -> 2n+1 from one less than one."""
+    if lo < 2 or hi < lo:
+        return None
+    if bin(lo).count("1") == 1:
+        extra = 0
+    elif bin(lo + 1).count("1") == 1:
+        extra = 1
+    else:
+        return None
+    sizes = [lo]
+    while 2 * sizes[-1] + extra <= hi:
+        sizes.append(2 * sizes[-1] + extra)
+    return sizes
 
 
 class TestParseSizes:
@@ -39,6 +69,25 @@ class TestParseSizes:
         for bad in ("33..100", "8..4", "8..x", "x..8", "0", "", "a,b"):
             with pytest.raises(CliError):
                 parse_sizes(bad)
+
+    # valid starts are rare among uniform draws, so half the draws are a
+    # power of two or one less than one, all inside [-3, 5000]
+    @given(lo=st.one_of(st.integers(-3, 5000),
+                        st.integers(0, 12).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k]))),
+           hi=st.integers(-3, 70000))
+    @example(lo=2, hi=70000)
+    @example(lo=3, hi=70000)
+    @example(lo=7, hi=7)
+    @example(lo=7, hi=2046)
+    @example(lo=8, hi=8)
+    @example(lo=8, hi=4096)
+    def test_range_matches_oracle(self, lo, hi):
+        want = _sizes_oracle(lo, hi)
+        if want is None:
+            with pytest.raises(CliError):
+                parse_sizes(f"{lo}..{hi}")
+        else:
+            assert parse_sizes(f"{lo}..{hi}") == want
 
 
 class TestCommands:
@@ -140,6 +189,28 @@ class TestMgmCases:
         assert len(one) == 3
 
 
+# Every name a table cell may hold: the bound constants, the
+# preconditioners and the multigrid cases.
+_CELL_NAMES = {"k1", "k2", "c_infinity", *(k.value for k in PrecKind), *MGM_CASES}
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("command", list(dofde.cli._COMMANDS))
+    def test_json_and_csv_carry_the_same_cells(self, command, tmp_path):
+        sizes = _benchmark_tiny_sizes().get(command)
+        argv = [command, "--out", str(tmp_path)] + (["--sizes", sizes] if sizes else [])
+        for fmt in ("csv", "json"):
+            assert main(argv + ["--format", fmt]) == 0
+        header, *body = (tmp_path / f"{command}.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / f"{command}.json").read_text())
+        assert body
+        assert payload["columns"] == header.split(",")
+        assert payload["rows"] == [line.split(",") for line in body]
+        for cell in (cell for row in payload["rows"] for cell in row):
+            assert (cell.isdigit() or cell in _CELL_NAMES
+                    or re.fullmatch(r"-?\d\.\d{10}e[+-]\d{2,3}", cell)), cell
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -202,6 +273,14 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write to --out") and captured.out == ""
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_bad_tol_fails_before_any_table(self, tol, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main(["all", "--out", str(out), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tol must be positive\n" and captured.out == ""
+        assert not out.exists()
 
     def test_unknown_preconditioner(self, capsys):
         assert main(["pcg", "--sizes", "32", "--precs", "jacobi"]) == 2

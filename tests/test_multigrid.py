@@ -63,6 +63,20 @@ class TestRestriction:
         with pytest.raises(ValueError):
             restrict(np.ones(1))
 
+    @pytest.mark.parametrize("transfer, x", [
+        (restrict, np.ones((7, 2))),
+        (restrict, np.array(2.0)),
+        (restrict, np.ones(8)),
+        (restrict, np.ones(1)),
+        (prolong, np.ones((3, 2))),
+        (prolong, np.array(2.0)),
+        (prolong, np.float64(2.0)),
+    ], ids=["restrict-7x2", "restrict-0d", "restrict-even", "restrict-short",
+            "prolong-3x2", "prolong-0d", "prolong-scalar"])
+    def test_only_vectors_of_a_valid_length_accepted(self, transfer, x):
+        with pytest.raises(ValueError):
+            transfer(x)
+
     @settings(deadline=None)
     @given(k=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
     def test_stencils_equal_sparse_oracle(self, k, seed):

@@ -94,3 +94,13 @@ class TestLayers:
                  and getattr(node.func, "id", getattr(node.func, "attr", None))
                  == "build_preconditioner"]
         assert len(sites) == 1
+
+    def test_cli_formats_floats_at_one_site(self):
+        # `_run_one` turns every runner value into its cell and writes it;
+        # no other float format or output helper exists beside it
+        tree = ast.parse((ROOT / "src/dofde/cli.py").read_text())
+        formats = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value == "%.10e"]
+        assert len(formats) == 1
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_fmt", "_csv_text", "_json_text", "_emit"}
