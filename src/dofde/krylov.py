@@ -10,7 +10,9 @@ solver experiment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -37,8 +39,11 @@ class StoppingRule:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        if not np.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+        cap = self.max_iterations
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError("max_iterations must be a positive integer")
 
     def resolve_max(self, n):
         return self.max_iterations if self.max_iterations is not None else 10 * n
@@ -46,12 +51,16 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one iterative solve."""
+    """Outcome of one iterative solve; one residual per step follows the
+    initial one, so the step count is read from the history."""
 
-    iterations: int
     residual_history: np.ndarray = field(repr=False)
     converged: bool
     solution: np.ndarray = field(repr=False)
+
+    @property
+    def iterations(self):
+        return len(self.residual_history) - 1
 
 
 def _iterate(apply_A, b, x0, stop, steps):
@@ -72,20 +81,18 @@ def _iterate(apply_A, b, x0, stop, steps):
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return SolveReport(0, np.zeros(1), True, np.zeros(n))
+        return SolveReport(np.zeros(1), True, np.zeros(n))
 
     r = b - np.asarray(apply_A(x), dtype=float)
     history = [np.linalg.norm(r) / norm_b]
-    if history[0] < stop.tol:
-        return SolveReport(0, np.array(history), True, x)
-
-    max_it = stop.resolve_max(n)
-    # range comes first, so zip stops without drawing a step past max_it
-    for k, (x, r) in zip(range(1, max_it + 1), steps(x, r)):
-        history.append(np.linalg.norm(r) / norm_b)
-        if history[-1] < stop.tol:
-            return SolveReport(k, np.array(history), True, x)
-    return SolveReport(max_it, np.array(history), False, x)
+    if not history[0] < stop.tol:
+        # islice checks its count before it draws, so no step past the cap runs
+        for x, r in islice(steps(x, r), stop.resolve_max(n)):
+            history.append(np.linalg.norm(r) / norm_b)
+            if history[-1] < stop.tol:
+                break
+    # a NaN residual never counts as converged
+    return SolveReport(np.array(history), bool(history[-1] < stop.tol), x)
 
 
 def pcg(apply_A, P, b, x0=None, stop=None):

@@ -181,7 +181,10 @@ def build_hierarchy(c):
 
 def gauss_seidel_sweep(level, x, b, sweeps=1):
     """Forward Gauss-Seidel on the GridLevel's system T x = b: `sweeps`
-    updates x <- x + tril(T)^{-1} (b - T x), returning the new iterate."""
+    updates x <- x + tril(T)^{-1} (b - T x), returning the new iterate.
+    Raises ValueError unless sweeps >= 1."""
+    if not sweeps >= 1:
+        raise ValueError("sweeps must be at least 1")
     if level.coeffs.a[0] == 0.0:
         raise ValueError("Gauss-Seidel needs a zero-free diagonal")
     x = np.array(x, dtype=float)

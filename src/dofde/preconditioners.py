@@ -70,9 +70,9 @@ class Preconditioner:
 
     Circulant kinds diagonalize under the FFT, tau kinds and the
     Laplacian under DST-I; the Identity carries an empty spectrum.
-    Raises ValueError unless n >= 1 and the spectrum has n entries (none
-    for the identity), and NotSPDError unless every entry is positive,
-    so a NaN entry is rejected too.
+    Raises ValueError unless kind is a PrecKind or its name, n >= 1 and
+    the spectrum has n entries (none for the identity), and NotSPDError
+    unless every entry is positive, so a NaN entry is rejected too.
     """
 
     kind: PrecKind
@@ -81,6 +81,7 @@ class Preconditioner:
     _inverse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", PrecKind(self.kind))
         if self.n < 1:
             raise ValueError("n must be positive")
         s = np.array(self.spectrum, dtype=float)
@@ -211,9 +212,10 @@ _BUILDERS = {
 
 
 def build_preconditioner(kind, c):
-    """Build the preconditioner of the given PrecKind for the Toeplitz
-    coefficients c (the identity and the Laplacian use only c.n)."""
-    return _BUILDERS[kind](c)
+    """Build the preconditioner of the given PrecKind or name (any other
+    raises ValueError) for the Toeplitz coefficients c; the identity and
+    the Laplacian use only c.n."""
+    return _BUILDERS[PrecKind(kind)](c)
 
 
 def _algebra_product(kind, w):

@@ -85,6 +85,13 @@ class QuadResult:
     abs_error_estimate: float
     evaluations: int
 
+    def __add__(self, other):
+        """The result over the union of two disjoint pieces: each field
+        summed, self's first."""
+        return QuadResult(self.value + other.value,
+                          self.abs_error_estimate + other.abs_error_estimate,
+                          self.evaluations + other.evaluations)
+
 
 def integrate_adaptive(f, a, b, tol=1e-10):
     """Integrate a vectorized real function f over [a, b] to absolute
@@ -150,27 +157,22 @@ def integrate_adaptive(f, a, b, tol=1e-10):
 def _integrate_dyadic_tail(f, start, block_tol, tail_bound, tail_target):
     """Sum adaptive integrals over dyadic blocks [U, 2U] from `start`
     until `tail_bound(U)` (a majorant for the remaining |integral|)
-    drops under `tail_target`, within 64 doublings."""
-    value = 0.0
-    err = 0.0
-    evals = 0
+    drops under `tail_target`, within 64 doublings.  The QuadResult's
+    error estimate includes that majorant."""
+    total = QuadResult(0.0, 0.0, 0)
     upper = float(start)
     for j in range(64):
         bound = tail_bound(upper)
         if bound <= tail_target:
-            return value, err + bound, evals
-        block = integrate_adaptive(f, upper, 2.0 * upper,
-                                   tol=block_tol * 0.5 ** (j + 1))
-        value += block.value
-        err += block.abs_error_estimate
-        evals += block.evaluations
+            return total + QuadResult(0.0, bound, 0)
+        total += integrate_adaptive(f, upper, 2.0 * upper, tol=block_tol * 0.5 ** (j + 1))
         upper *= 2.0
     raise QuadratureConvergenceError("tail truncation did not converge")
 
 
 def _check_tol(tol):
-    if not tol >= 1e-12:
-        raise ValueError("tol must be at least 1e-12")
+    if not 1e-12 <= tol < np.inf:
+        raise ValueError("tol must be finite and at least 1e-12")
 
 
 def _window(u):
@@ -212,14 +214,12 @@ def norm_constant_limit(tol=1e-8):
     def tail_bound(upper):
         return (1.0 - (np.pi / upper) ** 2) ** -2 / (3.0 * upper**3)
 
-    tail_val, tail_err, tail_evals = _integrate_dyadic_tail(
+    integral = head + _integrate_dyadic_tail(
         _window, 4.0 * np.pi, tol_i / 4.0, tail_bound, tol_i / 4.0
     )
-    integral = head.value + tail_val
-    err_i = head.abs_error_estimate + tail_err
-    c = (16.0 / np.pi * integral) ** -0.5
-    err_c = c / (2.0 * integral) * err_i
-    return QuadResult(c, err_c, head.evaluations + tail_evals)
+    c = (16.0 / np.pi * integral.value) ** -0.5
+    err_c = c / (2.0 * integral.value) * integral.abs_error_estimate
+    return QuadResult(c, err_c, integral.evaluations)
 
 
 def upper_bound_constant(tol=1e-8):
@@ -257,10 +257,6 @@ def upper_bound_constant(tol=1e-8):
     def mean_tail_bound(upper):
         return 0.5 * (1.0 - (np.pi / upper) ** 2) ** -2 / (upper * np.log(upper))
 
-    mean_val, mean_err, mean_evals = _integrate_dyadic_tail(
-        mean_half, cut, tol_n / 8.0, mean_tail_bound, tol_n / 4.0
-    )
-
     def osc_half(u):
         return 0.5 * _phi(u) * np.cos(u)
 
@@ -268,19 +264,14 @@ def upper_bound_constant(tol=1e-8):
         # |int_U^inf phi cos| <= 2 phi(U) for decreasing phi
         return float(_phi(np.array([upper]))[0])
 
-    osc_val, osc_err, osc_evals = _integrate_dyadic_tail(
-        osc_half, cut, tol_n / 8.0, osc_tail_bound, tol_n / 4.0
+    numerator = (
+        head
+        + _integrate_dyadic_tail(mean_half, cut, tol_n / 8.0, mean_tail_bound, tol_n / 4.0)
+        + _integrate_dyadic_tail(osc_half, cut, tol_n / 8.0, osc_tail_bound, tol_n / 4.0)
     )
-
-    numer_val = head.value + mean_val + osc_val
-    numer_err = head.abs_error_estimate + mean_err + osc_err
-    k1 = numer_val / denom.value
-    err_k1 = (numer_err + abs(k1) * denom.abs_error_estimate) / denom.value
-    return QuadResult(
-        k1,
-        err_k1,
-        denom.evaluations + head.evaluations + mean_evals + osc_evals,
-    )
+    k1 = numerator.value / denom.value
+    err_k1 = (numerator.abs_error_estimate + abs(k1) * denom.abs_error_estimate) / denom.value
+    return QuadResult(k1, err_k1, denom.evaluations + numerator.evaluations)
 
 
 def norm_constant(n):

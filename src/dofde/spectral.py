@@ -55,12 +55,10 @@ from .transforms import dst1
 
 __all__ = [
     "SpectrumReport",
-    "OutlierReport",
     "dense_sym_eigs",
     "min_eig_normalized",
     "preconditioned_spectrum",
     "preconditioned_spectra",
-    "count_outliers",
 ]
 
 _SYMMETRY_RTOL = 1e-10
@@ -68,20 +66,25 @@ _SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Ascending eigenvalues with the extremes broken out."""
+    """Ascending eigenvalues, whose ends are the extremes; anything but a
+    non-empty ascending vector, NaN included, raises ValueError."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    lambda_min: float
-    lambda_max: float
 
+    def __post_init__(self):
+        w = np.array(self.eigenvalues, dtype=float)
+        if w.ndim != 1 or w.size == 0 or np.isnan(w).any() or np.any(w[1:] < w[:-1]):
+            raise ValueError("eigenvalues must be a non-empty ascending vector")
+        w.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
 
-@dataclass(frozen=True)
-class OutlierReport:
-    """Eigenvalues outside (1-eps, 1+eps), split by side."""
+    @property
+    def lambda_min(self):
+        return float(self.eigenvalues[0])
 
-    n_out_left: int
-    n_out_right: int
-    percent: float
+    @property
+    def lambda_max(self):
+        return float(self.eigenvalues[-1])
 
 
 def _check_symmetric(A):
@@ -180,8 +183,7 @@ def _sine_block(generators, p):
 
 def _merged_spectrum(parts):
     """The SpectrumReport of the eigenvalue arrays in parts, merged."""
-    w = np.sort(np.concatenate(parts))
-    return SpectrumReport(w, float(w[0]), float(w[-1]))
+    return SpectrumReport(np.sort(np.concatenate(parts)))
 
 
 def dense_sym_eigs(A):
@@ -279,14 +281,3 @@ def preconditioned_spectrum(c, P):
     for A with Toeplitz coefficients c; the one-preconditioner case of
     preconditioned_spectra."""
     return preconditioned_spectra(c, [P])[0]
-
-
-def count_outliers(s, eps):
-    """Count eigenvalues at or outside the open interval (1-eps, 1+eps);
-    percent is relative to the matrix order."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    w = s.eigenvalues
-    left = int(np.count_nonzero(w <= 1.0 - eps))
-    right = int(np.count_nonzero(w >= 1.0 + eps))
-    return OutlierReport(left, right, 100.0 * (left + right) / w.shape[0])

@@ -7,6 +7,7 @@ individual test modules and the acceptance suite both draw on it.
 
 import functools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +30,7 @@ from dofde import (
     pcg,
     preconditioned_spectrum,
 )
+import dofde.cli
 from dofde.preconditioners import _frobenius_tau_spectrum
 from dofde.symbols import _check_order
 
@@ -65,6 +67,15 @@ def build_prec(kind, n):
 @functools.lru_cache(maxsize=None)
 def prec_spectrum(kind, n):
     return preconditioned_spectrum(scaled_coeffs(n), build_prec(kind, n))
+
+
+def outlier_rows(monkeypatch, spectra, eps):
+    """The rows `dofde outliers` prints, (n, kind, eps, left, right,
+    percent) before formatting, for the given (n, kind, SpectrumReport)
+    triples at each eps: `cli._cmd_outliers` counts, and the spectra are
+    handed to it in place of the ones it would compute."""
+    monkeypatch.setattr(dofde.cli, "_spectra", lambda args, default: iter(spectra))
+    return dofde.cli._cmd_outliers(SimpleNamespace(eps=list(eps)))[1]
 
 
 def peak_traced_bytes(fn):

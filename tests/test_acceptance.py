@@ -202,7 +202,9 @@ def test_criterion_3_preconditioned_extremes():
     assert _verdict(3, "preconditioned extreme eigenvalues", ok, detail)
 
 
-def test_criterion_4_outlier_tables():
+def test_criterion_4_outlier_tables(monkeypatch):
+    # the counts come from `dofde outliers`' own counting, fed the cached
+    # spectra
     overall = True
     details = []
     for kind, table, label in (
@@ -211,19 +213,16 @@ def test_criterion_4_outlier_tables():
     ):
         exact = 0
         worst = 0
-        from dofde import count_outliers
-
-        for n in SIZES:
-            spectrum = shared.prec_spectrum(kind, n)
-            for eps, (want_l, want_r) in zip((1e-1, 1e-2), table[n]):
-                rep = count_outliers(spectrum, eps)
-                assert rep.percent == pytest.approx(
-                    100.0 * (rep.n_out_left + rep.n_out_right) / n
-                )
-                for got, want in ((rep.n_out_left, want_l), (rep.n_out_right, want_r)):
-                    diff = abs(got - want)
-                    worst = max(worst, diff)
-                    exact += diff == 0
+        spectra = [(n, kind, shared.prec_spectrum(kind, n)) for n in SIZES]
+        rows = shared.outlier_rows(monkeypatch, spectra, (1e-1, 1e-2))
+        wanted = [pair for n in SIZES for pair in table[n]]
+        assert len(rows) == len(wanted)
+        for (n, _, _, left, right, percent), (want_l, want_r) in zip(rows, wanted):
+            assert percent == pytest.approx(100.0 * (left + right) / n)
+            for got, want in ((left, want_l), (right, want_r)):
+                diff = abs(got - want)
+                worst = max(worst, diff)
+                exact += diff == 0
         table_ok = exact >= 24 and worst <= 1
         overall = overall and table_ok
         details.append(f"{label}: {exact}/28 exact, max off {worst}")

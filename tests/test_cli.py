@@ -282,6 +282,20 @@ class TestErrorPaths:
         assert captured.err == "error: tol must be positive\n" and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pcg", "--sizes", "32", "--tol", "inf"], "tol must be finite"),
+        (["mgm", "--sizes", "31", "--tol", "inf"], "tol must be finite"),
+        (["bounds", "--quad-tol", "inf"], "tol must be finite and at least 1e-12"),
+        (["mineig", "--sizes", "16", "--quad-tol", "inf"], "tol must be finite and at least 1e-12"),
+        (["all", "--quad-tol", "inf"], "tol must be finite and at least 1e-12"),
+    ])
+    def test_infinite_tol_writes_nothing(self, argv, message, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not list(out.glob("*"))
+
     def test_unknown_preconditioner(self, capsys):
         assert main(["pcg", "--sizes", "32", "--precs", "jacobi"]) == 2
         assert "jacobi" in capsys.readouterr().err

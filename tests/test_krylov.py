@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,34 @@ class TestPcgBasics:
         with pytest.raises(ValueError):
             StoppingRule(max_iterations=0)
         assert StoppingRule().resolve_max(100) == 1000
+
+    @pytest.mark.parametrize("rule", [{"tol": np.inf}, {"max_iterations": 2.5},
+                                      {"max_iterations": -np.inf}, {"max_iterations": "3"}])
+    def test_stopping_rule_needs_finite_tol_and_integral_cap(self, rule):
+        with pytest.raises(ValueError):
+            StoppingRule(**rule)
+
+    def test_numpy_integer_cap_counts_as_int(self):
+        report = pcg(scaled_operator(64), build_identity(64), np.ones(64),
+                     stop=StoppingRule(max_iterations=np.int64(3)))
+        assert type(report.iterations) is int and report.iterations == 3
+
+    def test_report_derives_its_step_count(self):
+        # the count is read from the history, so the two cannot disagree
+        assert [f.name for f in dataclasses.fields(SolveReport)] == [
+            "residual_history", "converged", "solution"]
+        report = SolveReport(np.array([1.0, 0.5, 0.25]), False, np.zeros(2))
+        assert report.iterations == 2
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_nan_residual_never_converges(self, cap):
+        def steps(x, r):
+            while True:
+                yield x, np.full_like(r, np.nan)
+
+        report = dofde.krylov._iterate(lambda x: x, np.ones(4), None,
+                                       StoppingRule(max_iterations=cap), steps)
+        assert not report.converged and report.iterations == cap
 
     def test_x0_length_checked(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,11 @@ class TestGaussSeidel:
         with pytest.raises(ValueError):
             gauss_seidel_sweep(level([0.0, 1.0]), np.zeros(2), np.ones(2))
 
+    @pytest.mark.parametrize("sweeps", [0, -3])
+    def test_sweep_count_validated(self, sweeps):
+        with pytest.raises(ValueError, match="sweeps"):
+            gauss_seidel_sweep(level([2.0, 1.0]), np.zeros(2), np.ones(2), sweeps=sweeps)
+
     @settings(deadline=None, max_examples=60)
     @given(c=random_system(), seed=st.integers(0, 2**32 - 1), sweeps=st.integers(1, 3))
     def test_matches_dense_oracle(self, c, seed, sweeps):

@@ -95,6 +95,21 @@ class TestLayers:
                  == "build_preconditioner"]
         assert len(sites) == 1
 
+    def test_each_result_type_is_made_at_one_site(self):
+        # a SolveReport is made only where the one solve loop stops, and a
+        # SpectrumReport only in the spectral layer, which checks what it
+        # is made from; sites are (module, top-level definition)
+        sites = {"SolveReport": set(), "SpectrumReport": set()}
+        for path in ROOT.glob("src/dofde/*.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = (getattr(node.func, "id", getattr(node.func, "attr", None))
+                            if isinstance(node, ast.Call) else None)
+                    if name in sites:
+                        sites[name].add((path.name, getattr(top, "name", None)))
+        assert sites["SolveReport"] == {("krylov.py", "_iterate")}
+        assert {module for module, _ in sites["SpectrumReport"]} == {"spectral.py"}
+
     def test_cli_formats_floats_at_one_site(self):
         # `_run_one` turns every runner value into its cell and writes it;
         # no other float format or output helper exists beside it

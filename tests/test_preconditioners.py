@@ -397,6 +397,26 @@ class TestRegistry:
     def test_every_kind_registered(self):
         assert set(self.DIRECT) == set(PrecKind)
 
+    def test_kind_given_by_name(self):
+        # a name is the kind it names, so a tau spectrum is applied as tau
+        spectrum = [1.0, 2.0, 3.0, 4.0]
+        named = Preconditioner(kind="natural_tau", n=4, spectrum=spectrum)
+        assert named.kind is PrecKind.NATURAL_TAU
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        want = apply_inverse(Preconditioner(PrecKind.NATURAL_TAU, 4, spectrum), x)
+        np.testing.assert_array_equal(apply_inverse(named, x), want)
+        np.testing.assert_allclose(want, [1.337, 2.457, 3.112, 2.742], atol=1e-3)
+        c = random_coeffs(8, 1)
+        built = build_preconditioner("natural_tau", c)
+        assert built.kind is PrecKind.NATURAL_TAU
+        np.testing.assert_array_equal(built.spectrum, build_natural_tau(c).spectrum)
+
+    def test_unknown_kind_name_rejected(self):
+        with pytest.raises(ValueError, match="jacobi"):
+            Preconditioner(kind="jacobi", n=2, spectrum=[1.0, 1.0])
+        with pytest.raises(ValueError, match="jacobi"):
+            build_preconditioner("jacobi", random_coeffs(4, 0))
+
     def test_builders_looked_up_at_call_time(self, monkeypatch):
         # a wrapper installed on the module-level builder (as the traced
         # benchmark does) must see builds made through the registry

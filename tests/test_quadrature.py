@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+import dofde.quadrature
 from conftest import C_INF_REF, K1_REF, K2_REF, laplacian_eigvec_transform
 from dofde import (
     QuadResult,
@@ -70,6 +71,13 @@ class TestIntegrateAdaptive:
             with pytest.raises(ValueError):
                 constant(tol=np.nan)
 
+    @pytest.mark.parametrize(
+        "constant", [lower_bound_constant, upper_bound_constant, norm_constant_limit])
+    def test_constants_need_a_finite_tol(self, constant):
+        # an infinite tol would pass every estimate, error included
+        with pytest.raises(ValueError, match="finite"):
+            constant(tol=np.inf)
+
     def test_matches_library_quadrature(self):
         # independent oracle: adaptive Clenshaw-Curtis/QAGS from scipy
         for f, a, b in [
@@ -115,6 +123,34 @@ class TestBoundConstants:
         k1 = upper_bound_constant(tol=1e-8).value
         assert 0.0 < k2 < k1
         assert norm_constant_limit(tol=1e-8).value > 0.0
+
+
+class TestEvaluationSums:
+    def test_results_add_field_by_field(self):
+        total = QuadResult(1.0, 0.5, 3) + QuadResult(2.0, 0.25, 4)
+        assert total == QuadResult(3.0, 0.75, 7)
+
+    @pytest.mark.parametrize(
+        "constant", [lower_bound_constant, upper_bound_constant, norm_constant_limit])
+    def test_evaluations_are_every_calls_sum(self, constant, monkeypatch):
+        # every integrand evaluation is made inside integrate_adaptive, so
+        # a piece dropped from a constant's QuadResult sum shows here
+        calls = []
+        original = dofde.quadrature.integrate_adaptive
+
+        def recorder(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(dofde.quadrature, "integrate_adaptive", recorder)
+        result = constant(tol=1e-8)
+        assert len(calls) >= (1 if constant is lower_bound_constant else 3)
+        assert result.evaluations == sum(call.evaluations for call in calls)
+
+    def test_tail_is_a_result_with_its_majorant(self):
+        # no block is integrated once the majorant is under the target
+        tail = dofde.quadrature._integrate_dyadic_tail(np.exp, 1.0, 1e-8, lambda u: 1e-3, 1e-2)
+        assert tail == QuadResult(0.0, 1e-3, 0)
 
 
 class TestNormConstant:

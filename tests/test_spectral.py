@@ -19,12 +19,12 @@ from dofde import (
     build_preconditioner,
     build_strang,
     coeffs_via_fft,
-    count_outliers,
     dense_sym_eigs,
     min_eig_normalized,
     preconditioned_spectra,
     preconditioned_spectrum,
 )
+from dofde.cli import main
 from dofde.spectral import _flip_block, _sine_block, _sine_generators
 
 
@@ -330,41 +330,67 @@ class TestSineBlocks:
         assert peak < 0.57 * n * n * 8, peak / (n * n * 8)
 
 
+class TestSpectrumReport:
+    def test_extremes_are_the_ends_as_floats(self):
+        rep = SpectrumReport(np.array([-1.0, 0.5, 0.5, 2.0]))
+        assert (rep.lambda_min, rep.lambda_max) == (-1.0, 2.0)
+        assert type(rep.lambda_min) is float and type(rep.lambda_max) is float
+
+    @pytest.mark.parametrize("w", [[2.0, 1.0], [1.0, np.nan, 2.0], [np.nan], [], [[1.0, 2.0]]])
+    def test_rejects_what_is_not_an_ascending_vector(self, w):
+        with pytest.raises(ValueError, match="ascending"):
+            SpectrumReport(np.array(w))
+
+    def test_eigenvalues_are_read_only(self):
+        w = np.array([1.0, 2.0])
+        rep = SpectrumReport(w)
+        w[0] = 3.0
+        assert rep.lambda_min == 1.0
+        with pytest.raises(ValueError):
+            rep.eigenvalues[0] = 0.0
+
+
 class TestOutliers:
-    def test_synthetic_spectrum(self):
-        rep = SpectrumReport(np.array([0.5, 0.95, 1.0, 1.05, 1.5]), 0.5, 1.5)
-        out = count_outliers(rep, 0.1)
-        assert (out.n_out_left, out.n_out_right) == (1, 1)
-        assert out.percent == pytest.approx(40.0)
+    # `dofde outliers` counts in `cli._cmd_outliers`; these tests hand it
+    # the spectra and read back (left, right, percent)
+    @staticmethod
+    def counts(monkeypatch, spectrum, eps):
+        n = len(spectrum.eigenvalues)
+        (row,) = shared.outlier_rows(monkeypatch, [(n, PrecKind.NATURAL_TAU, spectrum)], [eps])
+        return tuple(row[3:])
 
-    def test_endpoints_count_as_outliers(self):
-        rep = SpectrumReport(np.array([0.9, 1.0, 1.1]), 0.9, 1.1)
-        out = count_outliers(rep, 0.1)
-        assert (out.n_out_left, out.n_out_right) == (1, 1)
+    def test_synthetic_spectrum(self, monkeypatch):
+        rep = SpectrumReport(np.array([0.5, 0.95, 1.0, 1.05, 1.5]))
+        left, right, percent = self.counts(monkeypatch, rep, 0.1)
+        assert (left, right) == (1, 1)
+        assert percent == pytest.approx(40.0)
 
-    def test_all_ones(self):
-        rep = SpectrumReport(np.ones(10), 1.0, 1.0)
-        out = count_outliers(rep, 0.5)
-        assert (out.n_out_left, out.n_out_right, out.percent) == (0, 0, 0.0)
+    def test_endpoints_count_as_outliers(self, monkeypatch):
+        rep = SpectrumReport(np.array([0.9, 1.0, 1.1]))
+        assert self.counts(monkeypatch, rep, 0.1)[:2] == (1, 1)
 
-    def test_published_counts_small(self):
-        out = count_outliers(shared.prec_spectrum(PrecKind.NATURAL_TAU, 512), 1e-1)
-        assert (out.n_out_left, out.n_out_right) == (2, 2)
-        assert out.percent == pytest.approx(100 * 4 / 512)
+    def test_all_ones(self, monkeypatch):
+        assert self.counts(monkeypatch, SpectrumReport(np.ones(10)), 0.5) == (0, 0, 0.0)
 
-    def test_percentages_decrease_with_size(self):
+    def test_published_counts_small(self, monkeypatch):
+        rep = shared.prec_spectrum(PrecKind.NATURAL_TAU, 512)
+        left, right, percent = self.counts(monkeypatch, rep, 1e-1)
+        assert (left, right) == (2, 2)
+        assert percent == pytest.approx(100 * 4 / 512)
+
+    def test_percentages_decrease_with_size(self, monkeypatch):
         pcts = [
-            count_outliers(shared.prec_spectrum(PrecKind.NATURAL_TAU, n), 1e-1).percent
+            self.counts(monkeypatch, shared.prec_spectrum(PrecKind.NATURAL_TAU, n), 1e-1)[2]
             for n in (32, 64, 128, 256)
         ]
         assert all(b < a for a, b in zip(pcts, pcts[1:]))
 
-    def test_eps_validated(self):
-        rep = SpectrumReport(np.ones(3), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            count_outliers(rep, 0.0)
-        with pytest.raises(ValueError):
-            count_outliers(rep, np.nan)
+    def test_eps_validated(self, capsys):
+        for eps in ("0", "nan"):
+            assert main(["outliers", "--sizes", "32", "--eps", eps]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: eps values must be positive: {eps!r}\n"
+            assert captured.out == ""
 
 
 class TestWeylOrdering:
