@@ -32,7 +32,7 @@ from .quadrature import (
     norm_constant_limit,
     upper_bound_constant,
 )
-from .spectral import min_eig_normalized, preconditioned_spectra
+from .spectral import lanczos_extremes, min_eig_normalized, preconditioned_spectra
 from .toeplitz import CoeffStabilizationError, ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["CliError", "parse_sizes", "main"]
@@ -71,14 +71,16 @@ def parse_sizes(text):
 
 
 def _parse_list(text, convert, what):
-    """Comma-separated positive values; a bad token or an empty list is
-    a CliError."""
+    """Comma-separated positive finite values; a bad token or an empty
+    list is a CliError."""
     try:
         values = [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError(f"bad {what} list {text!r}") from exc
     if not values or not all(v > 0 for v in values):
         raise CliError(f"{what} values must be positive: {text!r}")
+    if not all(v < np.inf for v in values):
+        raise CliError(f"{what} values must be finite: {text!r}")
     return values
 
 
@@ -164,9 +166,10 @@ def _cmd_pcg(args):
     return columns, rows, {"residual_histories": histories}
 
 
-def _spectra(args, default_precs):
-    """(n, kind, SpectrumReport) for every size and preconditioner."""
-    precs = args.precs or default_precs
+def _spectra(args):
+    """(n, kind, SpectrumReport) for every size and preconditioner, the
+    natural and Frobenius tau unless --precs names others."""
+    precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
     for n in args.sizes:
         scaled = _scaled_coeffs(n)
         spectra = preconditioned_spectra(
@@ -175,17 +178,32 @@ def _spectra(args, default_precs):
 
 
 def _cmd_spectrum(args):
-    rows = [
-        [n, kind.value, s.lambda_min, s.lambda_max]
-        for n, kind, s in _spectra(args, [k for k in PrecKind if k is not PrecKind.IDENTITY])
-    ]
-    return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {}
+    # Lanczos extremes where they are certified within its step budget,
+    # the dense spectra of the kinds that are not, all at once per n
+    precs = args.precs or [k for k in PrecKind if k is not PrecKind.IDENTITY]
+    rows = []
+    routes = {}
+    for n in args.sizes:
+        scaled = _scaled_coeffs(n)
+        built = [build_preconditioner(kind, scaled) for kind in precs]
+        found = [lanczos_extremes(scaled, P) for P in built]
+        dense = iter(preconditioned_spectra(scaled, [P for P, r in zip(built, found) if r is None]))
+        for kind, extremes in zip(precs, found):
+            key = f"n={n},{kind.value}"
+            if extremes is None:
+                extremes = next(dense)
+                routes[key] = "dense"
+            else:
+                routes[key] = {"lanczos_steps": extremes.steps,
+                               "residual_bounds": list(extremes.residual_bounds)}
+            rows.append([n, kind.value, extremes.lambda_min, extremes.lambda_max])
+    return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {"routes": routes}
 
 
 def _cmd_outliers(args):
     rows = []
-    for n, kind, s in _spectra(args, [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]):
-        for eps in args.eps:  # each > 0, as _parse_list checks
+    for n, kind, s in _spectra(args):
+        for eps in args.eps:  # each positive and finite, as _parse_list checks
             left = int(np.count_nonzero(s.eigenvalues <= 1.0 - eps))
             right = int(np.count_nonzero(s.eigenvalues >= 1.0 + eps))
             rows.append([n, kind.value, eps, left, right, 100.0 * (left + right) / n])

@@ -95,7 +95,7 @@ class QuadResult:
 
 def integrate_adaptive(f, a, b, tol=1e-10):
     """Integrate a vectorized real function f over [a, b] to absolute
-    tolerance tol.
+    tolerance tol, which must be positive and finite (else ValueError).
 
     f must accept an ndarray of abscissae and return values of the same
     shape, finite everywhere on (a, b).  Raises
@@ -108,6 +108,8 @@ def integrate_adaptive(f, a, b, tol=1e-10):
         raise ValueError("need finite a < b")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
 
     span = b - a
     lo = np.array([a])

@@ -1,8 +1,24 @@
 """Eigenvalue machinery for the bound checks and the spectrum tables.
 
-Dense symmetric spectra are the authoritative path for every tabulated
-quantity.  Preconditioned spectra are those of P^(-1/2) A P^(-1/2),
-which shares eigenvalues with P^(-1) A.
+Preconditioned spectra are those of P^(-1/2) A P^(-1/2), which shares
+eigenvalues with P^(-1) A.  Two routes compute them.
+
+`lanczos_extremes` finds only the two extremes, matrix-free: Lanczos
+with full reorthogonalization on x -> P^(-1/2) A P^(-1/2) x, each
+product one Toeplitz matvec between two P^(-1/2) convolutions, started
+from a fixed random vector with components in both flip parities, so
+both ends come from one Krylov space.  It stops once both extreme Ritz
+values have residual bounds beta_k |s_k| <= 1e-10 |theta| (Parlett, The
+Symmetric Eigenvalue Problem, 1980, ch. 13), or when the space is the
+whole of R^n, and gives up after a fixed step budget; the Laplacian's
+densely packed lower end is the case that runs out.  The `spectrum`
+table takes its extremes from it.
+
+`preconditioned_spectra` computes every eigenvalue densely.  It is the
+route where the whole spectrum is the point (outlier counts, the
+identity row `min_eig_normalized` reads), the fallback of every extreme
+Lanczos does not certify, and the oracle the Lanczos route is tested
+against.
 
 Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
 commutes with the flip J, and so do the circulant and sine-transform
@@ -48,20 +64,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preconditioners import (_SINE, PrecKind, _frobenius_tau_spectrum, apply_inverse_sqrt,
-                              build_identity)
-from .toeplitz import ToeplitzCoeffs
+from .preconditioners import (_SINE, PrecKind, _algebra_product, _frobenius_tau_spectrum,
+                              apply_inverse_sqrt, build_identity)
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator
 from .transforms import dst1
 
 __all__ = [
     "SpectrumReport",
+    "RitzExtremes",
     "dense_sym_eigs",
+    "lanczos_extremes",
     "min_eig_normalized",
     "preconditioned_spectrum",
     "preconditioned_spectra",
 ]
 
 _SYMMETRY_RTOL = 1e-10
+# Lanczos: the most steps before an extreme falls back to the dense
+# route, and the relative residual bound that certifies a Ritz value
+_LANCZOS_STEPS = 96
+_RITZ_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,6 +107,19 @@ class SpectrumReport:
     @property
     def lambda_max(self):
         return float(self.eigenvalues[-1])
+
+
+@dataclass(frozen=True)
+class RitzExtremes:
+    """The extreme Ritz values of a Lanczos run that certified them, the
+    number of steps it took, and the two residual bounds beta_k |s_k|,
+    lambda_min's first: each at most 1e-10 of its value, relative, unless
+    the run took all n steps."""
+
+    lambda_min: float
+    lambda_max: float
+    steps: int
+    residual_bounds: tuple
 
 
 def _check_symmetric(A):
@@ -248,6 +283,15 @@ def _parity_spectra(a, precs, roots, generators, p):
     return spectra
 
 
+def _check_orders(c, precs):
+    """Raises TypeError unless c is ToeplitzCoeffs and ValueError unless
+    every P in precs has c's order."""
+    if not isinstance(c, ToeplitzCoeffs):
+        raise TypeError("preconditioned spectra take ToeplitzCoeffs")
+    if any(P.n != c.n for P in precs):
+        raise ValueError("preconditioner order must match the matrix")
+
+
 def preconditioned_spectra(c, precs):
     """Spectra of P^(-1/2) A P^(-1/2), one per P in precs, for the
     symmetric Toeplitz matrix A with coefficients c (ToeplitzCoeffs).
@@ -262,10 +306,7 @@ def preconditioned_spectra(c, precs):
     Raises TypeError unless c is ToeplitzCoeffs and ValueError when a
     preconditioner has the wrong order, before any block is formed.
     """
-    if not isinstance(c, ToeplitzCoeffs):
-        raise TypeError("preconditioned_spectra takes ToeplitzCoeffs")
-    if any(P.n != c.n for P in precs):
-        raise ValueError("preconditioner order must match the matrix")
+    _check_orders(c, precs)
     # one flip parity at a time, each run to its last eigensolve before
     # the other starts: only O(n) eigenvalues cross from one to the next,
     # and at most three n^2/4 arrays are alive (a circulant's S, A's
@@ -281,3 +322,48 @@ def preconditioned_spectrum(c, P):
     for A with Toeplitz coefficients c; the one-preconditioner case of
     preconditioned_spectra."""
     return preconditioned_spectra(c, [P])[0]
+
+
+def lanczos_extremes(c, P):
+    """The extreme eigenvalues of P^(-1/2) A P^(-1/2), A the symmetric
+    Toeplitz matrix with coefficients c (ToeplitzCoeffs), as RitzExtremes,
+    or None when _LANCZOS_STEPS Lanczos steps do not certify both.
+
+    Each step applies the operator to the newest basis vector by vectors
+    only (P^(-1/2) by `_algebra_product`, A by `ToeplitzOperator`), then
+    orthogonalizes the result against the whole basis twice (classical
+    Gram-Schmidt, "twice is enough"), so the basis stays orthonormal to
+    working precision and no copies of converged Ritz values appear.
+    After step k the extreme eigenpairs (theta, s) of the tridiagonal T_k
+    give residual bounds beta_k |s_k|; the run stops when both are at most
+    _RITZ_RTOL |theta|, or at k = n, where T_n is similar to the operator.
+    Raises TypeError and ValueError as `preconditioned_spectra` does.
+    """
+    _check_orders(c, [P])
+    n = c.n
+    matvec = ToeplitzOperator(c)
+    root = _algebra_product(P.kind, P.spectrum ** -0.5)
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    # a fixed random start has components in both flip parities and,
+    # almost surely, along every eigenvector, so one run reaches both ends
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    T = np.zeros((steps, steps))
+    for k in range(steps):
+        w = root(matvec(root(basis[k])))
+        T[k, k] = basis[k] @ w
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(T[: k + 1, : k + 1])
+        ends = theta[[0, -1]]
+        bounds = beta * np.abs(s[k, [0, -1]])
+        if k + 1 == n or np.all(bounds <= _RITZ_RTOL * np.abs(ends)):
+            return RitzExtremes(float(ends[0]), float(ends[1]), k + 1,
+                                (float(bounds[0]), float(bounds[1])))
+        if k + 1 < steps:
+            T[k, k + 1] = T[k + 1, k] = beta
+            basis[k + 1] = w / beta
+    return None

@@ -74,7 +74,7 @@ def outlier_rows(monkeypatch, spectra, eps):
     percent) before formatting, for the given (n, kind, SpectrumReport)
     triples at each eps: `cli._cmd_outliers` counts, and the spectra are
     handed to it in place of the ones it would compute."""
-    monkeypatch.setattr(dofde.cli, "_spectra", lambda args, default: iter(spectra))
+    monkeypatch.setattr(dofde.cli, "_spectra", lambda args: iter(spectra))
     return dofde.cli._cmd_outliers(SimpleNamespace(eps=list(eps)))[1]
 
 

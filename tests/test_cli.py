@@ -140,6 +140,28 @@ class TestCommands:
         assert float(lo) == pytest.approx(8.1574e-1, rel=1e-3)
         assert float(hi) == pytest.approx(1.1475, rel=1e-3)
 
+    def test_spectrum_json_gives_each_rows_route(self, tmp_path):
+        # a certified Lanczos row gives its steps and both residual bounds,
+        # a row the step budget did not certify says "dense"; the CSV of
+        # the same run keeps its four columns
+        argv = ["spectrum", "--sizes", "32,512", "--precs", "strang,laplacian",
+                "--out", str(tmp_path)]
+        assert main(argv + ["--format", "json"]) == 0
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        header, *body = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert header == "n,preconditioner,lambda_min,lambda_max"
+        assert payload["rows"] == [line.split(",") for line in body]
+        routes = payload["routes"]
+        assert sorted(routes) == sorted(f"n={n},{kind}" for n, kind, _, _ in payload["rows"])
+        assert routes["n=512,laplacian"] == "dense"
+        for key in ("n=32,strang", "n=32,laplacian", "n=512,strang"):
+            steps, bounds = routes[key]["lanczos_steps"], routes[key]["residual_bounds"]
+            assert 1 <= steps <= dofde.spectral._LANCZOS_STEPS and len(bounds) == 2
+        row = next(row for row in payload["rows"] if row[:2] == ["512", "strang"])
+        bounds = routes["n=512,strang"]["residual_bounds"]
+        assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
+
     def test_outliers_rows(self, capsys):
         assert main([
             "outliers", "--sizes", "32", "--precs", "frobenius_tau", "--eps", "1e-2",
@@ -304,6 +326,16 @@ class TestErrorPaths:
         assert main(["outliers", "--sizes", "32", "--eps", "-0.1"]) == 2
         capsys.readouterr()
 
+    def test_infinite_eps_writes_nothing(self, capsys, tmp_path):
+        # every eigenvalue is inside 1 +- inf, so the count means nothing
+        out = tmp_path / "out"
+        argv = ["outliers", "--sizes", "32", "--precs", "natural_tau", "--eps", "inf"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eps values must be finite: 'inf'\n"
+        assert captured.out == ""
+        assert not list(out.glob("*"))
+
     def test_unparsable_eps(self, capsys):
         assert main(["outliers", "--sizes", "32", "--eps", "abc"]) == 2
         captured = capsys.readouterr()
@@ -444,9 +476,11 @@ class TestReferenceTables:
 
 class TestNoDenseSineTransform:
     def test_spectra_transform_vectors_only(self, monkeypatch, tmp_path):
-        # B = Q A Q comes from the displacement identity and the circulant
-        # blocks from folded first columns: a dense sine transform or FFT
-        # anywhere on the spectrum/outliers path fails here
+        # B = Q A Q comes from the displacement identity, the circulant
+        # blocks from folded first columns, and the Lanczos extremes from
+        # products of vectors: a dense sine transform or FFT anywhere on
+        # the spectrum/outliers path, on either of spectrum's routes, or a
+        # Lanczos product of a block of vectors fails here
         vector_calls = []
 
         def vectors_only(name, transform):
@@ -459,13 +493,28 @@ class TestNoDenseSineTransform:
             return wrapper
 
         # the circulant kinds' P^(-1/2) column comes from apply_inverse_sqrt,
-        # so their transform runs in the preconditioner layer
+        # and every kind's P^(-1/2) product from _algebra_product, so their
+        # transforms run in the preconditioner layer
         for module, name in ((dofde.spectral, "dst1"),
-                             (dofde.preconditioners, "_circulant_transform")):
+                             (dofde.preconditioners, "_circulant_transform"),
+                             (dofde.preconditioners, "_tau_transform")):
             monkeypatch.setattr(module, name, vectors_only(name, getattr(module, name)))
         for name in ("fft", "ifft", "rfft"):
             monkeypatch.setattr(np.fft, name, vectors_only(name, getattr(np.fft, name)))
-        for argv in (["spectrum", "--precs", "all"], ["outliers"]):
-            assert main(argv + ["--sizes", "32..128", "--out", str(tmp_path)]) == 0
+        algebra_product = dofde.spectral._algebra_product
+        monkeypatch.setattr(dofde.spectral, "_algebra_product",
+                            lambda kind, w: vectors_only("root", algebra_product(kind, w)))
+        matvec = dofde.toeplitz.ToeplitzOperator.__call__
+        monkeypatch.setattr(dofde.toeplitz.ToeplitzOperator, "__call__",
+                            lambda op, x: vectors_only("matvec", lambda v: matvec(op, v))(x))
+        argv = ["--sizes", "32..128", "--out", str(tmp_path)]
+        for command in (["spectrum", "--precs", "all"], ["outliers"]):
+            assert main(command + argv) == 0
+        # 3 sizes x 6 kinds run Lanczos, each step two roots and a matvec
+        assert vector_calls.count("root") >= 2 * vector_calls.count("matvec") >= 2 * 18
+        # spectrum's dense route for every kind, as when Lanczos gives up
+        monkeypatch.setattr(dofde.cli, "lanczos_extremes", lambda c, P: None)
+        assert main(["spectrum", "--precs", "all"] + argv) == 0
         assert vector_calls.count("dst1") >= 6
         assert vector_calls.count("_circulant_transform") >= 6
+        assert vector_calls.count("_tau_transform") >= 6

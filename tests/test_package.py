@@ -86,6 +86,16 @@ class TestLayers:
                     callers.add(path.name)
         assert callers <= {"toeplitz.py", "transforms.py"}
 
+    def test_dense_eigensolves_only_in_the_spectral_layer(self):
+        # every dense symmetric eigensolve, the dense spectra and the
+        # Lanczos tridiagonal's alike, runs in spectral.py
+        callers = set()
+        for path in ROOT.glob("src/dofde/*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in {"eigvalsh", "eigh"}:
+                    callers.add(path.name)
+        assert callers == {"spectral.py"}
+
     def test_multigrid_builds_preconditioners_at_one_site(self):
         # a level builds and keeps its preconditioners in one place, which
         # its smoothers and its exact solve both draw on

@@ -71,6 +71,11 @@ class TestIntegrateAdaptive:
             with pytest.raises(ValueError):
                 constant(tol=np.nan)
 
+    def test_infinite_tol_rejected(self):
+        # an infinite tol would accept the first estimate, whatever its error
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            integrate_adaptive(np.sin, 0.0, 100.0, tol=np.inf)
+
     @pytest.mark.parametrize(
         "constant", [lower_bound_constant, upper_bound_constant, norm_constant_limit])
     def test_constants_need_a_finite_tol(self, constant):

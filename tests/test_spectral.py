@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 import conftest as shared
 import dofde.spectral
 from dofde import (
+    NotSPDError,
     PrecKind,
     SpectrumReport,
     ToeplitzCoeffs,
@@ -20,6 +23,7 @@ from dofde import (
     build_strang,
     coeffs_via_fft,
     dense_sym_eigs,
+    lanczos_extremes,
     min_eig_normalized,
     preconditioned_spectra,
     preconditioned_spectrum,
@@ -328,6 +332,68 @@ class TestSineBlocks:
         precs = [shared.build_prec(kind, n) for kind in kinds]
         peak, _ = shared.peak_traced_bytes(lambda: preconditioned_spectra(c, precs))
         assert peak < 0.57 * n * n * 8, peak / (n * n * 8)
+
+
+_STEPS = dofde.spectral._LANCZOS_STEPS
+
+
+class TestLanczosExtremes:
+    """The matrix-free Lanczos extremes against the dense spectra they
+    fall back on."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(n=st.integers(2, 300))
+    @example(n=2)
+    @example(n=3)
+    @example(n=4)
+    @example(n=5)
+    @example(n=_STEPS + 1)
+    @example(n=_STEPS + 2)
+    def test_extremes_match_dense_spectra(self, n):
+        c = shared.scaled_coeffs(n)
+        precs = []
+        for kind in PrecKind:
+            try:
+                precs.append(build_preconditioner(kind, c))
+            except NotSPDError:  # Strang's wrap at some small n
+                pass
+        for P, dense in zip(precs, preconditioned_spectra(c, precs)):
+            found = lanczos_extremes(c, P)
+            if n <= _STEPS:
+                # at the latest k = n, where the Krylov space is all of R^n
+                assert found is not None and found.steps <= n, P.kind
+            elif P.kind not in (PrecKind.IDENTITY, PrecKind.LAPLACIAN):
+                # clustered spectra: certified well inside the budget
+                assert found is not None, P.kind
+            if found is None:
+                continue
+            assert found.steps == n or all(
+                b <= 1e-10 * abs(v) for b, v in zip(found.residual_bounds,
+                                                    (found.lambda_min, found.lambda_max)))
+            assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), (n, P.kind)
+            assert found.lambda_max == pytest.approx(dense.lambda_max, rel=1e-9, abs=0), (n, P.kind)
+
+    def test_laplacian_at_512_takes_the_dense_route(self, tmp_path):
+        # its lower end is too densely packed for the step budget, so the
+        # row is the dense spectrum's, to the last printed digit
+        n = 512
+        c = shared.scaled_coeffs(n)
+        P = build_laplacian(n)
+        assert lanczos_extremes(c, P) is None
+        dense = preconditioned_spectrum(c, P)
+        assert main(["spectrum", "--sizes", str(n), "--precs", "laplacian",
+                     "--format", "json", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        assert payload["routes"] == {f"n={n},laplacian": "dense"}
+        assert payload["rows"] == [[str(n), "laplacian", "%.10e" % dense.lambda_min,
+                                    "%.10e" % dense.lambda_max]]
+
+    def test_rejects_what_preconditioned_spectra_rejects(self):
+        c = shared.scaled_coeffs(6)
+        with pytest.raises(TypeError):
+            lanczos_extremes(assemble_dense(c), build_identity(6))
+        with pytest.raises(ValueError):
+            lanczos_extremes(c, build_laplacian(7))
 
 
 class TestSpectrumReport:
