@@ -32,7 +32,7 @@ from .quadrature import (
     norm_constant_limit,
     upper_bound_constant,
 )
-from .spectral import lanczos_extremes, min_eig_normalized, preconditioned_spectra
+from .spectral import lanczos_extremes, min_eig_normalized, preconditioned_spectrum
 from .toeplitz import CoeffStabilizationError, ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["CliError", "parse_sizes", "main"]
@@ -172,26 +172,24 @@ def _spectra(args):
     precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
     for n in args.sizes:
         scaled = _scaled_coeffs(n)
-        spectra = preconditioned_spectra(
-            scaled, [build_preconditioner(kind, scaled) for kind in precs])
-        yield from ((n, kind, s) for kind, s in zip(precs, spectra))
+        for kind in precs:
+            yield n, kind, preconditioned_spectrum(scaled, build_preconditioner(kind, scaled))
 
 
 def _cmd_spectrum(args):
     # Lanczos extremes where they are certified within its step budget,
-    # the dense spectra of the kinds that are not, all at once per n
+    # the dense spectrum where they are not
     precs = args.precs or [k for k in PrecKind if k is not PrecKind.IDENTITY]
     rows = []
     routes = {}
     for n in args.sizes:
         scaled = _scaled_coeffs(n)
-        built = [build_preconditioner(kind, scaled) for kind in precs]
-        found = [lanczos_extremes(scaled, P) for P in built]
-        dense = iter(preconditioned_spectra(scaled, [P for P, r in zip(built, found) if r is None]))
-        for kind, extremes in zip(precs, found):
+        for kind in precs:
+            P = build_preconditioner(kind, scaled)
+            extremes = lanczos_extremes(scaled, P)
             key = f"n={n},{kind.value}"
             if extremes is None:
-                extremes = next(dense)
+                extremes = preconditioned_spectrum(scaled, P)
                 routes[key] = "dense"
             else:
                 routes[key] = {"lanczos_steps": extremes.steps,
@@ -299,10 +297,11 @@ def main(argv=None):
                 raise CliError(f"cannot write to --out {args.out!r}: {exc}") from exc
         for command in commands:
             _run_one(args, command)
-    # CliError and NotSPDError are ValueErrors; the program's own failures
+    # CliError and NotSPDError are ValueErrors; the program's own failures,
+    # and the overflow or division by zero of a size too large for floats,
     # get the same error line and status instead of a traceback
-    except (ValueError, CoeffStabilizationError, QuadratureConvergenceError,
-            BreakdownError) as exc:
+    except (ValueError, ArithmeticError, CoeffStabilizationError,
+            QuadratureConvergenceError, BreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

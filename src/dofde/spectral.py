@@ -14,11 +14,11 @@ whole of R^n, and gives up after a fixed step budget; the Laplacian's
 densely packed lower end is the case that runs out.  The `spectrum`
 table takes its extremes from it.
 
-`preconditioned_spectra` computes every eigenvalue densely.  It is the
+`preconditioned_spectrum` computes every eigenvalue densely.  It is the
 route where the whole spectrum is the point (outlier counts, the
-identity row `min_eig_normalized` reads), the fallback of every extreme
-Lanczos does not certify, and the oracle the Lanczos route is tested
-against.
+identity's lower end that `min_eig_normalized` reads), the fallback of
+every extreme Lanczos does not certify, and the oracle the Lanczos
+route is tested against.
 
 Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
 commutes with the flip J, and so do the circulant and sine-transform
@@ -50,12 +50,11 @@ a real rfft of a vector, and the dense routes survive as test oracles.
 
 The two flip parities run one after the other.  Each forms its block of
 A (or of Q A Q) from strided Toeplitz and Hankel views of O(n) tables,
-with no index arrays, then scales or multiplies it for each kind and
+with no index arrays, then multiplies it (or scales it in place) and
 takes its eigenvalues; only those cross to the other parity, where the
-two halves are merged per kind.  So at most three n^2/4 arrays are
-alive at once (a circulant's S, A's block and S A), two for the sine
-kinds alone and one for the identity, whose row `min_eig_normalized`
-reads.
+two halves are merged.  So at most three n^2/4 arrays are alive at once
+(a circulant's S, A's block and S A), two for a sine kind and one for
+the identity, whose spectrum `min_eig_normalized` reads.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ __all__ = [
     "lanczos_extremes",
     "min_eig_normalized",
     "preconditioned_spectrum",
-    "preconditioned_spectra",
 ]
 
 _SYMMETRY_RTOL = 1e-10
@@ -233,21 +231,10 @@ def dense_sym_eigs(A):
 
 def min_eig_normalized(c):
     """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
-    with coefficients c (ToeplitzCoeffs): the identity row of
-    `preconditioned_spectra`, so A's two flip-parity blocks are folded
+    with coefficients c (ToeplitzCoeffs): the identity's
+    `preconditioned_spectrum`, so A's two flip-parity blocks are folded
     and solved one at a time."""
-    return c.n * preconditioned_spectra(c, [build_identity(c.n)])[0].lambda_min
-
-
-def _inverse_root(P):
-    """P^(-1/2) as a vector: d^(-1/2) on a sine kind's transform domain,
-    a circulant's first column, which `apply_inverse_sqrt(P, e_1)`
-    forms, and None for the identity."""
-    if P.kind is PrecKind.IDENTITY:
-        return None
-    if P.kind in _SINE:
-        return 1.0 / np.sqrt(P.spectrum)
-    return apply_inverse_sqrt(P, np.eye(1, P.n)[0])
+    return c.n * preconditioned_spectrum(c, build_identity(c.n)).lambda_min
 
 
 def _folded_eigenvalues(a, root, p):
@@ -262,66 +249,46 @@ def _folded_eigenvalues(a, root, p):
 
 
 def _scaled_eigenvalues(block, s):
-    """Eigenvalues of diag(s) block diag(s), formed in one new array."""
-    scaled = s[:, None] * block
-    scaled *= s
-    return np.linalg.eigvalsh(scaled)
+    """Eigenvalues of diag(s) block diag(s), scaled in place."""
+    block *= s[:, None]
+    block *= s
+    return np.linalg.eigvalsh(block)
 
 
-def _parity_spectra(a, precs, roots, generators, p):
-    """Eigenvalues of parity p's block of P^(-1/2) A P^(-1/2), one array
-    per P in precs.  The identity and circulant kinds run first, each on
-    its own fold of A; the sine kinds then share one block of Q A Q,
-    expanded from the generators and scaled by d^(-1/2) on both sides for
-    each kind."""
-    sine = [P.kind in _SINE for P in precs]
-    spectra = [None if s else _folded_eigenvalues(a, root, p) for s, root in zip(sine, roots)]
-    if generators is not None:
-        block = _sine_block(generators, p)
-        spectra = [_scaled_eigenvalues(block, root[p::2]) if s else w
-                   for s, root, w in zip(sine, roots, spectra)]
-    return spectra
-
-
-def _check_orders(c, precs):
+def _check_order(c, P):
     """Raises TypeError unless c is ToeplitzCoeffs and ValueError unless
-    every P in precs has c's order."""
+    P has c's order."""
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("preconditioned spectra take ToeplitzCoeffs")
-    if any(P.n != c.n for P in precs):
+    if P.n != c.n:
         raise ValueError("preconditioner order must match the matrix")
-
-
-def preconditioned_spectra(c, precs):
-    """Spectra of P^(-1/2) A P^(-1/2), one per P in precs, for the
-    symmetric Toeplitz matrix A with coefficients c (ToeplitzCoeffs).
-
-    Sine-domain kinds share the two parity blocks of B = Q A Q, built
-    from c without a dense transform: for P = Q diag(d) Q the spectrum
-    is that of D^(-1/2) B D^(-1/2), whose even- and odd-indexed rows and
-    columns form the two blocks.  The identity and the circulant kinds
-    fold the parity blocks of A from c; a circulant's blocks are S A S
-    with S the folded blocks of the symmetric circulant P^(-1/2), whose
-    first column `apply_inverse_sqrt` gives.
-    Raises TypeError unless c is ToeplitzCoeffs and ValueError when a
-    preconditioner has the wrong order, before any block is formed.
-    """
-    _check_orders(c, precs)
-    # one flip parity at a time, each run to its last eigensolve before
-    # the other starts: only O(n) eigenvalues cross from one to the next,
-    # and at most three n^2/4 arrays are alive (a circulant's S, A's
-    # block and the product S A)
-    roots = [_inverse_root(P) for P in precs]
-    generators = _sine_generators(c.a) if any(P.kind in _SINE for P in precs) else None
-    halves = [_parity_spectra(c.a, precs, roots, generators, p) for p in (0, 1)]
-    return [_merged_spectrum(pair) for pair in zip(*halves)]
 
 
 def preconditioned_spectrum(c, P):
     """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A,
-    for A with Toeplitz coefficients c; the one-preconditioner case of
-    preconditioned_spectra."""
-    return preconditioned_spectra(c, [P])[0]
+    for the symmetric Toeplitz matrix A with coefficients c
+    (ToeplitzCoeffs).
+
+    A sine-domain kind P = Q diag(d) Q takes the two parity blocks of
+    B = Q A Q, built from c without a dense transform, each scaled by
+    d^(-1/2) on both sides.  The identity and the circulant kinds fold
+    the parity blocks of A from c; a circulant's blocks are S A S with S
+    the folded blocks of the symmetric circulant P^(-1/2), whose first
+    column is `apply_inverse_sqrt(P, e_1)`.
+    Raises TypeError unless c is ToeplitzCoeffs and ValueError when P has
+    the wrong order, before any block is formed.
+    """
+    _check_order(c, P)
+    # one flip parity at a time, each run to its eigensolve before the
+    # other starts: only O(n) eigenvalues cross from one to the next
+    if P.kind in _SINE:
+        generators = _sine_generators(c.a)
+        s = 1.0 / np.sqrt(P.spectrum)
+        halves = [_scaled_eigenvalues(_sine_block(generators, p), s[p::2]) for p in (0, 1)]
+    else:
+        root = None if P.kind is PrecKind.IDENTITY else apply_inverse_sqrt(P, np.eye(1, P.n)[0])
+        halves = [_folded_eigenvalues(c.a, root, p) for p in (0, 1)]
+    return _merged_spectrum(halves)
 
 
 def lanczos_extremes(c, P):
@@ -337,9 +304,9 @@ def lanczos_extremes(c, P):
     After step k the extreme eigenpairs (theta, s) of the tridiagonal T_k
     give residual bounds beta_k |s_k|; the run stops when both are at most
     _RITZ_RTOL |theta|, or at k = n, where T_n is similar to the operator.
-    Raises TypeError and ValueError as `preconditioned_spectra` does.
+    Raises TypeError and ValueError as `preconditioned_spectrum` does.
     """
-    _check_orders(c, [P])
+    _check_order(c, P)
     n = c.n
     matvec = ToeplitzOperator(c)
     root = _algebra_product(P.kind, P.spectrum ** -0.5)

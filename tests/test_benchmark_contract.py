@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import dofde
+import dofde.cli
+import dofde.spectral
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -76,3 +78,21 @@ def test_solver_and_quadrature_counters_keep_their_types():
         assert type(report.iterations) is int and report.iterations > 0
     result = dofde.integrate_adaptive(np.cos, 0.0, 1.0)
     assert type(result.evaluations) is int and result.evaluations > 0
+
+
+def test_dense_spectra_count_one_call_per_kind(monkeypatch, tmp_path):
+    # the traced benchmark wraps `preconditioned_spectrum` in every dofde
+    # module that binds it and reports `spectral.preconditioned_spectrum.calls`,
+    # so each dense spectrum of a command must be one call through that name
+    kinds = []
+    spectrum = dofde.spectral.preconditioned_spectrum
+    for module in (dofde.spectral, dofde.cli):
+        monkeypatch.setattr(module, "preconditioned_spectrum",
+                            lambda c, P: kinds.append(P.kind) or spectrum(c, P))
+    for argv, want in (
+        (["outliers", "--sizes", "32"], [dofde.PrecKind.NATURAL_TAU, dofde.PrecKind.FROBENIUS_TAU]),
+        (["mineig", "--sizes", "16"], [dofde.PrecKind.IDENTITY]),
+    ):
+        kinds.clear()
+        assert dofde.cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert kinds == want, argv

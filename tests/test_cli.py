@@ -162,6 +162,33 @@ class TestCommands:
         bounds = routes["n=512,strang"]["residual_bounds"]
         assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
 
+    def test_spectrum_falls_back_per_kind(self, monkeypatch, tmp_path):
+        # with Lanczos giving up on Strang and the Laplacian only, those two
+        # rows are the dense spectrum's extremes and the other kinds of the
+        # same run keep their Lanczos rows and routes
+        n = 64
+        lanczos = dofde.cli.lanczos_extremes
+        dense_kinds = (PrecKind.STRANG_CIRCULANT, PrecKind.LAPLACIAN)
+        monkeypatch.setattr(dofde.cli, "lanczos_extremes",
+                            lambda c, P: None if P.kind in dense_kinds else lanczos(c, P))
+        assert main(["spectrum", "--sizes", str(n), "--precs", "all", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        assert [row[1] for row in payload["rows"]] == [kind.value for kind in PrecKind]
+        c = shared.scaled_coeffs(n)
+        for kind, row in zip(PrecKind, payload["rows"]):
+            P = dofde.build_preconditioner(kind, c)
+            route = payload["routes"][f"n={n},{kind.value}"]
+            if kind in dense_kinds:
+                extremes = dofde.preconditioned_spectrum(c, P)
+                assert route == "dense", kind
+            else:
+                extremes = lanczos(c, P)
+                assert route == {"lanczos_steps": extremes.steps,
+                                 "residual_bounds": list(extremes.residual_bounds)}, kind
+            assert row == [str(n), kind.value, "%.10e" % extremes.lambda_min,
+                           "%.10e" % extremes.lambda_max]
+
     def test_outliers_rows(self, capsys):
         assert main([
             "outliers", "--sizes", "32", "--precs", "frobenius_tau", "--eps", "1e-2",
@@ -312,6 +339,19 @@ class TestErrorPaths:
         (["all", "--quad-tol", "inf"], "tol must be finite and at least 1e-12"),
     ])
     def test_infinite_tol_writes_nothing(self, argv, message, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cn", "--sizes", "1" + "0" * 400], "int too large to convert to float"),
+        (["pcg", "--sizes", str(2**63)], "float division by zero"),
+    ])
+    def test_size_too_large_for_floats_writes_nothing(self, argv, message, capsys, tmp_path):
+        # n overflows a float in c_n, and at n = 2^63 the symbol's corner
+        # slope divides by 1 - (n pi)^(-1/n), which rounds to zero
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()

@@ -380,7 +380,8 @@ class TestNoComplexFftOnTauSide:
         precs = [build_preconditioner(kind, c) for kind in NON_IDENTITY]
         for P in precs:
             apply_inverse_sqrt(P, np.ones(n))
-        dofde.spectral.preconditioned_spectra(c, [build_identity(n)] + precs)
+        for P in [build_identity(n)] + precs:
+            dofde.spectral.preconditioned_spectrum(c, P)
         dofde.transforms.dst1(np.ones(n))
 
 

@@ -25,7 +25,6 @@ from dofde import (
     dense_sym_eigs,
     lanczos_extremes,
     min_eig_normalized,
-    preconditioned_spectra,
     preconditioned_spectrum,
 )
 from dofde.cli import main
@@ -167,11 +166,16 @@ class TestParitySpectra:
             build_frobenius_tau(c),
             build_laplacian(n),
         ]
-        batch = preconditioned_spectra(c, precs)
-        for P, rep in zip(precs, batch):
+        generators = _sine_generators(a)
+        for P in precs:
             oracle = dense_sym_eigs(shared.explicit_preconditioned(A, P)).eigenvalues
-            single = preconditioned_spectrum(c, P).eigenvalues
-            np.testing.assert_array_equal(single, rep.eigenvalues)
+            rep = preconditioned_spectrum(c, P)
+            if P.kind in (PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN):
+                # scaled in place, to the bit what a scaled copy gives
+                s = 1.0 / np.sqrt(P.spectrum)
+                copies = [np.linalg.eigvalsh(s[p::2, None] * _sine_block(generators, p) * s[p::2])
+                          for p in (0, 1)]
+                np.testing.assert_array_equal(rep.eigenvalues, np.sort(np.concatenate(copies)))
             assert rep.eigenvalues.shape == (n,)
             assert np.abs(rep.eigenvalues - oracle).max() <= 1e-12 * oracle.max(), P.kind
             assert (rep.lambda_min, rep.lambda_max) == (rep.eigenvalues[0], rep.eigenvalues[-1])
@@ -193,22 +197,22 @@ class TestParitySpectra:
             with pytest.raises(TypeError):
                 preconditioned_spectrum(dense, build_identity(3))
             with pytest.raises(TypeError):
-                preconditioned_spectra(dense, [build_laplacian(3)])
+                preconditioned_spectrum(dense, build_laplacian(3))
 
     def test_rejects_order_mismatch(self):
         with pytest.raises(ValueError):
-            preconditioned_spectra(shared.laplacian_coeffs(4), [build_identity(5)])
+            preconditioned_spectrum(shared.laplacian_coeffs(4), build_identity(5))
 
     def test_order_mismatch_raises_before_any_eigensolve(self, monkeypatch):
-        # a wrong order late in the list must not cost the eigensolves of
-        # the kinds before it
+        # a wrong order fails before any block is formed or solved, on
+        # the identity's, a circulant's and a sine kind's route alike
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         c = shared.scaled_coeffs(6)
-        precs = [build_identity(6), build_strang(c), build_natural_tau(c), build_laplacian(7)]
-        with pytest.raises(ValueError):
-            preconditioned_spectra(c, precs)
+        for P in (build_identity(6), build_strang(c), build_natural_tau(c), build_laplacian(6)):
+            with pytest.raises(ValueError):
+                preconditioned_spectrum(shared.scaled_coeffs(7), P)
         assert calls == []
 
     def test_circulant_root_comes_from_apply_inverse_sqrt(self, monkeypatch):
@@ -222,11 +226,14 @@ class TestParitySpectra:
         c = shared.scaled_coeffs(n)
         precs = [build_preconditioner(kind, c) for kind in PrecKind]
         for _ in range(2):
-            preconditioned_spectra(c, precs)
+            for P in precs:
+                preconditioned_spectrum(c, P)
         circulants = [PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT]
         assert calls == 2 * circulants
         calls.clear()
-        preconditioned_spectra(c, [P for P in precs if P.kind not in circulants])
+        for P in precs:
+            if P.kind not in circulants:
+                preconditioned_spectrum(c, P)
         assert calls == []
 
 
@@ -251,9 +258,10 @@ class TestFlipBlocks:
 
     def test_circulant_spectra_stay_below_dense_memory(self):
         # one flip parity at a time: a circulant kind holds A's block, S's
-        # block and the product S A, three n^2/4 arrays (0.764 n^2 floats
-        # measured with the sine kinds after them, as `dofde spectrum`
-        # runs them; the bound leaves 0.036 n^2 for the O(n) vectors).
+        # block and the product S A, three n^2/4 arrays (0.754 n^2 floats
+        # measured over the five kinds `dofde spectrum` can fall back on,
+        # run one after another; the bound leaves 0.046 n^2 for the O(n)
+        # vectors).
         # Forming both parities' blocks before the first eigensolve needs
         # a fourth, 1.0 n^2; assembling A and transforming it column by
         # column peaked near 7.5 n^2
@@ -261,7 +269,7 @@ class TestFlipBlocks:
         c = shared.scaled_coeffs(n)
         kinds = [k for k in PrecKind if k is not PrecKind.IDENTITY]
         precs = [shared.build_prec(kind, n) for kind in kinds]
-        peak, _ = shared.peak_traced_bytes(lambda: preconditioned_spectra(c, precs))
+        peak, _ = shared.peak_traced_bytes(lambda: [preconditioned_spectrum(c, P) for P in precs])
         assert peak < 0.8 * n * n * 8, peak / (n * n * 8)
 
 
@@ -316,21 +324,22 @@ class TestSineBlocks:
         A = np.asarray(shared.dense_scaled(n))
         kinds = [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN]
         precs = [shared.build_prec(kind, n) for kind in kinds]
-        for P, rep in zip(precs, preconditioned_spectra(c, precs)):
+        for P in precs:
+            rep = preconditioned_spectrum(c, P)
             oracle = dense_sym_eigs(shared.explicit_preconditioned(A, P))
             assert rep.lambda_min == pytest.approx(oracle.lambda_min, rel=1e-9), P.kind
             assert rep.lambda_max == pytest.approx(oracle.lambda_max, rel=1e-9), P.kind
 
     def test_sine_spectra_hold_two_quarter_blocks(self):
-        # the `outliers` pair: one block of Q A Q and one scaled copy, or
-        # the numerator and denominator while the block is formed: 0.526
-        # n^2 floats measured, and a margin of 0.044 n^2; both parities'
-        # blocks at once need 0.75
+        # the `outliers` pair, one after the other: the numerator and
+        # denominator while a block of Q A Q is formed, which is then
+        # scaled in place: 0.525 n^2 floats measured, and a margin of
+        # 0.045 n^2; both parities' blocks at once need 0.75
         n = 1024
         c = shared.scaled_coeffs(n)
         kinds = [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
         precs = [shared.build_prec(kind, n) for kind in kinds]
-        peak, _ = shared.peak_traced_bytes(lambda: preconditioned_spectra(c, precs))
+        peak, _ = shared.peak_traced_bytes(lambda: [preconditioned_spectrum(c, P) for P in precs])
         assert peak < 0.57 * n * n * 8, peak / (n * n * 8)
 
 
@@ -357,7 +366,8 @@ class TestLanczosExtremes:
                 precs.append(build_preconditioner(kind, c))
             except NotSPDError:  # Strang's wrap at some small n
                 pass
-        for P, dense in zip(precs, preconditioned_spectra(c, precs)):
+        for P in precs:
+            dense = preconditioned_spectrum(c, P)
             found = lanczos_extremes(c, P)
             if n <= _STEPS:
                 # at the latest k = n, where the Krylov space is all of R^n
@@ -388,7 +398,7 @@ class TestLanczosExtremes:
         assert payload["rows"] == [[str(n), "laplacian", "%.10e" % dense.lambda_min,
                                     "%.10e" % dense.lambda_max]]
 
-    def test_rejects_what_preconditioned_spectra_rejects(self):
+    def test_rejects_what_preconditioned_spectrum_rejects(self):
         c = shared.scaled_coeffs(6)
         with pytest.raises(TypeError):
             lanczos_extremes(assemble_dense(c), build_identity(6))
