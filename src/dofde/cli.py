@@ -32,10 +32,13 @@ from .quadrature import (
     norm_constant_limit,
     upper_bound_constant,
 )
-from .spectral import lanczos_extremes, min_eig_normalized, preconditioned_spectrum
+from .spectral import count_below, lanczos_extremes, min_eig_normalized, preconditioned_spectrum
 from .toeplitz import CoeffStabilizationError, ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["CliError", "parse_sizes", "main"]
+
+# Sizes from here on do not convert to a float exactly.
+_SIZE_LIMIT = 2**53
 
 
 class CliError(ValueError):
@@ -45,7 +48,16 @@ class CliError(ValueError):
 def parse_sizes(text):
     """Parse a size list: comma-separated integers, or `a..b` which
     doubles from a power of two (32..2048) and follows n -> 2n+1 from
-    a power-of-two-minus-one start (31..2047)."""
+    a power-of-two-minus-one start (31..2047).  A size of 2^53 or more,
+    which no float holds exactly, is a CliError."""
+    sizes = _parse_sizes(text)
+    for n in sizes:
+        if n >= _SIZE_LIMIT:
+            raise CliError(f"size {n} is too large: sizes must be below 2**53")
+    return sizes
+
+
+def _parse_sizes(text):
     text = text.strip()
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
@@ -166,16 +178,6 @@ def _cmd_pcg(args):
     return columns, rows, {"residual_histories": histories}
 
 
-def _spectra(args):
-    """(n, kind, SpectrumReport) for every size and preconditioner, the
-    natural and Frobenius tau unless --precs names others."""
-    precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
-    for n in args.sizes:
-        scaled = _scaled_coeffs(n)
-        for kind in precs:
-            yield n, kind, preconditioned_spectrum(scaled, build_preconditioner(kind, scaled))
-
-
 def _cmd_spectrum(args):
     # Lanczos extremes where they are certified within its step budget,
     # the dense spectrum where they are not
@@ -194,18 +196,42 @@ def _cmd_spectrum(args):
             else:
                 routes[key] = {"lanczos_steps": extremes.steps,
                                "residual_bounds": list(extremes.residual_bounds)}
+                if extremes.shift is not None:
+                    routes[key].update(shift=extremes.shift, inverse_steps=extremes.inverse_steps,
+                                       inner_steps=extremes.inner_steps)
             rows.append([n, kind.value, extremes.lambda_min, extremes.lambda_max])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {"routes": routes}
 
 
 def _cmd_outliers(args):
+    # counts by inertia for the natural and Frobenius tau (or the kinds
+    # --precs names), every kind and eps of a size in one call; a kind
+    # with a count missing takes its dense spectrum
+    precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
+    # each eps positive and finite, as _parse_list checks
+    shifts = [shift for eps in args.eps for shift in (1.0 - eps, 1.0 + eps)]
     rows = []
-    for n, kind, s in _spectra(args):
-        for eps in args.eps:  # each positive and finite, as _parse_list checks
-            left = int(np.count_nonzero(s.eigenvalues <= 1.0 - eps))
-            right = int(np.count_nonzero(s.eigenvalues >= 1.0 + eps))
-            rows.append([n, kind.value, eps, left, right, 100.0 * (left + right) / n])
-    return ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"], rows, {}
+    routes = {}
+    for n in args.sizes:
+        scaled = _scaled_coeffs(n)
+        built = [build_preconditioner(kind, scaled) for kind in precs]
+        below = count_below(scaled, [(P, shift) for P in built for shift in shifts])
+        for i, P in enumerate(built):
+            counts = below[i * len(shifts) : (i + 1) * len(shifts)]
+            key = f"n={n},{P.kind.value}"
+            if None in counts:
+                w = preconditioned_spectrum(scaled, P).eigenvalues
+                pairs = [(np.count_nonzero(w <= 1.0 - eps), np.count_nonzero(w >= 1.0 + eps))
+                         for eps in args.eps]
+                routes[key] = "dense"
+            else:
+                pairs = [(left, n - inside) for left, inside in zip(counts[::2], counts[1::2])]
+                routes[key] = "inertia"
+            for eps, (left, right) in zip(args.eps, pairs):
+                rows.append([n, P.kind.value, eps, int(left), int(right),
+                             100.0 * (left + right) / n])
+    columns = ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"]
+    return columns, rows, {"routes": routes}
 
 
 def _cmd_mgm(args):

@@ -113,29 +113,35 @@ def build_strang(c):
     are the DFT of that even column.  Raises NotSPDError when the wrap makes
     the circulant singular or indefinite (e.g. for the Laplacian symbol).
     """
-    n = c.n
-    if n < 2:
+    if c.n < 2:
         raise ValueError("n must be at least 2")
+    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=c.n, spectrum=_strang_spectrum(c.a))
+
+
+def _strang_spectrum(a):
+    n = len(a)
     j = np.arange(n)
     # modular index keeps a[n - j] in range at j = 0 (both branches evaluate)
-    col = np.where(j <= n // 2, c.a[j], c.a[(n - j) % n])
-    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=n,
-                          spectrum=_circulant_transform(col))
+    return _circulant_transform(np.where(j <= n // 2, a[j], a[(n - j) % n]))
 
 
 def build_frobenius_circulant(c):
     """Frobenius-optimal circulant: the closest circulant in Frobenius
     norm, whose first column averages the wrapped diagonals,
     col[j] = ((n-j) a[j] + j a[n-j]) / n, even like Strang's."""
-    n = c.n
-    if n < 2:
+    if c.n < 2:
         raise ValueError("n must be at least 2")
+    return Preconditioner(kind=PrecKind.FROBENIUS_CIRCULANT, n=c.n,
+                          spectrum=_frobenius_circulant_spectrum(c.a))
+
+
+def _frobenius_circulant_spectrum(a):
+    n = len(a)
     j = np.arange(1, n)
-    col = np.empty(n)
-    col[0] = c.a[0]
-    col[1:] = ((n - j) * c.a[j] + j * c.a[n - j]) / n
-    return Preconditioner(kind=PrecKind.FROBENIUS_CIRCULANT, n=n,
-                          spectrum=_circulant_transform(col))
+    col = np.empty_like(a)
+    col[0] = a[0]
+    col[1:] = ((n - j) * a[j] + j * a[n - j]) / n
+    return _circulant_transform(col)
 
 
 def _natural_tau_spectrum(a):
@@ -157,12 +163,12 @@ def _frobenius_tau_spectrum(a):
     vanishes.
     """
     n = len(a)
-    s = np.empty(n)
+    s = np.empty_like(a)
     for p in (0, 1):
         s[p::2] = np.cumsum(a[p::2][::-1])[::-1]
     k = np.arange(1, n)
     sums = _tau_transform((n - k) * a[1:] + 2.0 * s[1:], n).real[1 : n + 1]
-    return a[0] + 2.0 / (n + 1) * (sums + s[0] - a[0])
+    return a[0] + a.dtype.type(2) / (n + 1) * (sums + s[0] - a[0])
 
 
 def build_natural_tau(c):
@@ -194,9 +200,13 @@ def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
     diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
     formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
-    j = np.arange(1, n + 1)
-    d = 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
-    return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=d)
+    return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n, np.float64))
+
+
+def _laplacian_spectrum(n, dtype):
+    j = np.arange(1, n + 1, dtype=dtype)
+    pi = 4 * np.arctan(dtype(1))
+    return 4.0 * np.sin(j * pi / (2 * (n + 1))) ** 2
 
 
 # Builders are looked up at call time, so a wrapper installed on the
@@ -208,6 +218,18 @@ _BUILDERS = {
     PrecKind.NATURAL_TAU: lambda c: build_natural_tau(c),
     PrecKind.FROBENIUS_TAU: lambda c: build_frobenius_tau(c),
     PrecKind.LAPLACIAN: lambda c: build_laplacian(c.n),
+}
+
+
+# Each kind's transform-domain spectrum from a coefficient vector, in the
+# vector's float type: the builders pass doubles, and `spectral`'s Rayleigh
+# quotients pass long doubles.
+_SPECTRA = {
+    PrecKind.STRANG_CIRCULANT: _strang_spectrum,
+    PrecKind.FROBENIUS_CIRCULANT: _frobenius_circulant_spectrum,
+    PrecKind.NATURAL_TAU: _natural_tau_spectrum,
+    PrecKind.FROBENIUS_TAU: _frobenius_tau_spectrum,
+    PrecKind.LAPLACIAN: lambda a: _laplacian_spectrum(len(a), a.dtype.type),
 }
 
 

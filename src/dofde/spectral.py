@@ -1,60 +1,74 @@
 """Eigenvalue machinery for the bound checks and the spectrum tables.
 
 Preconditioned spectra are those of P^(-1/2) A P^(-1/2), which shares
-eigenvalues with P^(-1) A.  Two routes compute them.
+eigenvalues with P^(-1) A, for a symmetric Toeplitz matrix A.  Every
+table value comes from a matrix-free route; the dense route is the
+fallback of a row those routes do not settle, and the test oracle.
 
-`lanczos_extremes` finds only the two extremes, matrix-free: Lanczos
-with full reorthogonalization on x -> P^(-1/2) A P^(-1/2) x, each
-product one Toeplitz matvec between two P^(-1/2) convolutions, started
-from a fixed random vector with components in both flip parities, so
-both ends come from one Krylov space.  It stops once both extreme Ritz
-values have residual bounds beta_k |s_k| <= 1e-10 |theta| (Parlett, The
-Symmetric Eigenvalue Problem, 1980, ch. 13), or when the space is the
-whole of R^n, and gives up after a fixed step budget; the Laplacian's
-densely packed lower end is the case that runs out.  The `spectrum`
-table takes its extremes from it.
+Extremes.  One Lanczos loop, `_lanczos`, runs with full
+reorthogonalization on a symmetric operator given by its products with
+vectors.  It starts from a fixed random vector with components in both
+flip parities, so both ends come from one Krylov space, and it stops
+once each end it is asked for has a residual bound
+beta_k |s_k| <= 1e-10 |theta| (Parlett, The Symmetric Eigenvalue Problem,
+1980, ch. 13), or when the space is the whole of R^n; it gives up after a
+fixed step budget.  It serves three operators:
 
-`preconditioned_spectrum` computes every eigenvalue densely.  It is the
-route where the whole spectrum is the point (outlier counts, the
-identity's lower end that `min_eig_normalized` reads), the fallback of
-every extreme Lanczos does not certify, and the oracle the Lanczos
-route is tested against.
+- P^(-1/2) A P^(-1/2), each product one Toeplitz matvec between two
+  P^(-1/2) convolutions: both ends for the circulant and tau kinds, and
+  the upper end for the identity and the Laplacian;
+- A^(-1), each product one `pcg` preconditioned by A's Frobenius tau at
+  tol 1e-13, for lambda_min(A) = 1/mu_max, which `min_eig_normalized`
+  reads;
+- L^(1/2) (A - sigma L)^(-1) L^(1/2) for the Laplacian L, whose densely
+  packed lower end the plain operator does not reach in its budget, with
+  lambda_min = sigma + 1/mu_max.  The shift sigma is the least ratio
+  f(theta) / (4 sin^2(theta/2)) on a grid, f = a_0 + 2 sum a_k cos(k theta)
+  the symbol of A itself, so A - sigma L is positive definite: f >= sigma g
+  implies T(f) >= sigma T(g) (Grenander and Szego, Toeplitz Forms and
+  Their Applications, 1958), and L = T(4 sin^2(theta/2)).  Its inner
+  `pcg` uses the natural tau of A - sigma L, whose eigenvalues are
+  f - sigma g sampled on the sine grid: nonnegative by the choice of
+  sigma, and small where the shifted symbol vanishes, which the
+  Frobenius tau does not follow (18 to 24 iterations per solve at
+  n = 128..2048 against its 37 to 105).
 
-Every matrix whose spectrum is tabulated is symmetric Toeplitz, so it
-commutes with the flip J, and so do the circulant and sine-transform
-preconditioners.  Each eigenproblem therefore splits into a flip-even
-and a flip-odd block of half the order (Cantoni and Butler, Linear
-Algebra Appl. 13, 1976), which are solved separately and merged.  The
-blocks of a symmetric Toeplitz matrix fold straight from its first
-column, and on centrosymmetric matrices the fold is an algebra
-homomorphism: the blocks of a product are the products of the blocks.
+The Ritz values carry the rounding of the double FFT products, which the
+roots and the inverses amplify.  So each extreme is reported as the
+Rayleigh quotient z^T A z / z^T P z of its Ritz vector z, taken to the
+coordinates of P^(-1) A and evaluated in long double, with P's spectrum
+formed in long double from the coefficients: a one-sided bound on the
+eigenvalue, however rough z is.
 
-A symmetric circulant is itself symmetric Toeplitz, so for the circulant
-kinds P^(-1/2), whose first column is `apply_inverse_sqrt(P, e_1)`,
-folds like A does, and each block of P^(-1/2) A P^(-1/2) is the product
-S A S of the folded blocks (Strang's and T. Chan's optimal circulant,
-SIAM J. Sci. Stat. Comput. 9, 1988, are both symmetric).
-
-A sine-domain preconditioner Q diag(d) Q is handled in its transform
-domain, where P^(-1/2) A P^(-1/2) is orthogonally similar to
-D^(-1/2) (Q A Q) D^(-1/2) and the sine vectors alternate in parity.
-B = Q A Q is never transformed densely: with H = tridiag(1, 0, 1),
+Outlier counts.  By Sylvester's law of inertia, the number of
+eigenvalues of P^(-1) A below sigma is the number of negative pivots of
+an LDL^T of A - sigma P.  For a sine-domain P = Q diag(d) Q, the matrix
+Q (A - sigma P) Q = B - sigma diag(d), B = Q A Q, splits into a flip-even
+and a flip-odd block, and B is Cauchy-like: with H = tridiag(1, 0, 1),
 Q H Q = diag(2 cos(j theta)) and the displacement H A - A H has rank
-four, so every off-diagonal entry of B is a Cauchy-like quotient of
-O(n) generators (Bini and Capovani, Linear Algebra Appl. 52/53, 1983;
-Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995), and its
-diagonal is the Frobenius-tau closed form.  Each parity block then
-costs O(n^2) to form, and only its eigensolve is dense.  No spectrum
-assembles the n x n matrix A or transforms a matrix, every transform is
-a real rfft of a vector, and the dense routes survive as test oracles.
+four, so every off-diagonal entry of B is a quotient of O(n) generators
+(Bini and Capovani, Linear Algebra Appl. 52/53, 1983), and its diagonal is
+the Frobenius-tau closed form.  A shift changes only the diagonal, and a
+Schur step keeps the form, updating the two generators and the diagonal
+from the pivot column (Gohberg, Kailath and Olshevsky, Math. Comp. 64,
+1995).  `count_below` takes 1x1 pivots on the largest remaining
+|diagonal|, for a batch of shifts and preconditioners at once, in O(n^2)
+time and O(n) memory per count.
 
-The two flip parities run one after the other.  Each forms its block of
-A (or of Q A Q) from strided Toeplitz and Hankel views of O(n) tables,
-with no index arrays, then multiplies it (or scales it in place) and
-takes its eigenvalues; only those cross to the other parity, where the
-two halves are merged.  So at most three n^2/4 arrays are alive at once
-(a circulant's S, A's block and S A), two for a sine kind and one for
-the identity, whose spectrum `min_eig_normalized` reads.
+The dense route, `preconditioned_spectrum`, computes every eigenvalue.
+Every matrix here is symmetric Toeplitz, so it commutes with the flip J,
+and so do the circulant and sine-transform preconditioners.  Each
+eigenproblem therefore splits into a flip-even and a flip-odd block of
+half the order (Cantoni and Butler, Linear Algebra Appl. 13, 1976),
+solved one after the other and merged.  The blocks of a symmetric
+Toeplitz matrix fold straight from its first column from strided views,
+and on centrosymmetric matrices the fold is an algebra homomorphism, so
+a circulant kind's blocks are S A S with S folded from the first column
+of the symmetric circulant P^(-1/2) (Strang's and T. Chan's optimal
+circulant, SIAM J. Sci. Stat. Comput. 9, 1988, are both symmetric).  A
+sine kind's block of B is formed in O(n^2) from the generators above and
+scaled by d^(-1/2).  At most three n^2/4 arrays are alive at once, and
+no route assembles the n x n matrix A or transforms a matrix.
 """
 
 from __future__ import annotations
@@ -63,14 +77,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preconditioners import (_SINE, PrecKind, _algebra_product, _frobenius_tau_spectrum,
-                              apply_inverse_sqrt, build_identity)
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator
-from .transforms import dst1
+from .krylov import BreakdownError, StoppingRule, pcg
+from .preconditioners import (_SINE, _SPECTRA, NotSPDError, PrecKind, _algebra_product,
+                              _frobenius_tau_spectrum, apply_inverse_sqrt, build_frobenius_tau,
+                              build_identity, build_natural_tau)
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, _quadratic_form
+from .transforms import _circulant_transform, _tau_transform, dst1
 
 __all__ = [
     "SpectrumReport",
     "RitzExtremes",
+    "count_below",
     "dense_sym_eigs",
     "lanczos_extremes",
     "min_eig_normalized",
@@ -82,6 +99,13 @@ _SYMMETRY_RTOL = 1e-10
 # route, and the relative residual bound that certifies a Ritz value
 _LANCZOS_STEPS = 96
 _RITZ_RTOL = 1e-10
+# the inner solves of the inverse operators
+_INNER_STOP = StoppingRule(tol=1e-13)
+# the fewest samples of the Laplacian shift's grid; it takes 64 per unknown
+_SHIFT_SAMPLES = 1 << 16
+# the first columns of the kinds that are Toeplitz matrices themselves,
+# whose lower end comes from a shift-and-invert run
+_TOEPLITZ_HEADS = {PrecKind.IDENTITY: (1.0,), PrecKind.LAPLACIAN: (2.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -109,15 +133,27 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class RitzExtremes:
-    """The extreme Ritz values of a Lanczos run that certified them, the
-    number of steps it took, and the two residual bounds beta_k |s_k|,
-    lambda_min's first: each at most 1e-10 of its value, relative, unless
-    the run took all n steps."""
+    """The extreme eigenvalues of P^(-1) A, each the long-double Rayleigh
+    quotient of a certified Ritz vector, and how they were found.
+
+    steps is the number of Lanczos steps on P^(-1/2) A P^(-1/2), and
+    residual_bounds the bounds beta_k |s_k| of the two Ritz values,
+    lambda_min's first, each at most 1e-10 of its Ritz value, relative,
+    unless its run took all n steps.  For the identity and the Laplacian,
+    lambda_min comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2)
+    instead, in inverse_steps steps whose solves took inner_steps `pcg`
+    iterations in all, and its bound is the top Ritz value's mapped to
+    lambda_min (`_inverse_min`); for the other kinds shift is None and
+    both counts are 0.
+    """
 
     lambda_min: float
     lambda_max: float
     steps: int
     residual_bounds: tuple
+    shift: float | None = None
+    inverse_steps: int = 0
+    inner_steps: int = 0
 
 
 def _check_symmetric(A):
@@ -171,9 +207,9 @@ def _flip_block(a, p):
 
 def _sine_generators(a):
     """The O(n) generators of B = Q T Q for the symmetric Toeplitz matrix
-    T with first column a, which `_sine_block` expands one parity at a
-    time: the table half_m = sin(m theta/2), q = Q e_1, u^ = Q u and
-    diag(B).
+    T with first column a, which `_sine_block` expands and `count_below`
+    eliminates one parity at a time: the table half_m = sin(m theta/2),
+    q = Q e_1, u^ = Q u and diag(B).
 
     With theta = pi/(n+1), H = tridiag(1, 0, 1), u_k = a_k for k = 1..n
     (a_n := 0), H T - T H = u e_1^T - e_1 u^T + (J u) e_n^T - e_n (J u)^T,
@@ -191,27 +227,111 @@ def _sine_generators(a):
     return half, q, dst1(u), _frobenius_tau_spectrum(a)
 
 
+def _signed_gaps(half, m):
+    """The table -2 sign(d) sin(|d| theta) for d = (j - k)/2 from -(m - 1)
+    to m - 1, entry d + m - 1, with a 1 at d = 0, which keeps 0/0 off a
+    block's diagonal: times half_(j+k), the denominator
+    cos(j theta) - cos(k theta) of parity-block entries j, k."""
+    twice = 2.0 * half[2 : 2 * m : 2]
+    return np.r_[twice[::-1], 1.0, -twice]
+
+
 def _sine_block(generators, p):
     """The principal block of B = Q T Q on the indices j = p + 1,
     p + 3, ... (1-based), in O(n^2) from `_sine_generators`.
 
     The numerator X - X^T, X = u^_j q_k, is divided in place by the
-    denominator, a Toeplitz view of the signed table -2 sign(d) half_2|d|
-    (d = (j - k)/2) times a Hankel view of half_(j+k); at most two n^2/4
-    arrays are alive.  Numerator and denominator are antisymmetric to the
-    last bit, so the block is exactly symmetric.
+    denominator, a Toeplitz view of `_signed_gaps` times a Hankel view of
+    half_(j+k); at most two n^2/4 arrays are alive.  Numerator and
+    denominator are antisymmetric to the last bit, so the block is
+    exactly symmetric.
     """
     half, q, u_hat, diag = generators
     x = np.outer(u_hat[p::2], q[p::2])
     block = x - x.T
     del x
     m = len(block)
-    # the 1 at d = 0 keeps 0/0 off the diagonal, which is overwritten below
-    twice = 2.0 * half[2 : 2 * m : 2]
-    signed = np.r_[twice[::-1], 1.0, -twice]
-    block /= _toeplitz_view(signed, m) * _hankel_view(half[2 * p + 2 :: 2], m)
+    block /= _toeplitz_view(_signed_gaps(half, m), m) * _hankel_view(half[2 * p + 2 :: 2], m)
     np.fill_diagonal(block, diag[p::2])
     return block
+
+
+def _negative_pivots(generators, d, sigma):
+    """For each row r of the shifts sigma and the transform-domain
+    spectra d (one row each), the number of negative pivots of
+    B - sigma_r diag(d_r), and whether every pivot was finite and nonzero.
+
+    Each parity block of B - sigma diag(d) is Cauchy-like,
+    M_jk = (x_j y_k - y_j x_k) / (c_j - c_k) off the diagonal, with
+    x = u^, y = q, c_j = cos(j theta), and its own diagonal delta.  A 1x1
+    Schur step on the pivot p takes the pivot column
+    k_j = (x_j y_p - y_j x_p) / (c_j - c_p) from the generators and
+    updates x <- x - (x_p / delta_p) k, y <- y - (y_p / delta_p) k and
+    delta <- delta - k^2 / delta_p, which keeps the form.  Every row
+    eliminates its own copy, pivoting on its largest remaining |delta|:
+    the pivot swaps into the last active column, with the block index
+    each column holds, so step t works on m - t columns.
+    """
+    half, q, u_hat, diag = generators
+    rows = np.arange(len(sigma))
+    negative = np.zeros(len(sigma), dtype=int)
+    finite = np.ones(len(sigma), dtype=bool)
+    for p in (0, 1):
+        m = len(q[p::2])
+        x = np.tile(u_hat[p::2], (len(sigma), 1))
+        y = np.tile(q[p::2], (len(sigma), 1))
+        delta = diag[p::2] - sigma[:, None] * d[:, p::2]
+        index = np.tile(np.arange(m), (len(sigma), 1))
+        gaps = _signed_gaps(half, m)
+        sums = half[2 * p + 2 :: 2]
+        for last in range(m - 1, -1, -1):
+            pivot = np.argmax(np.abs(delta[:, : last + 1]), axis=1)
+            for v in (x, y, delta, index):
+                held = v[rows, pivot]
+                v[rows, pivot] = v[:, last]
+                v[:, last] = held
+            pivots = delta[:, last]
+            finite &= np.isfinite(pivots) & (pivots != 0.0)
+            negative += pivots < 0.0
+            if not last:
+                break
+            at = index[:, last, None]
+            active = index[:, :last]
+            column = ((x[:, :last] * y[:, last, None] - y[:, :last] * x[:, last, None])
+                      / (gaps[active - at + m - 1] * sums[active + at]))
+            scale = 1.0 / pivots[:, None]
+            x[:, :last] -= (x[:, last, None] * scale) * column
+            y[:, :last] -= (y[:, last, None] * scale) * column
+            column *= column
+            column *= scale
+            delta[:, :last] -= column
+    return negative, finite
+
+
+def count_below(c, rows):
+    """The number of eigenvalues of P^(-1) A below sigma for each (P, sigma)
+    in rows, A the symmetric Toeplitz matrix with coefficients c
+    (ToeplitzCoeffs), as a list: by Sylvester's law, the negative pivots of
+    the Cauchy-like parity blocks of B - sigma D (`_negative_pivots`),
+    every row of one call eliminated at once.  An entry is None where P is
+    not a sine-domain kind, or where the elimination met a zero or
+    non-finite pivot; the dense spectrum then counts.  Raises TypeError
+    and ValueError as `preconditioned_spectrum` does.
+    """
+    rows = list(rows)
+    for P, _ in rows:
+        _check_order(c, P)
+    sine = [i for i, (P, _) in enumerate(rows) if P.kind in _SINE]
+    counts = [None] * len(rows)
+    if sine:
+        d = np.array([rows[i][0].spectrum for i in sine])
+        sigma = np.array([rows[i][1] for i in sine], dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            negative, finite = _negative_pivots(_sine_generators(c.a), d, sigma)
+        for i, count, ok in zip(sine, negative, finite):
+            if ok:
+                counts[i] = int(count)
+    return counts
 
 
 def _merged_spectrum(parts):
@@ -227,14 +347,6 @@ def dense_sym_eigs(A):
     driver; non-convergence surfaces as LinAlgError.
     """
     return _merged_spectrum([np.linalg.eigvalsh(_check_symmetric(A))])
-
-
-def min_eig_normalized(c):
-    """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
-    with coefficients c (ToeplitzCoeffs): the identity's
-    `preconditioned_spectrum`, so A's two flip-parity blocks are folded
-    and solved one at a time."""
-    return c.n * preconditioned_spectrum(c, build_identity(c.n)).lambda_min
 
 
 def _folded_eigenvalues(a, root, p):
@@ -267,7 +379,8 @@ def _check_order(c, P):
 def preconditioned_spectrum(c, P):
     """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A,
     for the symmetric Toeplitz matrix A with coefficients c
-    (ToeplitzCoeffs).
+    (ToeplitzCoeffs), by dense eigensolves: the fallback and oracle of
+    the matrix-free routes.
 
     A sine-domain kind P = Q diag(d) Q takes the two parity blocks of
     B = Q A Q, built from c without a dense transform, each scaled by
@@ -291,25 +404,22 @@ def preconditioned_spectrum(c, P):
     return _merged_spectrum(halves)
 
 
-def lanczos_extremes(c, P):
-    """The extreme eigenvalues of P^(-1/2) A P^(-1/2), A the symmetric
-    Toeplitz matrix with coefficients c (ToeplitzCoeffs), as RitzExtremes,
-    or None when _LANCZOS_STEPS Lanczos steps do not certify both.
+def _lanczos(apply, n, ends):
+    """The one Lanczos loop behind every extreme, on the symmetric
+    operator x -> apply(x) of order n.
 
-    Each step applies the operator to the newest basis vector by vectors
-    only (P^(-1/2) by `_algebra_product`, A by `ToeplitzOperator`), then
+    Each step applies the operator to the newest basis vector, then
     orthogonalizes the result against the whole basis twice (classical
     Gram-Schmidt, "twice is enough"), so the basis stays orthonormal to
     working precision and no copies of converged Ritz values appear.
-    After step k the extreme eigenpairs (theta, s) of the tridiagonal T_k
-    give residual bounds beta_k |s_k|; the run stops when both are at most
-    _RITZ_RTOL |theta|, or at k = n, where T_n is similar to the operator.
-    Raises TypeError and ValueError as `preconditioned_spectrum` does.
+    After step k the eigenpairs (theta, s) of the tridiagonal T_k give
+    residual bounds beta_k |s_k|.  Returns (steps, lowest, ritz) once
+    every end in ends (0 the lowest Ritz value, -1 the highest) has a
+    bound of at most _RITZ_RTOL |theta|, or at k = n, where T_n is
+    similar to the operator: lowest is the least Ritz value, and ritz
+    holds (theta, unit Ritz vector, bound) for each end.  Returns None
+    when _LANCZOS_STEPS steps do not certify them.
     """
-    _check_order(c, P)
-    n = c.n
-    matvec = ToeplitzOperator(c)
-    root = _algebra_product(P.kind, P.spectrum ** -0.5)
     steps = min(n, _LANCZOS_STEPS)
     basis = np.empty((steps, n))
     # a fixed random start has components in both flip parities and,
@@ -317,20 +427,168 @@ def lanczos_extremes(c, P):
     start = np.random.default_rng(0).standard_normal(n)
     basis[0] = start / np.linalg.norm(start)
     T = np.zeros((steps, steps))
+    ends = list(ends)
     for k in range(steps):
-        w = root(matvec(root(basis[k])))
+        w = apply(basis[k])
         T[k, k] = basis[k] @ w
         done = basis[: k + 1]
         for _ in range(2):
             w -= done.T @ (done @ w)
         beta = np.linalg.norm(w)
         theta, s = np.linalg.eigh(T[: k + 1, : k + 1])
-        ends = theta[[0, -1]]
-        bounds = beta * np.abs(s[k, [0, -1]])
-        if k + 1 == n or np.all(bounds <= _RITZ_RTOL * np.abs(ends)):
-            return RitzExtremes(float(ends[0]), float(ends[1]), k + 1,
-                                (float(bounds[0]), float(bounds[1])))
+        bounds = beta * np.abs(s[k, ends])
+        if k + 1 == n or np.all(bounds <= _RITZ_RTOL * np.abs(theta[ends])):
+            return k + 1, theta[0], [(theta[e], s[:, e] @ done, float(b))
+                                     for e, b in zip(ends, bounds)]
         if k + 1 < steps:
             T[k, k + 1] = T[k + 1, k] = beta
             basis[k + 1] = w / beta
     return None
+
+
+def _rayleigh_quotients(c, P):
+    """z -> z^T A z / z^T P z in long double, with A and P's spectrum d
+    formed once in long double from c: z^T P z is sum_j d_j (Q z)_j^2 for
+    a sine kind, and a circulant is the symmetric Toeplitz matrix whose
+    first column is the inverse transform of d."""
+    a = c.a.astype(np.longdouble)
+    n = c.n
+    if P.kind is PrecKind.IDENTITY:
+        energy = lambda z: z @ z
+    elif P.kind in _SINE:
+        d = _SPECTRA[P.kind](a)
+        # the sine sums are -sqrt((n + 1)/2) Q z
+        energy = lambda z: 2 * (d @ _tau_transform(z, n)[1 : n + 1].imag ** 2) / (n + 1)
+    else:
+        column = _circulant_transform(_SPECTRA[P.kind](a)) / n
+        energy = lambda z: _quadratic_form(column, z)
+
+    def quotient(z):
+        z = np.asarray(z, dtype=np.longdouble)
+        return float(_quadratic_form(a, z) / energy(z))
+
+    return quotient
+
+
+def _plain_extremes(c, P, ends):
+    """_lanczos on P^(-1/2) A P^(-1/2), each product one Toeplitz matvec
+    between two P^(-1/2) convolutions: (steps, [(Rayleigh quotient,
+    bound)] for each end), or None."""
+    matvec = ToeplitzOperator(c)
+    root = _algebra_product(P.kind, P.spectrum ** -0.5)
+    run = _lanczos(lambda x: root(matvec(root(x))), c.n, ends)
+    if run is None:
+        return None
+    steps, _, ritz = run
+    quotient = _rayleigh_quotients(c, P)
+    return steps, [(quotient(root(y)), bound) for _, y, bound in ritz]
+
+
+def _laplacian_shift(a):
+    """A shift sigma >= 0 below lambda_min(L^(-1) T), T the symmetric
+    Toeplitz matrix with first column a: the least of
+    f(theta) / (4 sin^2(theta/2)), f the symbol of T, over a grid of
+    (0, pi], less the amount by which the grid of every other sample
+    misses it, about three times the grid's own miss."""
+    n = len(a)
+    samples = max(_SHIFT_SAMPLES, _next_pow2(64 * n))
+    # the symbol at 2 pi j / samples is the cosine sum of a, mirrored
+    even = np.zeros(samples)
+    even[:n] = a
+    even[samples - n + 1 :] = a[:0:-1]
+    f = _circulant_transform(even)[1 : samples // 2 + 1]
+    theta = 2.0 * np.pi / samples * np.arange(1, samples // 2 + 1)
+    ratio = f / (4.0 * np.sin(theta / 2) ** 2)
+    least = ratio.min()
+    return max(0.0, least - (ratio[1::2].min() - least))
+
+
+class _InnerSolveFailed(RuntimeError):
+    """An inner solve of an inverse operator stopped at its cap."""
+
+
+def _inverse_min(c, P, sigma):
+    """lambda_min of P^(-1) A for a P that is a Toeplitz matrix (the
+    identity or the Laplacian) and a shift sigma below it, by `_lanczos`
+    on P^(1/2) (A - sigma P)^(-1) P^(1/2), each product one `pcg` on
+    A - sigma P preconditioned by its Frobenius tau for the identity and
+    by its natural tau for the Laplacian (see the module docstring).
+
+    Returns (Rayleigh quotient of the top Ritz vector taken back by
+    P^(-1/2), steps, bound, pcg iterations), where the bound
+    beta_k |s_k| of the top Ritz value mu is mapped to
+    lambda_min = sigma + 1/mu as bound / mu^2, so it is at most 1e-10 of
+    lambda_min.  Returns None when a build or a solve fails, the run does
+    not certify, or a Ritz value is not positive, so sigma was not below
+    the spectrum."""
+    n = c.n
+    head = _TOEPLITZ_HEADS[P.kind][:n]
+    column = np.zeros(n)
+    column[: len(head)] = head
+    shifted = ToeplitzCoeffs(n, c.a - sigma * column)
+    root = _algebra_product(P.kind, P.spectrum ** 0.5)
+    iterations = []
+
+    def apply(x):
+        report = pcg(matvec, tau, root(x), stop=_INNER_STOP)
+        if not report.converged:
+            raise _InnerSolveFailed
+        iterations.append(report.iterations)
+        return root(report.solution)
+
+    try:
+        matvec = ToeplitzOperator(shifted)
+        build = build_frobenius_tau if P.kind is PrecKind.IDENTITY else build_natural_tau
+        tau = build(shifted)
+        run = _lanczos(apply, n, (-1,))
+    except (NotSPDError, BreakdownError, _InnerSolveFailed):
+        return None
+    if run is None or not run[1] > 0.0:
+        return None
+    steps, _, [(mu, y, bound)] = run
+    z = _algebra_product(P.kind, P.spectrum ** -0.5)(y)
+    return _rayleigh_quotients(c, P)(z), steps, float(bound / mu**2), sum(iterations)
+
+
+def lanczos_extremes(c, P):
+    """The extreme eigenvalues of P^(-1/2) A P^(-1/2), A the symmetric
+    Toeplitz matrix with coefficients c (ToeplitzCoeffs), as RitzExtremes,
+    or None when a run does not certify its end.
+
+    The circulant and tau kinds take both ends from one `_lanczos` run on
+    P^(-1/2) A P^(-1/2).  The identity and the Laplacian take only the
+    upper end from it, and lambda_min from a shift-and-invert run
+    (`_inverse_min`) at shift 0 for the identity and at
+    `_laplacian_shift` for the Laplacian.
+    Raises TypeError and ValueError as `preconditioned_spectrum` does.
+    """
+    _check_order(c, P)
+    if P.kind not in _TOEPLITZ_HEADS:
+        found = _plain_extremes(c, P, (0, -1))
+        if found is None:
+            return None
+        steps, [(low, low_bound), (high, high_bound)] = found
+        return RitzExtremes(low, high, steps, (low_bound, high_bound))
+    found = _plain_extremes(c, P, (-1,))
+    if found is None:
+        return None
+    steps, [(high, high_bound)] = found
+    sigma = 0.0 if P.kind is PrecKind.IDENTITY else float(_laplacian_shift(c.a))
+    lower = _inverse_min(c, P, sigma)
+    if lower is None:
+        return None
+    low, inverse_steps, low_bound, inner_steps = lower
+    return RitzExtremes(low, high, steps, (low_bound, high_bound), sigma, inverse_steps,
+                        inner_steps)
+
+
+def min_eig_normalized(c):
+    """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
+    with coefficients c (ToeplitzCoeffs): the long-double Rayleigh
+    quotient of the top Ritz vector of Lanczos on A^(-1) (`_inverse_min`
+    at shift 0), or the identity's dense `preconditioned_spectrum` where
+    that run fails."""
+    P = build_identity(c.n)
+    _check_order(c, P)
+    found = _inverse_min(c, P, 0.0)
+    return c.n * (found[0] if found else preconditioned_spectrum(c, P).lambda_min)

@@ -183,6 +183,19 @@ def _product(col, n, hankel=None):
     return apply
 
 
+def _quadratic_form(a, z):
+    """z^T T z for the symmetric Toeplitz matrix T with first column a, in
+    the float type of a and z (long double for the Rayleigh quotients of
+    the spectral layer): a_0 r_0 + 2 sum_k a_k r_k over the autocorrelation
+    r_k = sum_i z_i z_(i+k), which is one rfft/irfft pair at the least
+    power of two >= 2n."""
+    n = len(z)
+    m = _next_pow2(2 * n)
+    f = np.fft.rfft(z, m)
+    r = np.fft.irfft(f.real**2 + f.imag**2, m)[:n]
+    return a[0] * r[0] + 2 * (a[1:] @ r[1:])
+
+
 def _series_reciprocal(a):
     """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
 

@@ -72,10 +72,24 @@ def prec_spectrum(kind, n):
 def outlier_rows(monkeypatch, spectra, eps):
     """The rows `dofde outliers` prints, (n, kind, eps, left, right,
     percent) before formatting, for the given (n, kind, SpectrumReport)
-    triples at each eps: `cli._cmd_outliers` counts, and the spectra are
-    handed to it in place of the ones it would compute."""
-    monkeypatch.setattr(dofde.cli, "_spectra", lambda args: iter(spectra))
-    return dofde.cli._cmd_outliers(SimpleNamespace(eps=list(eps)))[1]
+    triples at each eps, counted on its dense route: `cli.count_below`
+    gives no count, and each spectrum is handed to `cli._cmd_outliers` in
+    place of the one it would compute."""
+    monkeypatch.setattr(dofde.cli, "count_below", lambda c, rows: [None] * len(rows))
+    rows = []
+    for n, kind, spectrum in spectra:
+        monkeypatch.setattr(dofde.cli, "preconditioned_spectrum", lambda c, P: spectrum)
+        args = SimpleNamespace(sizes=[n], precs=[kind], eps=list(eps))
+        rows += dofde.cli._cmd_outliers(args)[1]
+    return rows
+
+
+def outlier_table(kinds, sizes, eps):
+    """(rows, routes) of `dofde outliers` for the given kinds, sizes and
+    eps, on its own routes."""
+    args = SimpleNamespace(sizes=list(sizes), precs=list(kinds), eps=list(eps))
+    _, rows, extras = dofde.cli._cmd_outliers(args)
+    return rows, extras["routes"]
 
 
 def peak_traced_bytes(fn):
@@ -217,6 +231,66 @@ def frobenius_tau_dense(A):
     if A.shape != (n, n) or not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
         raise ValueError("A must be square symmetric")
     return np.diag(sine_transform_dense(A)).copy()
+
+
+# ---------------------------------------------------------------------------
+# the accuracy oracle of every printed extreme: the Rayleigh quotient of the
+# dense eigenvector with A and P assembled in long double from the package's
+# coefficients, densely and without an FFT, where the package evaluates its
+# own quotients by long-double FFTs (`spectral._rayleigh_quotients`)
+
+LD = np.longdouble
+PI_LD = 4 * np.arctan(LD(1))
+
+
+def _long_double_energy(c, kind, z):
+    """z^T P z in long double for P of the given kind, from c's
+    coefficients: the circulants from their first columns, the natural tau
+    as T - H (Hankel flaps H_ij = a_(i+j) + a_(2(n+1)-i-j), 1-based), the
+    Frobenius tau as sum_j d_j (Q z)_j^2 with d = diag(Q T Q) in its closed
+    form over a dense cosine table, and the stencil tridiag(-1, 2, -1) as
+    a sum of squared differences."""
+    n = c.n
+    a = c.a.astype(LD)
+    i = np.arange(n)
+    if kind is PrecKind.IDENTITY:
+        return z @ z
+    if kind is PrecKind.LAPLACIAN:
+        return z[0] ** 2 + z[-1] ** 2 + np.sum(np.diff(z) ** 2)
+    if kind is PrecKind.STRANG_CIRCULANT:
+        col = np.where(i <= n // 2, a[i], a[(n - i) % n])
+        return z @ (col[(i[:, None] - i) % n] @ z)
+    if kind is PrecKind.FROBENIUS_CIRCULANT:
+        col = np.r_[a[0], ((n - i[1:]) * a[1:] + i[1:] * a[n - i[1:]]) / n]
+        return z @ (col[(i[:, None] - i) % n] @ z)
+    if kind is PrecKind.NATURAL_TAU:
+        padded = np.concatenate([a, np.zeros(n + 2, dtype=LD)])
+        s = i[:, None] + i + 2
+        return z @ ((a[np.abs(i[:, None] - i)] - padded[s] - padded[2 * (n + 1) - s]) @ z)
+    # d_j = a_0 + 2/(n+1) [sum_k ((n-k) a_k + 2 s_k) cos(jk theta) + s_0 - a_0],
+    # s_l the stride-2 suffix sums, as in `preconditioners._frobenius_tau_spectrum`
+    sums = np.array([a[k::2].sum() for k in range(n)], dtype=LD)
+    j = np.arange(1, n + 1)
+    cosines = np.cos(np.outer(j, i[1:]).astype(LD) * PI_LD / (n + 1))
+    d = a[0] + 2 * (cosines @ ((n - i[1:]) * a[1:] + 2 * sums[1:]) + sums[0] - a[0]) / (n + 1)
+    Q = np.sqrt(LD(2) / (n + 1)) * np.sin(np.outer(j, j).astype(LD) * PI_LD / (n + 1))
+    return d @ (Q @ z) ** 2
+
+
+def rayleigh_oracle(c, P):
+    """(lambda_min, lambda_max) of P^(-1) A as the long-double Rayleigh
+    quotients z^T A z / z^T P z of the dense eigenvectors z = P^(-1/2) v,
+    v the extreme eigenvectors of the explicit P^(-1/2) A P^(-1/2).  Each is
+    a one-sided bound whose error is quadratic in v's."""
+    A = np.asarray(assemble_dense(c))
+    R = prec_power_dense(P, -0.5)
+    _, V = np.linalg.eigh(explicit_preconditioned(A, P))
+    A_ld = A.astype(LD)
+    quotients = []
+    for v in (V[:, 0], V[:, -1]):
+        z = (R @ v).astype(LD)
+        quotients.append(float((z @ (A_ld @ z)) / _long_double_energy(c, P.kind, z)))
+    return tuple(quotients)
 
 
 # ---------------------------------------------------------------------------

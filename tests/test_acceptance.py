@@ -202,9 +202,9 @@ def test_criterion_3_preconditioned_extremes():
     assert _verdict(3, "preconditioned extreme eigenvalues", ok, detail)
 
 
-def test_criterion_4_outlier_tables(monkeypatch):
-    # the counts come from `dofde outliers`' own counting, fed the cached
-    # spectra
+def test_criterion_4_outlier_tables():
+    # the counts come from `dofde outliers` itself, by inertia; the dense
+    # route's counting is checked in test_spectral.TestOutliers
     overall = True
     details = []
     for kind, table, label in (
@@ -213,8 +213,8 @@ def test_criterion_4_outlier_tables(monkeypatch):
     ):
         exact = 0
         worst = 0
-        spectra = [(n, kind, shared.prec_spectrum(kind, n)) for n in SIZES]
-        rows = shared.outlier_rows(monkeypatch, spectra, (1e-1, 1e-2))
+        rows, routes = shared.outlier_table([kind], SIZES, (1e-1, 1e-2))
+        assert set(routes.values()) == {"inertia"}
         wanted = [pair for n in SIZES for pair in table[n]]
         assert len(rows) == len(wanted)
         for (n, _, _, left, right, percent), (want_l, want_r) in zip(rows, wanted):

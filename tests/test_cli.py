@@ -142,8 +142,8 @@ class TestCommands:
 
     def test_spectrum_json_gives_each_rows_route(self, tmp_path):
         # a certified Lanczos row gives its steps and both residual bounds,
-        # a row the step budget did not certify says "dense"; the CSV of
-        # the same run keeps its four columns
+        # and the Laplacian's its shift-and-invert run's shift and outer and
+        # inner steps too; the CSV of the same run keeps its four columns
         argv = ["spectrum", "--sizes", "32,512", "--precs", "strang,laplacian",
                 "--out", str(tmp_path)]
         assert main(argv + ["--format", "json"]) == 0
@@ -154,13 +154,17 @@ class TestCommands:
         assert payload["rows"] == [line.split(",") for line in body]
         routes = payload["routes"]
         assert sorted(routes) == sorted(f"n={n},{kind}" for n, kind, _, _ in payload["rows"])
-        assert routes["n=512,laplacian"] == "dense"
-        for key in ("n=32,strang", "n=32,laplacian", "n=512,strang"):
+        for key in routes:
             steps, bounds = routes[key]["lanczos_steps"], routes[key]["residual_bounds"]
             assert 1 <= steps <= dofde.spectral._LANCZOS_STEPS and len(bounds) == 2
-        row = next(row for row in payload["rows"] if row[:2] == ["512", "strang"])
-        bounds = routes["n=512,strang"]["residual_bounds"]
-        assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
+            shifted = {"shift", "inverse_steps", "inner_steps"} <= set(routes[key])
+            assert shifted == key.endswith("laplacian"), key
+        for n in ("32", "512"):
+            assert routes[f"n={n},laplacian"]["inverse_steps"] >= 1
+        for key in ("512,strang", "512,laplacian"):
+            row = next(row for row in payload["rows"] if ",".join(row[:2]) == key)
+            bounds = routes[f"n={key}"]["residual_bounds"]
+            assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
 
     def test_spectrum_falls_back_per_kind(self, monkeypatch, tmp_path):
         # with Lanczos giving up on Strang and the Laplacian only, those two
@@ -184,8 +188,12 @@ class TestCommands:
                 assert route == "dense", kind
             else:
                 extremes = lanczos(c, P)
-                assert route == {"lanczos_steps": extremes.steps,
-                                 "residual_bounds": list(extremes.residual_bounds)}, kind
+                want = {"lanczos_steps": extremes.steps,
+                        "residual_bounds": list(extremes.residual_bounds)}
+                if kind is PrecKind.IDENTITY:
+                    want.update(shift=0.0, inverse_steps=extremes.inverse_steps,
+                                inner_steps=extremes.inner_steps)
+                assert route == want, kind
             assert row == [str(n), kind.value, "%.10e" % extremes.lambda_min,
                            "%.10e" % extremes.lambda_max]
 
@@ -345,18 +353,25 @@ class TestErrorPaths:
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("argv, message", [
-        (["cn", "--sizes", "1" + "0" * 400], "int too large to convert to float"),
-        (["pcg", "--sizes", str(2**63)], "float division by zero"),
-    ])
-    def test_size_too_large_for_floats_writes_nothing(self, argv, message, capsys, tmp_path):
-        # n overflows a float in c_n, and at n = 2^63 the symbol's corner
-        # slope divides by 1 - (n pi)^(-1/n), which rounds to zero
+    @pytest.mark.parametrize("command", ["cn", "pcg", "mineig"])
+    @pytest.mark.parametrize("size", [str(2**53), str(2**63), "32," + "1" + "0" * 400],
+                             ids=["2**53", "2**63", "10**400"])
+    def test_size_too_large_for_floats_writes_nothing(self, command, size, capsys, tmp_path):
+        # every size from 2^53 on, where n stops converting to a float
+        # exactly, fails in parsing, before any table: before, n = 2^63
+        # divided by zero in the symbol's corner slope (pcg, mineig) or
+        # printed the limit c_inf (cn), and 10^400 overflowed a float
         out = tmp_path / "out"
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main([command, "--sizes", size, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n" and captured.out == ""
+        too_large = size.split(",")[-1]
+        assert captured.err == (f"error: size {too_large} is too large: "
+                                "sizes must be below 2**53\n") and captured.out == ""
         assert not list(out.glob("*"))
+
+    def test_largest_float_exact_size_parses(self):
+        assert parse_sizes(str(2**53 - 1)) == [2**53 - 1]
+        assert parse_sizes(f"{2**51}..{2**53 - 1}") == [2**51, 2**52]
 
     def test_unknown_preconditioner(self, capsys):
         assert main(["pcg", "--sizes", "32", "--precs", "jacobi"]) == 2
@@ -514,6 +529,29 @@ class TestReferenceTables:
             assert len(g) == len(w) and all(map(_cell_matches, g, w)), (g, w)
 
 
+class TestMatrixFreeDefaults:
+    def test_default_tables_make_no_dense_eigensolve(self, monkeypatch, tmp_path):
+        # spectrum, outliers and mineig at their default sizes and kinds run
+        # matrix-free: no eigvalsh, and no JSON route reads "dense"
+        def never(*args, **kwargs):
+            raise AssertionError("a dense eigensolve ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        for command in ("spectrum", "outliers", "mineig"):
+            assert main([command, "--format", "json", "--out", str(tmp_path)]) == 0
+            payload = json.loads((tmp_path / f"{command}.json").read_text())
+            assert "dense" not in payload.get("routes", {}).values(), command
+
+    def test_outliers_json_gives_each_rows_route(self, tmp_path):
+        # the sine kinds count by inertia, a circulant by its dense spectrum
+        argv = ["outliers", "--sizes", "32", "--precs", "strang,natural_tau,laplacian",
+                "--format", "json", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / "outliers.json").read_text())
+        assert payload["routes"] == {"n=32,strang": "dense", "n=32,natural_tau": "inertia",
+                                     "n=32,laplacian": "inertia"}
+
+
 class TestNoDenseSineTransform:
     def test_spectra_transform_vectors_only(self, monkeypatch, tmp_path):
         # B = Q A Q comes from the displacement identity, the circulant
@@ -550,8 +588,10 @@ class TestNoDenseSineTransform:
         argv = ["--sizes", "32..128", "--out", str(tmp_path)]
         for command in (["spectrum", "--precs", "all"], ["outliers"]):
             assert main(command + argv) == 0
-        # 3 sizes x 6 kinds run Lanczos, each step two roots and a matvec
-        assert vector_calls.count("root") >= 2 * vector_calls.count("matvec") >= 2 * 18
+        # 3 sizes x 6 kinds run Lanczos, each plain step two roots and a
+        # matvec, and the identity's and the Laplacian's shift-and-invert
+        # runs a pcg of matvecs per step
+        assert vector_calls.count("root") >= 2 * 18 and vector_calls.count("matvec") >= 18
         # spectrum's dense route for every kind, as when Lanczos gives up
         monkeypatch.setattr(dofde.cli, "lanczos_extremes", lambda c, P: None)
         assert main(["spectrum", "--precs", "all"] + argv) == 0

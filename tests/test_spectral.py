@@ -23,12 +23,13 @@ from dofde import (
     build_strang,
     coeffs_via_fft,
     dense_sym_eigs,
+    count_below,
     lanczos_extremes,
     min_eig_normalized,
     preconditioned_spectrum,
 )
 from dofde.cli import main
-from dofde.spectral import _flip_block, _sine_block, _sine_generators
+from dofde.spectral import _flip_block, _inverse_min, _sine_block, _sine_generators
 
 
 def char_poly_coeffs(A):
@@ -101,13 +102,44 @@ class TestMinEigNormalized:
             oracle = c.n * np.linalg.eigvalsh(assemble_dense(c))[0]
             assert min_eig_normalized(c) == pytest.approx(oracle, rel=1e-12), c.n
 
-    def test_min_eig_holds_one_quarter_block(self):
-        # one folded block at a time: 0.285 n^2 floats measured, with the
-        # coefficients, and a margin of 0.045 n^2; both blocks at once
-        # need 0.5
-        n = 1024
-        peak, _ = shared.peak_traced_bytes(lambda: min_eig_normalized(coeffs_via_fft(n)))
-        assert peak < 0.33 * n * n * 8, peak / (n * n * 8)
+    @pytest.mark.parametrize("command, floats", [("mineig", 330), ("outliers", 165)])
+    def test_commands_hold_o_n_floats(self, command, floats, tmp_path):
+        # no n^2/4 block (512 n floats at n = 2048) is formed: measured
+        # peaks 295 n (mineig: the coefficients, the bound constants and
+        # the 96-row Lanczos basis) and 147 n (outliers: the coefficient
+        # samples), with a margin of about 12%
+        n = 2048
+        argv = [command, "--sizes", str(n), "--out", str(tmp_path)]
+        assert main(argv) == 0  # lazy imports and caches first
+        peak, status = shared.peak_traced_bytes(lambda: main(argv))
+        assert status == 0
+        assert peak < floats * n * 8, peak / (n * 8)
+
+    @settings(deadline=None, max_examples=20)
+    @given(n=st.integers(1, 300))
+    @example(n=1)
+    @example(n=2)
+    @example(n=3)
+    @example(n=4)
+    @example(n=5)
+    def test_inverse_routes_match_dense(self, n):
+        # A^(-1) for the package's and a random nonnegative symbol, and the
+        # Laplacian's shift-and-invert for the package's, each matrix-free
+        # (not through min_eig_normalized's dense fallback)
+        cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
+        for c in cases + ([shared.coeffs(n)] if n > 1 else []):
+            identity = build_identity(n)
+            found = _inverse_min(c, identity, 0.0)
+            dense = preconditioned_spectrum(c, identity).lambda_min
+            assert found is not None and found[0] == pytest.approx(dense, rel=1e-9, abs=0), n
+            assert min_eig_normalized(c) == n * found[0]
+        if n > 1:
+            c = shared.scaled_coeffs(n)
+            P = build_laplacian(n)
+            found = lanczos_extremes(c, P)
+            dense = preconditioned_spectrum(c, P)
+            assert found is not None and found.shift >= 0.0 and found.inverse_steps >= 1
+            assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), n
 
 
 class TestPreconditionedSpectrum:
@@ -372,8 +404,9 @@ class TestLanczosExtremes:
             if n <= _STEPS:
                 # at the latest k = n, where the Krylov space is all of R^n
                 assert found is not None and found.steps <= n, P.kind
-            elif P.kind not in (PrecKind.IDENTITY, PrecKind.LAPLACIAN):
-                # clustered spectra: certified well inside the budget
+            elif P.kind is not PrecKind.IDENTITY:
+                # clustered spectra, and the Laplacian's shifted lower end:
+                # certified well inside the budget
                 assert found is not None, P.kind
             if found is None:
                 continue
@@ -383,20 +416,33 @@ class TestLanczosExtremes:
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), (n, P.kind)
             assert found.lambda_max == pytest.approx(dense.lambda_max, rel=1e-9, abs=0), (n, P.kind)
 
-    def test_laplacian_at_512_takes_the_dense_route(self, tmp_path):
-        # its lower end is too densely packed for the step budget, so the
-        # row is the dense spectrum's, to the last printed digit
+    def test_laplacian_at_512_takes_the_shifted_route(self, tmp_path):
+        # its lower end is too densely packed for the plain step budget, so
+        # it comes from the shift-and-invert run, whose outer and inner
+        # steps the route gives; the row is the dense spectrum's to the last
+        # printed digit, lambda_min to 1e-12 and lambda_max, where the dense
+        # route carries the sine blocks' rounding, to the oracle's 1e-12
         n = 512
         c = shared.scaled_coeffs(n)
         P = build_laplacian(n)
-        assert lanczos_extremes(c, P) is None
+        found = lanczos_extremes(c, P)
         dense = preconditioned_spectrum(c, P)
         assert main(["spectrum", "--sizes", str(n), "--precs", "laplacian",
                      "--format", "json", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
-        assert payload["routes"] == {f"n={n},laplacian": "dense"}
+        route = payload["routes"][f"n={n},laplacian"]
+        assert route == {"lanczos_steps": found.steps,
+                         "residual_bounds": list(found.residual_bounds),
+                         "shift": found.shift, "inverse_steps": found.inverse_steps,
+                         "inner_steps": found.inner_steps}
+        assert found.steps < _STEPS and 1 <= found.inverse_steps < _STEPS
+        assert found.inner_steps >= found.inverse_steps
+        assert 0.0 < found.shift < found.lambda_min
         assert payload["rows"] == [[str(n), "laplacian", "%.10e" % dense.lambda_min,
                                     "%.10e" % dense.lambda_max]]
+        assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-12, abs=0)
+        oracle = shared.rayleigh_oracle(c, P)
+        assert found.lambda_max == pytest.approx(oracle[1], rel=1e-12, abs=0)
 
     def test_rejects_what_preconditioned_spectrum_rejects(self):
         c = shared.scaled_coeffs(6)
@@ -404,6 +450,85 @@ class TestLanczosExtremes:
             lanczos_extremes(assemble_dense(c), build_identity(6))
         with pytest.raises(ValueError):
             lanczos_extremes(c, build_laplacian(7))
+
+
+class TestInertiaCounts:
+    """`count_below`'s Cauchy-like inertia counts against eigvalsh of the
+    assembled P^(-1/2) A P^(-1/2)."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        tail=st.integers(0, 199).flatmap(
+            lambda m: arrays(np.float64, m, elements=st.floats(-1.0, 1.0))
+        ),
+        margin=st.floats(1e-2, 1.0),
+        picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1.0, 1.0]),
+                                 st.floats(-8.0, -6.0)), min_size=1, max_size=4),
+    )
+    @example(tail=np.array([]), margin=0.1, picks=[(0.5, 1.0, -6.0)])
+    @example(tail=np.array([0.5]), margin=0.1, picks=[(0.0, -1.0, -6.0), (1.0, 1.0, -7.0)])
+    @example(tail=np.array([0.5, -0.25]), margin=0.1, picks=[(0.5, 1.0, -8.0)])
+    def test_counts_match_eigvalsh(self, tail, margin, picks):
+        # a0 above 2 sum |a_k| keeps A and the sine kinds SPD; each shift
+        # is an eigenvalue of a kind moved by 1e-8 to 1e-6 relative, to
+        # either side, and 0.5 and 1.5 are in every batch too
+        a = np.concatenate([[2.0 * np.abs(tail).sum() + margin], tail])
+        n = len(a)
+        c = ToeplitzCoeffs(n, a)
+        A = assemble_dense(c)
+        precs = [build_natural_tau(c), build_frobenius_tau(c), build_laplacian(n)]
+        spectra = [np.linalg.eigvalsh(shared.explicit_preconditioned(A, P)) for P in precs]
+        rows = []
+        for P, w in zip(precs, spectra):
+            shifts = [0.5, 1.5] + [w[min(int(at * n), n - 1)] * (1.0 + side * 10.0**power)
+                                   for at, side, power in picks]
+            rows += [(P, shift) for shift in shifts]
+        want = [int(np.count_nonzero(w < shift))
+                for w, P in zip(spectra, precs) for Q, shift in rows if Q is P]
+        assert count_below(c, rows) == want
+
+    def test_non_sine_kinds_and_order_mismatch(self):
+        c = shared.scaled_coeffs(16)
+        rows = [(build_strang(c), 1.0), (build_identity(16), 1.0), (build_natural_tau(c), 1.0)]
+        counts = count_below(c, rows)
+        assert counts[:2] == [None, None] and isinstance(counts[2], int)
+        with pytest.raises(ValueError):
+            count_below(c, [(build_laplacian(17), 1.0)])
+        with pytest.raises(TypeError):
+            count_below(assemble_dense(c), [(build_laplacian(16), 1.0)])
+        assert count_below(c, []) == []
+
+    def test_zero_pivot_gives_no_count(self):
+        # A = 2 I is its own Frobenius tau, to the bit, so at shift 1 the
+        # matrix B - D is zero: every pivot is 0, the row has no count, and
+        # the dense spectrum must decide; at 1.5 every pivot is -1
+        n = 9
+        c = ToeplitzCoeffs(n, np.eye(n)[0] * 2.0)
+        P = build_frobenius_tau(c)
+        assert np.all(P.spectrum == 2.0)
+        assert count_below(c, [(P, 1.0), (P, 1.5)]) == [None, n]
+
+
+class TestLongDoubleOracle:
+    """Every `mineig` cell and every `spectrum` extreme at the default sizes
+    up to 512 within 1e-12 of the long-double Rayleigh quotient of the
+    dense eigenvector (conftest.rayleigh_oracle)."""
+
+    def test_spectrum_extremes(self):
+        kinds = [kind for kind in PrecKind if kind is not PrecKind.IDENTITY]
+        for n in (32, 64, 128, 256, 512):
+            c = shared.scaled_coeffs(n)
+            for kind in kinds:
+                P = build_preconditioner(kind, c)
+                found = lanczos_extremes(c, P)
+                oracle = shared.rayleigh_oracle(c, P)
+                for got, want in zip((found.lambda_min, found.lambda_max), oracle):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (n, kind)
+
+    def test_mineig_cells(self):
+        for n in (16, 32, 64, 128, 256, 512):
+            oracle = n * shared.rayleigh_oracle(shared.coeffs(n), build_identity(n))[0]
+            assert min_eig_normalized(shared.coeffs(n)) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 class TestSpectrumReport:
