@@ -113,14 +113,30 @@ def _iterations(report, what):
     return report.iterations
 
 
-def _scaled_coeffs(n):
-    c = coeffs_via_fft(n)
+def _coefficients():
+    """n -> coeffs_via_fft(n), sampled once per n.  `main` makes one for
+    each call, so the commands of `all` share their coefficients and none
+    outlive the call; coeffs_via_fft is looked up at call time, so a
+    wrapper set on this module sees every sampling."""
+    sampled = {}
+
+    def coeffs(n):
+        if n not in sampled:
+            sampled[n] = coeffs_via_fft(n)
+        return sampled[n]
+
+    return coeffs
+
+
+def _scaled_coeffs(args, n):
+    c = args.coeffs(n)
     return ToeplitzCoeffs(n, c.a / n)
 
 
 # ---------------------------------------------------------------------------
 # command implementations: each takes the parsed arguments, with `sizes`
-# resolved to a list, and returns (columns, rows of raw values, extras)
+# resolved to a list and `coeffs` the call's `_coefficients`, and returns
+# (columns, rows of raw values, extras)
 
 def _cmd_bounds(args):
     upper = upper_bound_constant(tol=args.quad_tol)
@@ -150,12 +166,12 @@ def _cmd_cn(args):
 def _cmd_mineig(args):
     upper = upper_bound_constant(tol=args.quad_tol).value
     lower = lower_bound_constant(tol=args.quad_tol).value
-    rows = [[n, min_eig_normalized(coeffs_via_fft(n)), lower, upper] for n in args.sizes]
+    rows = [[n, min_eig_normalized(args.coeffs(n)), lower, upper] for n in args.sizes]
     return ["n", "normalized_min_eig", "k2", "k1"], rows, {}
 
 
 def _cmd_coeffs(args):
-    rows = [[n, k, a] for n in args.sizes for k, a in enumerate(coeffs_via_fft(n).a)]
+    rows = [[n, k, a] for n in args.sizes for k, a in enumerate(args.coeffs(n).a)]
     return ["n", "k", "coefficient"], rows, {}
 
 
@@ -165,7 +181,7 @@ def _cmd_pcg(args):
     rows = []
     histories = {}
     for n in args.sizes:
-        scaled = _scaled_coeffs(n)
+        scaled = _scaled_coeffs(args, n)
         op = ToeplitzOperator(scaled)
         b = np.ones(n)
         row = [n]
@@ -185,7 +201,7 @@ def _cmd_spectrum(args):
     rows = []
     routes = {}
     for n in args.sizes:
-        scaled = _scaled_coeffs(n)
+        scaled = _scaled_coeffs(args, n)
         for kind in precs:
             P = build_preconditioner(kind, scaled)
             extremes = lanczos_extremes(scaled, P)
@@ -199,6 +215,8 @@ def _cmd_spectrum(args):
                 if extremes.shift is not None:
                     routes[key].update(shift=extremes.shift, inverse_steps=extremes.inverse_steps,
                                        inner_steps=extremes.inner_steps)
+                if extremes.upper_shift is not None:
+                    routes[key]["upper_shift"] = extremes.upper_shift
             rows.append([n, kind.value, extremes.lambda_min, extremes.lambda_max])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {"routes": routes}
 
@@ -213,7 +231,7 @@ def _cmd_outliers(args):
     rows = []
     routes = {}
     for n in args.sizes:
-        scaled = _scaled_coeffs(n)
+        scaled = _scaled_coeffs(args, n)
         built = [build_preconditioner(kind, scaled) for kind in precs]
         below = count_below(scaled, [(P, shift) for P in built for shift in shifts])
         for i, P in enumerate(built):
@@ -238,7 +256,7 @@ def _cmd_mgm(args):
     cases = list(MGM_CASES) if args.case == "all" else [args.case]
     rows = []
     for n in args.sizes:
-        h = build_hierarchy(_scaled_coeffs(n))
+        h = build_hierarchy(_scaled_coeffs(args, n))
         b = np.ones(n)
         for name in cases:
             t = tgm(h, name, b, stop=args.stop)
@@ -306,6 +324,7 @@ def main(argv=None):
         args.precs = _parse_precs(args.precs) if args.precs else []
         args.eps = _parse_list(args.eps, float, "eps")
         args.stop = StoppingRule(tol=args.tol)
+        args.coeffs = _coefficients()
         if args.command != "all":
             commands = [args.command]
         elif not args.out:

@@ -11,11 +11,10 @@ so every level is stored as its first column and built in O(n)
 (Fiorentino and Serra, Calcolo 1991; Chan, Chang and Sun, SIAM J. Sci.
 Comput. 19, 1998).  Restriction and prolongation are stencil slices,
 and no level is assembled densely: a cycle's coarsest level is solved
-exactly by the formula T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of
-Gohberg and Semencul (1972; Trench, J. SIAM 12, 1964), x = T^{-1} e_1
-from one Frobenius-tau PCG solve per level, y = [0, x_{n-1}, ..., x_1],
-L(v) lower-triangular Toeplitz with first column v, each L(v) product
-a cached rfft convolution, `toeplitz._product`, as is the matvec.
+exactly by the Gohberg-Semencul formula, `toeplitz._gohberg_semencul`,
+from x = T^{-1} e_1, one Frobenius-tau PCG solve per level; its four
+triangular products are cached rfft convolutions, `toeplitz._product`,
+as is the matvec.
 
 Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
 steps (`pcg` run by `cg_smooth_step`) with the natural tau, Frobenius
@@ -46,7 +45,8 @@ import numpy as np
 
 from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _product, _series_reciprocal
+from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _product,
+                       _series_reciprocal)
 
 __all__ = [
     "MGM_CASES",
@@ -102,19 +102,14 @@ class GridLevel:
         return _product(_series_reciprocal(self.coeffs.a), self.n)
 
     @functools.cached_property
-    def _inverse_generators(self):
-        """x_0 and the products by L(x), L(y) of x = T^{-1} e_1, y = [0, x_{n-1}, ..., x_1]."""
+    def solve(self):
+        """r -> T^{-1} r by `_gohberg_semencul` from x = T^{-1} e_1, which
+        one Frobenius-tau PCG solve finds."""
         report = pcg(self.matvec, self._preconditioner(PrecKind.FROBENIUS_TAU),
                      np.eye(1, self.n)[0], stop=StoppingRule(tol=_EXACT_SOLVE_TOL))
         if not report.converged:
             raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_EXACT_SOLVE_TOL:g}")
-        x = report.solution
-        return x[0], _product(x, self.n), _product(np.r_[0.0, x[:0:-1]], self.n)
-
-    def solve(self, r):
-        """T^{-1} r by the Gohberg-Semencul formula, with L(v)^T r = J L(v) J r."""
-        x0, lx, ly = self._inverse_generators
-        return (lx(lx(r[::-1])[::-1]) - ly(ly(r[::-1])[::-1])) / x0
+        return _gohberg_semencul(report.solution)
 
 
 @dataclass(frozen=True)

@@ -12,26 +12,33 @@ flip parities, so both ends come from one Krylov space, and it stops
 once each end it is asked for has a residual bound
 beta_k |s_k| <= 1e-10 |theta| (Parlett, The Symmetric Eigenvalue Problem,
 1980, ch. 13), or when the space is the whole of R^n; it gives up after a
-fixed step budget.  It serves three operators:
+fixed step budget.  It serves three kinds of operator:
 
 - P^(-1/2) A P^(-1/2), each product one Toeplitz matvec between two
   P^(-1/2) convolutions: both ends for the circulant and tau kinds, and
-  the upper end for the identity and the Laplacian;
-- A^(-1), each product one `pcg` preconditioned by A's Frobenius tau at
-  tol 1e-13, for lambda_min(A) = 1/mu_max, which `min_eig_normalized`
-  reads;
+  the upper end for the Laplacian;
+- A^(-1), for lambda_min(A) = 1/mu_max, which `min_eig_normalized` reads,
+  and (sigma I - A)^(-1) for lambda_max(A) = sigma - 1/mu_max, sigma the
+  greatest of A's symbol f = a_0 + 2 sum a_k cos(k theta) on a grid plus
+  the grid's miss, so sigma I - A is positive definite (Grenander and
+  Szego, Toeplitz Forms and Their Applications, 1958: f >= sigma g implies
+  T(f) >= sigma T(g));
 - L^(1/2) (A - sigma L)^(-1) L^(1/2) for the Laplacian L, whose densely
   packed lower end the plain operator does not reach in its budget, with
   lambda_min = sigma + 1/mu_max.  The shift sigma is the least ratio
-  f(theta) / (4 sin^2(theta/2)) on a grid, f = a_0 + 2 sum a_k cos(k theta)
-  the symbol of A itself, so A - sigma L is positive definite: f >= sigma g
-  implies T(f) >= sigma T(g) (Grenander and Szego, Toeplitz Forms and
-  Their Applications, 1958), and L = T(4 sin^2(theta/2)).  Its inner
-  `pcg` uses the natural tau of A - sigma L, whose eigenvalues are
-  f - sigma g sampled on the sine grid: nonnegative by the choice of
-  sigma, and small where the shifted symbol vanishes, which the
-  Frobenius tau does not follow (18 to 24 iterations per solve at
-  n = 128..2048 against its 37 to 105).
+  f(theta) / (4 sin^2(theta/2)) on the same grid, less its miss, so
+  A - sigma L is positive definite, L = T(4 sin^2(theta/2)).
+
+An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
+matrix S, at tol 1e-13, and then four triangular Toeplitz convolutions
+per product: S^(-1) = (L(x) L(x)^T - L(y) L(y)^T)/x_0 by the formula of
+Gohberg and Semencul (`toeplitz._gohberg_semencul`).  The solve is
+preconditioned by A's Frobenius tau for A^(-1), and otherwise by the
+natural tau of S, whose eigenvalues are the shifted symbol sampled on the
+sine grid: nonnegative by the choice of sigma, and small where the
+shifted symbol vanishes, which the Frobenius tau does not follow (17 to
+22 iterations for the Laplacian's solve at n = 128..2048 against its 36
+to 102).
 
 The Ritz values carry the rounding of the double FFT products, which the
 roots and the inverses amplify.  So each extreme is reported as the
@@ -52,8 +59,10 @@ the Frobenius-tau closed form.  A shift changes only the diagonal, and a
 Schur step keeps the form, updating the two generators and the diagonal
 from the pivot column (Gohberg, Kailath and Olshevsky, Math. Comp. 64,
 1995).  `count_below` takes 1x1 pivots on the largest remaining
-|diagonal|, for a batch of shifts and preconditioners at once, in O(n^2)
-time and O(n) memory per count.
+|diagonal|, in O(n^2) time and O(n) memory per count, with every shift,
+preconditioner and parity block of a call in one batch: each block is a
+row of ceil(n/2) columns that carry their sine indices, so the step loop
+runs ceil(n/2) times for the whole batch.
 
 The dense route, `preconditioned_spectrum`, computes every eigenvalue.
 Every matrix here is symmetric Toeplitz, so it commutes with the flip J,
@@ -79,9 +88,10 @@ import numpy as np
 
 from .krylov import BreakdownError, StoppingRule, pcg
 from .preconditioners import (_SINE, _SPECTRA, NotSPDError, PrecKind, _algebra_product,
-                              _frobenius_tau_spectrum, apply_inverse_sqrt, build_frobenius_tau,
-                              build_identity, build_natural_tau)
-from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2, _quadratic_form
+                              _frobenius_tau_spectrum, apply_inverse_sqrt, build_identity,
+                              build_preconditioner)
+from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _next_pow2,
+                       _quadratic_form)
 from .transforms import _circulant_transform, _tau_transform, dst1
 
 __all__ = [
@@ -136,15 +146,18 @@ class RitzExtremes:
     """The extreme eigenvalues of P^(-1) A, each the long-double Rayleigh
     quotient of a certified Ritz vector, and how they were found.
 
-    steps is the number of Lanczos steps on P^(-1/2) A P^(-1/2), and
-    residual_bounds the bounds beta_k |s_k| of the two Ritz values,
+    residual_bounds are the bounds beta_k |s_k| of the two Ritz values,
     lambda_min's first, each at most 1e-10 of its Ritz value, relative,
-    unless its run took all n steps.  For the identity and the Laplacian,
-    lambda_min comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2)
-    instead, in inverse_steps steps whose solves took inner_steps `pcg`
-    iterations in all, and its bound is the top Ritz value's mapped to
-    lambda_min (`_inverse_min`); for the other kinds shift is None and
-    both counts are 0.
+    unless its run took all n steps.  steps is the number of Lanczos steps
+    of the run that found lambda_max: on P^(-1/2) A P^(-1/2), which for the
+    circulant and tau kinds finds lambda_min too, or, for the identity, on
+    (upper_shift I - A)^(-1).  For the identity and the Laplacian, lambda_min
+    comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2) instead, in
+    inverse_steps steps; inner_steps counts the `pcg` iterations of the
+    generator solves, one per inverse run, behind those runs' products
+    (`_inverse_end`), and a bound of an inverse run is its top Ritz value's
+    mapped to the end.  For the other kinds shift is None and both counts
+    are 0; upper_shift is None but for the identity.
     """
 
     lambda_min: float
@@ -154,6 +167,7 @@ class RitzExtremes:
     shift: float | None = None
     inverse_steps: int = 0
     inner_steps: int = 0
+    upper_shift: float | None = None
 
 
 def _check_symmetric(A):
@@ -208,7 +222,7 @@ def _flip_block(a, p):
 def _sine_generators(a):
     """The O(n) generators of B = Q T Q for the symmetric Toeplitz matrix
     T with first column a, which `_sine_block` expands and `count_below`
-    eliminates one parity at a time: the table half_m = sin(m theta/2),
+    eliminates: the table half_m = sin(m theta/2), m = 0..2n + 1,
     q = Q e_1, u^ = Q u and diag(B).
 
     With theta = pi/(n+1), H = tridiag(1, 0, 1), u_k = a_k for k = 1..n
@@ -227,12 +241,12 @@ def _sine_generators(a):
     return half, q, dst1(u), _frobenius_tau_spectrum(a)
 
 
-def _signed_gaps(half, m):
-    """The table -2 sign(d) sin(|d| theta) for d = (j - k)/2 from -(m - 1)
-    to m - 1, entry d + m - 1, with a 1 at d = 0, which keeps 0/0 off a
-    block's diagonal: times half_(j+k), the denominator
-    cos(j theta) - cos(k theta) of parity-block entries j, k."""
-    twice = 2.0 * half[2 : 2 * m : 2]
+def _signed_gaps(half):
+    """The table -2 sign(e) sin(|e| theta/2) = -2 sign(e) half_|e| for
+    e = j - k from -n to n, entry e + n, with a 1 at e = 0, which keeps 0/0
+    off a block's diagonal: times half_(j+k), the denominator
+    cos(j theta) - cos(k theta) of the entries j, k of B (1-based)."""
+    twice = 2.0 * half[1 : len(half) // 2]
     return np.r_[twice[::-1], 1.0, -twice]
 
 
@@ -241,17 +255,18 @@ def _sine_block(generators, p):
     p + 3, ... (1-based), in O(n^2) from `_sine_generators`.
 
     The numerator X - X^T, X = u^_j q_k, is divided in place by the
-    denominator, a Toeplitz view of `_signed_gaps` times a Hankel view of
-    half_(j+k); at most two n^2/4 arrays are alive.  Numerator and
-    denominator are antisymmetric to the last bit, so the block is
-    exactly symmetric.
+    denominator, a Toeplitz view of the even entries of `_signed_gaps`
+    times a Hankel view of half_(j+k); at most two n^2/4 arrays are alive.
+    Numerator and denominator are antisymmetric to the last bit, so the
+    block is exactly symmetric.
     """
     half, q, u_hat, diag = generators
     x = np.outer(u_hat[p::2], q[p::2])
     block = x - x.T
     del x
-    m = len(block)
-    block /= _toeplitz_view(_signed_gaps(half, m), m) * _hankel_view(half[2 * p + 2 :: 2], m)
+    n, m = len(q), len(block)
+    gaps = _signed_gaps(half)[n - 2 * (m - 1) : n + 2 * m - 1 : 2]
+    block /= _toeplitz_view(gaps, m) * _hankel_view(half[2 * p + 2 :: 2], m)
     np.fill_diagonal(block, diag[p::2])
     return block
 
@@ -267,45 +282,64 @@ def _negative_pivots(generators, d, sigma):
     Schur step on the pivot p takes the pivot column
     k_j = (x_j y_p - y_j x_p) / (c_j - c_p) from the generators and
     updates x <- x - (x_p / delta_p) k, y <- y - (y_p / delta_p) k and
-    delta <- delta - k^2 / delta_p, which keeps the form.  Every row
-    eliminates its own copy, pivoting on its largest remaining |delta|:
-    the pivot swaps into the last active column, with the block index
-    each column holds, so step t works on m - t columns.
+    delta <- delta - k^2 / delta_p, which keeps the form.  Every block of
+    every row is eliminated as one batch row of ceil(n/2) columns, each
+    column holding its sine index j, so both parities share the step loop
+    and the denominators come from `_signed_gaps` and half_(j+k) by index.
+    At odd n the short flip-odd block gets a sentinel column j = n + 1 with
+    x = y = 0 and delta = 1: its pivot column entry is 0, so its Schur
+    steps change nothing, and its own pivot, 1, counts as positive.  Each
+    batch row pivots on its largest remaining |delta|: the pivot swaps into
+    the last active column, so step t works on ceil(n/2) - t columns.
     """
     half, q, u_hat, diag = generators
-    rows = np.arange(len(sigma))
-    negative = np.zeros(len(sigma), dtype=int)
-    finite = np.ones(len(sigma), dtype=bool)
-    for p in (0, 1):
-        m = len(q[p::2])
-        x = np.tile(u_hat[p::2], (len(sigma), 1))
-        y = np.tile(q[p::2], (len(sigma), 1))
-        delta = diag[p::2] - sigma[:, None] * d[:, p::2]
-        index = np.tile(np.arange(m), (len(sigma), 1))
-        gaps = _signed_gaps(half, m)
-        sums = half[2 * p + 2 :: 2]
-        for last in range(m - 1, -1, -1):
-            pivot = np.argmax(np.abs(delta[:, : last + 1]), axis=1)
-            for v in (x, y, delta, index):
-                held = v[rows, pivot]
-                v[rows, pivot] = v[:, last]
-                v[:, last] = held
-            pivots = delta[:, last]
-            finite &= np.isfinite(pivots) & (pivots != 0.0)
-            negative += pivots < 0.0
-            if not last:
-                break
-            at = index[:, last, None]
-            active = index[:, :last]
-            column = ((x[:, :last] * y[:, last, None] - y[:, :last] * x[:, last, None])
-                      / (gaps[active - at + m - 1] * sums[active + at]))
-            scale = 1.0 / pivots[:, None]
-            x[:, :last] -= (x[:, last, None] * scale) * column
-            y[:, :last] -= (y[:, last, None] * scale) * column
-            column *= column
-            column *= scale
-            delta[:, :last] -= column
-    return negative, finite
+    n, rows = len(q), len(sigma)
+    m = (n + 1) // 2
+    # x, y and delta in one array, so a pivot swap and the generator
+    # update each take one operation
+    xyd = np.zeros((3, 2 * rows, m))
+    x, y, delta = xyd
+    xy = xyd[:2]
+    index = np.empty((2 * rows, m), dtype=np.intp)
+    for p, block in ((0, slice(None, rows)), (1, slice(rows, None))):
+        width = len(q[p::2])
+        x[block, :width] = u_hat[p::2]
+        y[block, :width] = q[p::2]
+        delta[block, :width] = diag[p::2] - sigma[:, None] * d[:, p::2]
+        index[block, :width] = np.arange(p + 1, n + 1, 2)
+        # the sentinel, at odd n only
+        delta[block, width:] = 1.0
+        index[block, width:] = n + 1
+    gaps = _signed_gaps(half)
+    batch = np.arange(2 * rows)
+    negative = np.zeros(2 * rows, dtype=int)
+    finite = np.ones(2 * rows, dtype=bool)
+    for last in range(m - 1, -1, -1):
+        pivot = np.argmax(np.abs(delta[:, : last + 1]), axis=1)
+        held = xyd[:, batch, pivot]
+        xyd[:, batch, pivot] = xyd[:, :, last]
+        xyd[:, :, last] = held
+        held = index[batch, pivot]
+        index[batch, pivot] = index[:, last]
+        index[:, last] = held
+        pivots = delta[:, last]
+        finite &= np.isfinite(pivots) & (pivots != 0.0)
+        negative += pivots < 0.0
+        if not last:
+            break
+        at = index[:, last, None]
+        active = index[:, :last]
+        column = x[:, :last] * y[:, last, None]
+        column -= y[:, :last] * x[:, last, None]
+        denominator = gaps.take(active - (at - n))
+        denominator *= half.take(active + at)
+        column /= denominator
+        scale = 1.0 / pivots[:, None]
+        xy[:, :, :last] -= (xy[:, :, last, None] * scale) * column
+        column *= column
+        column *= scale
+        delta[:, :last] -= column
+    return negative[:rows] + negative[rows:], finite[:rows] & finite[rows:]
 
 
 def count_below(c, rows):
@@ -484,12 +518,11 @@ def _plain_extremes(c, P, ends):
     return steps, [(quotient(root(y)), bound) for _, y, bound in ritz]
 
 
-def _laplacian_shift(a):
-    """A shift sigma >= 0 below lambda_min(L^(-1) T), T the symmetric
-    Toeplitz matrix with first column a: the least of
-    f(theta) / (4 sin^2(theta/2)), f the symbol of T, over a grid of
-    (0, pi], less the amount by which the grid of every other sample
-    misses it, about three times the grid's own miss."""
+def _symbol_on_grid(a):
+    """theta and the symbol f(theta) = a_0 + 2 sum_k a_k cos(k theta) of the
+    symmetric Toeplitz matrix with first column a, on the grid
+    theta = 2 pi j / samples, j = 1..samples/2, of (0, pi], at
+    max(_SHIFT_SAMPLES, 64 n) samples rounded up to a power of two."""
     n = len(a)
     samples = max(_SHIFT_SAMPLES, _next_pow2(64 * n))
     # the symbol at 2 pi j / samples is the cosine sum of a, mirrored
@@ -498,56 +531,69 @@ def _laplacian_shift(a):
     even[samples - n + 1 :] = a[:0:-1]
     f = _circulant_transform(even)[1 : samples // 2 + 1]
     theta = 2.0 * np.pi / samples * np.arange(1, samples // 2 + 1)
-    ratio = f / (4.0 * np.sin(theta / 2) ** 2)
-    least = ratio.min()
-    return max(0.0, least - (ratio[1::2].min() - least))
+    return theta, f
 
 
-class _InnerSolveFailed(RuntimeError):
-    """An inner solve of an inverse operator stopped at its cap."""
+def _grid_floor(values):
+    """The least of values sampled on `_symbol_on_grid`'s grid, less the
+    amount by which the grid of every other sample misses it, about three
+    times the grid's own miss."""
+    least = values.min()
+    return least - (values[1::2].min() - least)
 
 
-def _inverse_min(c, P, sigma):
-    """lambda_min of P^(-1) A for a P that is a Toeplitz matrix (the
-    identity or the Laplacian) and a shift sigma below it, by `_lanczos`
-    on P^(1/2) (A - sigma P)^(-1) P^(1/2), each product one `pcg` on
-    A - sigma P preconditioned by its Frobenius tau for the identity and
-    by its natural tau for the Laplacian (see the module docstring).
+def _laplacian_shift(a):
+    """A shift sigma >= 0 below lambda_min(L^(-1) T), T the symmetric
+    Toeplitz matrix with first column a: `_grid_floor` of
+    f(theta) / (4 sin^2(theta/2)), f the symbol of T."""
+    theta, f = _symbol_on_grid(a)
+    return max(0.0, _grid_floor(f / (4.0 * np.sin(theta / 2) ** 2)))
+
+
+def _identity_ceiling(a):
+    """A shift sigma above lambda_max(T), T the symmetric Toeplitz matrix
+    with first column a: the greatest of its symbol f on the grid, plus the
+    grid's miss, so sigma I - T is positive definite."""
+    return -_grid_floor(-_symbol_on_grid(a)[1])
+
+
+def _inverse_end(c, P, sigma, tau_kind, upper=False):
+    """The lower (or, with upper, the upper) end of the spectrum of
+    P^(-1) A for a P that is a Toeplitz matrix (the identity or the
+    Laplacian) and a shift sigma below (above) it, by `_lanczos` on
+    P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
+    one application of `_gohberg_semencul` from x = S^(-1) e_1, which one
+    `pcg` on S preconditioned by its tau of tau_kind finds before the run.
 
     Returns (Rayleigh quotient of the top Ritz vector taken back by
     P^(-1/2), steps, bound, pcg iterations), where the bound
-    beta_k |s_k| of the top Ritz value mu is mapped to
-    lambda_min = sigma + 1/mu as bound / mu^2, so it is at most 1e-10 of
-    lambda_min.  Returns None when a build or a solve fails, the run does
-    not certify, or a Ritz value is not positive, so sigma was not below
-    the spectrum."""
+    beta_k |s_k| of the top Ritz value mu is mapped to the end
+    sigma +- 1/mu as bound / mu^2, so it is at most 1e-10 of the end.
+    Returns None when the build or the solve fails, x_0 is not positive
+    and finite, the run does not certify, or a Ritz value is not positive,
+    so sigma was not outside the spectrum."""
     n = c.n
     head = _TOEPLITZ_HEADS[P.kind][:n]
     column = np.zeros(n)
     column[: len(head)] = head
-    shifted = ToeplitzCoeffs(n, c.a - sigma * column)
-    root = _algebra_product(P.kind, P.spectrum ** 0.5)
-    iterations = []
-
-    def apply(x):
-        report = pcg(matvec, tau, root(x), stop=_INNER_STOP)
-        if not report.converged:
-            raise _InnerSolveFailed
-        iterations.append(report.iterations)
-        return root(report.solution)
-
+    shifted = c.a - sigma * column
+    shifted = ToeplitzCoeffs(n, -shifted if upper else shifted)
     try:
-        matvec = ToeplitzOperator(shifted)
-        build = build_frobenius_tau if P.kind is PrecKind.IDENTITY else build_natural_tau
-        tau = build(shifted)
-        run = _lanczos(apply, n, (-1,))
-    except (NotSPDError, BreakdownError, _InnerSolveFailed):
+        report = pcg(ToeplitzOperator(shifted), build_preconditioner(tau_kind, shifted),
+                     np.eye(1, n)[0], stop=_INNER_STOP)
+    except (NotSPDError, BreakdownError):
         return None
+    x = report.solution
+    if not (report.converged and 0.0 < x[0] < np.inf):
+        return None
+    inverse = _gohberg_semencul(x)
+    root = _algebra_product(P.kind, P.spectrum ** 0.5)
+    run = _lanczos(lambda v: root(inverse(root(v))), n, (-1,))
     if run is None or not run[1] > 0.0:
         return None
     steps, _, [(mu, y, bound)] = run
     z = _algebra_product(P.kind, P.spectrum ** -0.5)(y)
-    return _rayleigh_quotients(c, P)(z), steps, float(bound / mu**2), sum(iterations)
+    return _rayleigh_quotients(c, P)(z), steps, float(bound / mu**2), report.iterations
 
 
 def lanczos_extremes(c, P):
@@ -556,10 +602,13 @@ def lanczos_extremes(c, P):
     or None when a run does not certify its end.
 
     The circulant and tau kinds take both ends from one `_lanczos` run on
-    P^(-1/2) A P^(-1/2).  The identity and the Laplacian take only the
-    upper end from it, and lambda_min from a shift-and-invert run
-    (`_inverse_min`) at shift 0 for the identity and at
-    `_laplacian_shift` for the Laplacian.
+    P^(-1/2) A P^(-1/2).  The identity and the Laplacian take lambda_min
+    from a shift-and-invert run (`_inverse_end`) at shift 0 with A's
+    Frobenius tau for the identity and at `_laplacian_shift` with the
+    shifted matrix's natural tau for the Laplacian.  The Laplacian takes
+    lambda_max from the plain run, and the identity from a second inverse
+    run on (sigma I - A)^(-1), sigma the `_identity_ceiling`, with the
+    natural tau of sigma I - A, which samples sigma - f >= 0.
     Raises TypeError and ValueError as `preconditioned_spectrum` does.
     """
     _check_order(c, P)
@@ -569,26 +618,36 @@ def lanczos_extremes(c, P):
             return None
         steps, [(low, low_bound), (high, high_bound)] = found
         return RitzExtremes(low, high, steps, (low_bound, high_bound))
-    found = _plain_extremes(c, P, (-1,))
-    if found is None:
-        return None
-    steps, [(high, high_bound)] = found
-    sigma = 0.0 if P.kind is PrecKind.IDENTITY else float(_laplacian_shift(c.a))
-    lower = _inverse_min(c, P, sigma)
+    upper_shift = None
+    if P.kind is PrecKind.IDENTITY:
+        upper_shift = float(_identity_ceiling(c.a))
+        found = _inverse_end(c, P, upper_shift, PrecKind.NATURAL_TAU, upper=True)
+        if found is None:
+            return None
+        high, steps, high_bound, upper_inner = found
+        sigma, tau_kind = 0.0, PrecKind.FROBENIUS_TAU
+    else:
+        found = _plain_extremes(c, P, (-1,))
+        if found is None:
+            return None
+        steps, [(high, high_bound)] = found
+        upper_inner = 0
+        sigma, tau_kind = float(_laplacian_shift(c.a)), PrecKind.NATURAL_TAU
+    lower = _inverse_end(c, P, sigma, tau_kind)
     if lower is None:
         return None
     low, inverse_steps, low_bound, inner_steps = lower
     return RitzExtremes(low, high, steps, (low_bound, high_bound), sigma, inverse_steps,
-                        inner_steps)
+                        inner_steps + upper_inner, upper_shift)
 
 
 def min_eig_normalized(c):
     """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
     with coefficients c (ToeplitzCoeffs): the long-double Rayleigh
-    quotient of the top Ritz vector of Lanczos on A^(-1) (`_inverse_min`
+    quotient of the top Ritz vector of Lanczos on A^(-1) (`_inverse_end`
     at shift 0), or the identity's dense `preconditioned_spectrum` where
     that run fails."""
     P = build_identity(c.n)
     _check_order(c, P)
-    found = _inverse_min(c, P, 0.0)
+    found = _inverse_end(c, P, 0.0, PrecKind.FROBENIUS_TAU)
     return c.n * (found[0] if found else preconditioned_spectrum(c, P).lambda_min)

@@ -4,9 +4,10 @@ Fourier coefficients of the generating symbol (chunked rfft sampling
 with doubling stabilization, plus an independent quadrature oracle),
 dense assembly, and `_product`, the one cached rfft convolution behind
 every O(n log n) Toeplitz product: the matvec by circulant embedding
-here, multigrid's triangular products and, with a Hankel term, every
-preconditioner inverse, each checking its operand there; and beside it
-`_series_reciprocal`, the Newton reciprocal behind multigrid's tril(T)^-1.
+here, the triangular products of `_gohberg_semencul`'s inverse and, with a
+Hankel term, every preconditioner inverse, each checking its operand
+there; and beside it `_series_reciprocal`, the Newton reciprocal behind
+multigrid's tril(T)^-1.
 """
 
 from __future__ import annotations
@@ -181,6 +182,23 @@ def _product(col, n, hankel=None):
         return np.fft.irfft(spectrum * f + reflected * f.conj(), m)[:n]
 
     return apply
+
+
+def _gohberg_semencul(x):
+    """r -> T^{-1} r for the symmetric Toeplitz matrix T with T x = e_1 and
+    x_0 != 0, by the formula T^{-1} = (L(x) L(x)^T - L(y) L(y)^T)/x_0 of
+    Gohberg and Semencul (1972; Trench, J. SIAM 12, 1964), with
+    y = [0, x_{n-1}, ..., x_1] and L(v) the lower-triangular Toeplitz matrix
+    with first column v: four `_product` convolutions per solve, with
+    L(v)^T r = J L(v) J r.  Multigrid's exact coarse solve and the spectral
+    layer's inverse Lanczos runs apply it."""
+    n = len(x)
+    x0, lx, ly = x[0], _product(x, n), _product(np.r_[0.0, x[:0:-1]], n)
+
+    def solve(r):
+        return (lx(lx(r[::-1])[::-1]) - ly(ly(r[::-1])[::-1])) / x0
+
+    return solve
 
 
 def _quadratic_form(a, z):

@@ -79,7 +79,7 @@ def outlier_rows(monkeypatch, spectra, eps):
     rows = []
     for n, kind, spectrum in spectra:
         monkeypatch.setattr(dofde.cli, "preconditioned_spectrum", lambda c, P: spectrum)
-        args = SimpleNamespace(sizes=[n], precs=[kind], eps=list(eps))
+        args = SimpleNamespace(sizes=[n], precs=[kind], eps=list(eps), coeffs=coeffs_via_fft)
         rows += dofde.cli._cmd_outliers(args)[1]
     return rows
 
@@ -87,7 +87,8 @@ def outlier_rows(monkeypatch, spectra, eps):
 def outlier_table(kinds, sizes, eps):
     """(rows, routes) of `dofde outliers` for the given kinds, sizes and
     eps, on its own routes."""
-    args = SimpleNamespace(sizes=list(sizes), precs=list(kinds), eps=list(eps))
+    args = SimpleNamespace(sizes=list(sizes), precs=list(kinds), eps=list(eps),
+                           coeffs=coeffs_via_fft)
     _, rows, extras = dofde.cli._cmd_outliers(args)
     return rows, extras["routes"]
 

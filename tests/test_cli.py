@@ -166,6 +166,19 @@ class TestCommands:
             bounds = routes[f"n={key}"]["residual_bounds"]
             assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
 
+    def test_identity_takes_both_ends_from_inverse_runs(self, tmp_path):
+        # beyond the plain step budget the identity's upper end comes from
+        # (sigma I - A)^(-1), sigma above A's spectrum, so its row is not dense
+        n = 512
+        assert main(["spectrum", "--sizes", str(n), "--precs", "identity", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        route = payload["routes"][f"n={n},identity"]
+        assert route != "dense"
+        assert set(route) == {"lanczos_steps", "residual_bounds", "shift", "inverse_steps",
+                              "inner_steps", "upper_shift"}
+        assert route["shift"] == 0.0 and route["upper_shift"] > float(payload["rows"][0][3])
+
     def test_spectrum_falls_back_per_kind(self, monkeypatch, tmp_path):
         # with Lanczos giving up on Strang and the Laplacian only, those two
         # rows are the dense spectrum's extremes and the other kinds of the
@@ -192,7 +205,8 @@ class TestCommands:
                         "residual_bounds": list(extremes.residual_bounds)}
                 if kind is PrecKind.IDENTITY:
                     want.update(shift=0.0, inverse_steps=extremes.inverse_steps,
-                                inner_steps=extremes.inner_steps)
+                                inner_steps=extremes.inner_steps,
+                                upper_shift=extremes.upper_shift)
                 assert route == want, kind
             assert row == [str(n), kind.value, "%.10e" % extremes.lambda_min,
                            "%.10e" % extremes.lambda_max]
@@ -282,6 +296,22 @@ class TestDeterminism:
                 "spectrum", "--sizes", "16", "--precs", "strang", "--out", str(target),
             ]) == 0
         assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
+
+    def test_all_samples_each_size_once(self, monkeypatch, tmp_path):
+        # the commands of one `all` call share their coefficients, and the
+        # tables are those of each command run in a call of its own
+        calls = []
+        sample = dofde.cli.coeffs_via_fft
+        monkeypatch.setattr(dofde.cli, "coeffs_via_fft", lambda n: calls.append(n) or sample(n))
+        assert main(["all", "--out", str(tmp_path / "all")]) == 0
+        # every command but bounds and cn samples, 43 times at 15 sizes before
+        sizes = {n for command, (_, text) in dofde.cli._COMMANDS.items()
+                 if command not in ("bounds", "cn") for n in parse_sizes(text)}
+        assert sorted(calls) == sorted(sizes) and len(calls) == 15
+        for command in dofde.cli._COMMANDS:
+            assert main([command, "--out", str(tmp_path / command)]) == 0
+            table = f"{command}.csv"
+            assert (tmp_path / "all" / table).read_bytes() == (tmp_path / command / table).read_bytes()
 
 
 class TestErrorPaths:

@@ -29,7 +29,7 @@ from dofde import (
     preconditioned_spectrum,
 )
 from dofde.cli import main
-from dofde.spectral import _flip_block, _inverse_min, _sine_block, _sine_generators
+from dofde.spectral import _flip_block, _inverse_end, _sine_block, _sine_generators
 
 
 def char_poly_coeffs(A):
@@ -129,7 +129,7 @@ class TestMinEigNormalized:
         cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
         for c in cases + ([shared.coeffs(n)] if n > 1 else []):
             identity = build_identity(n)
-            found = _inverse_min(c, identity, 0.0)
+            found = _inverse_end(c, identity, 0.0, PrecKind.FROBENIUS_TAU)
             dense = preconditioned_spectrum(c, identity).lambda_min
             assert found is not None and found[0] == pytest.approx(dense, rel=1e-9, abs=0), n
             assert min_eig_normalized(c) == n * found[0]
@@ -404,28 +404,33 @@ class TestLanczosExtremes:
             if n <= _STEPS:
                 # at the latest k = n, where the Krylov space is all of R^n
                 assert found is not None and found.steps <= n, P.kind
-            elif P.kind is not PrecKind.IDENTITY:
-                # clustered spectra, and the Laplacian's shifted lower end:
-                # certified well inside the budget
+            else:
+                # clustered spectra, and the shifted ends of the identity and
+                # the Laplacian: certified well inside the budget
                 assert found is not None, P.kind
-            if found is None:
-                continue
             assert found.steps == n or all(
                 b <= 1e-10 * abs(v) for b, v in zip(found.residual_bounds,
                                                     (found.lambda_min, found.lambda_max)))
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), (n, P.kind)
             assert found.lambda_max == pytest.approx(dense.lambda_max, rel=1e-9, abs=0), (n, P.kind)
 
-    def test_laplacian_at_512_takes_the_shifted_route(self, tmp_path):
+    def test_laplacian_at_512_takes_the_shifted_route(self, monkeypatch, tmp_path):
         # its lower end is too densely packed for the plain step budget, so
-        # it comes from the shift-and-invert run, whose outer and inner
-        # steps the route gives; the row is the dense spectrum's to the last
-        # printed digit, lambda_min to 1e-12 and lambda_max, where the dense
-        # route carries the sine blocks' rounding, to the oracle's 1e-12
+        # it comes from the shift-and-invert run, whose outer steps and
+        # generator solve's iterations the route gives; the row is the dense
+        # spectrum's to the last printed digit, lambda_min to 1e-12 and
+        # lambda_max, where the dense route carries the sine blocks'
+        # rounding, to the oracle's 1e-12
         n = 512
         c = shared.scaled_coeffs(n)
         P = build_laplacian(n)
+        solves = []
+        pcg = dofde.spectral.pcg
+        monkeypatch.setattr(dofde.spectral, "pcg",
+                            lambda *args, **kwargs: solves.append(pcg(*args, **kwargs))
+                            or solves[-1])
         found = lanczos_extremes(c, P)
+        monkeypatch.undo()
         dense = preconditioned_spectrum(c, P)
         assert main(["spectrum", "--sizes", str(n), "--precs", "laplacian",
                      "--format", "json", "--out", str(tmp_path)]) == 0
@@ -436,13 +441,28 @@ class TestLanczosExtremes:
                          "shift": found.shift, "inverse_steps": found.inverse_steps,
                          "inner_steps": found.inner_steps}
         assert found.steps < _STEPS and 1 <= found.inverse_steps < _STEPS
-        assert found.inner_steps >= found.inverse_steps
+        assert [found.inner_steps] == [report.iterations for report in solves]
+        assert found.inner_steps >= 1
         assert 0.0 < found.shift < found.lambda_min
         assert payload["rows"] == [[str(n), "laplacian", "%.10e" % dense.lambda_min,
                                     "%.10e" % dense.lambda_max]]
         assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-12, abs=0)
         oracle = shared.rayleigh_oracle(c, P)
         assert found.lambda_max == pytest.approx(oracle[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("run", [
+        lambda c: lanczos_extremes(c, build_laplacian(c.n)),
+        lambda c: min_eig_normalized(c),
+    ], ids=["laplacian", "mineig"])
+    def test_one_pcg_per_inverse_run(self, run, monkeypatch):
+        # the run's products apply the Gohberg-Semencul inverse of one
+        # generator solve; a solve per product would call pcg once a step
+        calls = []
+        pcg = dofde.spectral.pcg
+        monkeypatch.setattr(dofde.spectral, "pcg",
+                            lambda *args, **kwargs: calls.append(1) or pcg(*args, **kwargs))
+        assert run(shared.scaled_coeffs(512)) is not None
+        assert len(calls) == 1
 
     def test_rejects_what_preconditioned_spectrum_rejects(self):
         c = shared.scaled_coeffs(6)
@@ -468,6 +488,11 @@ class TestInertiaCounts:
     @example(tail=np.array([]), margin=0.1, picks=[(0.5, 1.0, -6.0)])
     @example(tail=np.array([0.5]), margin=0.1, picks=[(0.0, -1.0, -6.0), (1.0, 1.0, -7.0)])
     @example(tail=np.array([0.5, -0.25]), margin=0.1, picks=[(0.5, 1.0, -8.0)])
+    # odd orders, whose short flip-odd block takes a sentinel column
+    @example(tail=np.array([0.5, -0.25, 0.125, -0.0625]), margin=0.1,
+             picks=[(0.0, 1.0, -6.0), (1.0, -1.0, -7.0)])
+    @example(tail=np.linspace(0.5, -0.5, 62), margin=0.05,
+             picks=[(0.0, 1.0, -6.0), (0.5, -1.0, -8.0), (1.0, 1.0, -7.0)])
     def test_counts_match_eigvalsh(self, tail, margin, picks):
         # a0 above 2 sum |a_k| keeps A and the sine kinds SPD; each shift
         # is an eigenvalue of a kind moved by 1e-8 to 1e-6 relative, to

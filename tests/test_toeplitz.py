@@ -154,6 +154,8 @@ class TestDenseAndMatvec:
 OPERATORS = {
     "GridLevel.solve": lambda c: GridLevel(c).solve,
     "GridLevel.solve_lower": lambda c: GridLevel(c).solve_lower,
+    "_gohberg_semencul": lambda c: dofde.toeplitz._gohberg_semencul(
+        np.linalg.solve(assemble_dense(c), np.eye(1, c.n)[0])),
     "ToeplitzOperator": ToeplitzOperator,
     "apply_inverse[identity]": lambda c: partial(apply_inverse, build_identity(c.n)),
     "apply_inverse[frobenius_tau]": lambda c: partial(apply_inverse, build_frobenius_tau(c)),
@@ -161,6 +163,23 @@ OPERATORS = {
     "apply_inverse_sqrt[frobenius_tau]":
         lambda c: partial(apply_inverse_sqrt, build_frobenius_tau(c)),
 }
+
+
+class TestGohbergSemencul:
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    def test_solves_like_the_dense_matrix(self, n, seed):
+        # the inverse from x = T^{-1} e_1 alone, against a dense solve with T
+        rng = np.random.default_rng(seed)
+        c = shared.nonnegative_symbol_coeffs(n, rng)
+        A = assemble_dense(c)
+        solve = dofde.toeplitz._gohberg_semencul(np.linalg.solve(A, np.eye(1, n)[0]))
+        r = rng.standard_normal(n)
+        want = np.linalg.solve(A, r)
+        assert np.linalg.norm(solve(r) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestOperandCheck:
