@@ -32,7 +32,7 @@ from .quadrature import (
     norm_constant_limit,
     upper_bound_constant,
 )
-from .spectral import count_below, lanczos_extremes, min_eig_normalized, preconditioned_spectrum
+from .spectral import count_below, lanczos_extremes, min_eig_normalized
 from .toeplitz import CoeffStabilizationError, ToeplitzCoeffs, ToeplitzOperator, coeffs_via_fft
 
 __all__ = ["CliError", "parse_sizes", "main"]
@@ -166,7 +166,12 @@ def _cmd_cn(args):
 def _cmd_mineig(args):
     upper = upper_bound_constant(tol=args.quad_tol).value
     lower = lower_bound_constant(tol=args.quad_tol).value
-    rows = [[n, min_eig_normalized(args.coeffs(n)), lower, upper] for n in args.sizes]
+    rows = []
+    for n in args.sizes:
+        value = min_eig_normalized(args.coeffs(n))
+        if value is None:
+            raise CliError(f"mineig n={n} did not certify lambda_min by Lanczos on A^-1")
+        rows.append([n, value, lower, upper])
     return ["n", "normalized_min_eig", "k2", "k1"], rows, {}
 
 
@@ -195,8 +200,7 @@ def _cmd_pcg(args):
 
 
 def _cmd_spectrum(args):
-    # Lanczos extremes where they are certified within its step budget,
-    # the dense spectrum where they are not
+    # Lanczos extremes; a row they do not certify is an error
     precs = args.precs or [k for k in PrecKind if k is not PrecKind.IDENTITY]
     rows = []
     routes = {}
@@ -205,51 +209,42 @@ def _cmd_spectrum(args):
         for kind in precs:
             P = build_preconditioner(kind, scaled)
             extremes = lanczos_extremes(scaled, P)
-            key = f"n={n},{kind.value}"
             if extremes is None:
-                extremes = preconditioned_spectrum(scaled, P)
-                routes[key] = "dense"
-            else:
-                routes[key] = {"lanczos_steps": extremes.steps,
-                               "residual_bounds": list(extremes.residual_bounds)}
-                if extremes.shift is not None:
-                    routes[key].update(shift=extremes.shift, inverse_steps=extremes.inverse_steps,
-                                       inner_steps=extremes.inner_steps)
-                if extremes.upper_shift is not None:
-                    routes[key]["upper_shift"] = extremes.upper_shift
+                raise CliError(f"spectrum n={n} preconditioner {kind.value} "
+                               "did not certify its extremes by Lanczos")
+            route = {"lanczos_steps": extremes.steps,
+                     "residual_bounds": list(extremes.residual_bounds)}
+            if extremes.shift is not None:
+                route.update(shift=extremes.shift, inverse_steps=extremes.inverse_steps,
+                             inner_steps=extremes.inner_steps)
+            if extremes.upper_shift is not None:
+                route["upper_shift"] = extremes.upper_shift
+            routes[f"n={n},{kind.value}"] = route
             rows.append([n, kind.value, extremes.lambda_min, extremes.lambda_max])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {"routes": routes}
 
 
 def _cmd_outliers(args):
     # counts by inertia for the natural and Frobenius tau (or the kinds
-    # --precs names), every kind and eps of a size in one call; a kind
-    # with a count missing takes its dense spectrum
+    # --precs names), every kind and eps of a size in one call
     precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
     # each eps positive and finite, as _parse_list checks
     shifts = [shift for eps in args.eps for shift in (1.0 - eps, 1.0 + eps)]
     rows = []
-    routes = {}
     for n in args.sizes:
         scaled = _scaled_coeffs(args, n)
         built = [build_preconditioner(kind, scaled) for kind in precs]
         below = count_below(scaled, [(P, shift) for P in built for shift in shifts])
         for i, P in enumerate(built):
             counts = below[i * len(shifts) : (i + 1) * len(shifts)]
-            key = f"n={n},{P.kind.value}"
             if None in counts:
-                w = preconditioned_spectrum(scaled, P).eigenvalues
-                pairs = [(np.count_nonzero(w <= 1.0 - eps), np.count_nonzero(w >= 1.0 + eps))
-                         for eps in args.eps]
-                routes[key] = "dense"
-            else:
-                pairs = [(left, n - inside) for left, inside in zip(counts[::2], counts[1::2])]
-                routes[key] = "inertia"
-            for eps, (left, right) in zip(args.eps, pairs):
-                rows.append([n, P.kind.value, eps, int(left), int(right),
-                             100.0 * (left + right) / n])
+                raise CliError(f"outliers n={n} preconditioner {P.kind.value} met a zero or "
+                               "non-finite pivot: an eigenvalue may lie on 1 +- eps")
+            for eps, left, inside in zip(args.eps, counts[::2], counts[1::2]):
+                right = n - inside
+                rows.append([n, P.kind.value, eps, left, right, 100.0 * (left + right) / n])
     columns = ["n", "preconditioner", "eps", "n_out_left", "n_out_right", "percent"]
-    return columns, rows, {"routes": routes}
+    return columns, rows, {}
 
 
 def _cmd_mgm(args):

@@ -2,8 +2,9 @@
 
 Preconditioned spectra are those of P^(-1/2) A P^(-1/2), which shares
 eigenvalues with P^(-1) A, for a symmetric Toeplitz matrix A.  Every
-table value comes from a matrix-free route; the dense route is the
-fallback of a row those routes do not settle, and the test oracle.
+table value comes from one matrix-free route, which returns None where it
+does not settle its value; the dense route is the test oracle, and no
+command calls it.
 
 Extremes.  One Lanczos loop, `_lanczos`, runs with full
 reorthogonalization on a symmetric operator given by its products with
@@ -15,14 +16,16 @@ beta_k |s_k| <= 1e-10 |theta| (Parlett, The Symmetric Eigenvalue Problem,
 fixed step budget.  It serves three kinds of operator:
 
 - P^(-1/2) A P^(-1/2), each product one Toeplitz matvec between two
-  P^(-1/2) convolutions: both ends for the circulant and tau kinds, and
-  the upper end for the Laplacian;
-- A^(-1), for lambda_min(A) = 1/mu_max, which `min_eig_normalized` reads,
-  and (sigma I - A)^(-1) for lambda_max(A) = sigma - 1/mu_max, sigma the
-  greatest of A's symbol f = a_0 + 2 sum a_k cos(k theta) on a grid plus
-  the grid's miss, so sigma I - A is positive definite (Grenander and
-  Szego, Toeplitz Forms and Their Applications, 1958: f >= sigma g implies
-  T(f) >= sigma T(g));
+  P^(-1/2) convolutions: both ends for the Strang circulant and the tau
+  kinds, and the upper end alone for the Frobenius circulant and the
+  Laplacian;
+- P^(1/2) A^(-1) P^(1/2), for lambda_min = 1/mu_max of the identity
+  (`min_eig_normalized`) and of the Frobenius circulant, beyond the plain
+  run's budget from n = 24576 on; (sigma I - A)^(-1) for the
+  identity's lambda_max = sigma - 1/mu_max, sigma the greatest of A's symbol
+  f = a_0 + 2 sum a_k cos(k theta) on a grid plus the grid's miss, so
+  sigma I - A is positive definite (Grenander and Szego, Toeplitz Forms
+  and Their Applications, 1958: f >= sigma g implies T(f) >= sigma T(g));
 - L^(1/2) (A - sigma L)^(-1) L^(1/2) for the Laplacian L, whose densely
   packed lower end the plain operator does not reach in its budget, with
   lambda_min = sigma + 1/mu_max.  The shift sigma is the least ratio
@@ -49,22 +52,22 @@ eigenvalue, however rough z is.
 
 Outlier counts.  By Sylvester's law of inertia, the number of
 eigenvalues of P^(-1) A below sigma is the number of negative pivots of
-an LDL^T of A - sigma P.  For a sine-domain P = Q diag(d) Q, the matrix
-Q (A - sigma P) Q = B - sigma diag(d), B = Q A Q, splits into a flip-even
-and a flip-odd block, and B is Cauchy-like: with H = tridiag(1, 0, 1),
-Q H Q = diag(2 cos(j theta)) and the displacement H A - A H has rank
-four, so every off-diagonal entry of B is a quotient of O(n) generators
-(Bini and Capovani, Linear Algebra Appl. 52/53, 1983), and its diagonal is
-the Frobenius-tau closed form.  A shift changes only the diagonal, and a
-Schur step keeps the form, updating the two generators and the diagonal
-from the pivot column (Gohberg, Kailath and Olshevsky, Math. Comp. 64,
+an LDL^T of A - sigma P.  For a symmetric Toeplitz T, Q T Q splits into
+a flip-even and a flip-odd block and is Cauchy-like: with
+H = tridiag(1, 0, 1), Q H Q = diag(2 cos(j theta)) and H T - T H has rank
+four, so each off-diagonal entry is a quotient of O(n) generators (Bini
+and Capovani, Linear Algebra Appl. 52/53, 1983), and the diagonal is the
+Frobenius-tau closed form.  A sine kind P = Q diag(d) Q shifts only the
+diagonal of B = Q A Q; the identity and the circulants are Toeplitz, so
+A - sigma P is too, with A's generators less sigma times P's.  A Schur
+step keeps the form (Gohberg, Kailath and Olshevsky, Math. Comp. 64,
 1995).  `count_below` takes 1x1 pivots on the largest remaining
-|diagonal|, in O(n^2) time and O(n) memory per count, with every shift,
-preconditioner and parity block of a call in one batch: each block is a
-row of ceil(n/2) columns that carry their sine indices, so the step loop
-runs ceil(n/2) times for the whole batch.
+|diagonal|, in O(n^2) time and O(n) memory per count, with every row and
+parity block of a call in one batch of ceil(n/2) steps; a zero or
+non-finite pivot leaves a count unsettled.
 
-The dense route, `preconditioned_spectrum`, computes every eigenvalue.
+The dense route, `preconditioned_spectrum`, computes every eigenvalue;
+it is the test oracle of the routes above, and no command calls it.
 Every matrix here is symmetric Toeplitz, so it commutes with the flip J,
 and so do the circulant and sine-transform preconditioners.  Each
 eigenproblem therefore splits into a flip-even and a flip-odd block of
@@ -105,17 +108,14 @@ __all__ = [
 ]
 
 _SYMMETRY_RTOL = 1e-10
-# Lanczos: the most steps before an extreme falls back to the dense
-# route, and the relative residual bound that certifies a Ritz value
+# Lanczos: the most steps before a run gives up on its ends, and the
+# relative residual bound that certifies a Ritz value
 _LANCZOS_STEPS = 96
 _RITZ_RTOL = 1e-10
 # the inner solves of the inverse operators
 _INNER_STOP = StoppingRule(tol=1e-13)
 # the fewest samples of the Laplacian shift's grid; it takes 64 per unknown
 _SHIFT_SAMPLES = 1 << 16
-# the first columns of the kinds that are Toeplitz matrices themselves,
-# whose lower end comes from a shift-and-invert run
-_TOEPLITZ_HEADS = {PrecKind.IDENTITY: (1.0,), PrecKind.LAPLACIAN: (2.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,14 @@ class RitzExtremes:
 
     residual_bounds are the bounds beta_k |s_k| of the two Ritz values,
     lambda_min's first, each at most 1e-10 of its Ritz value, relative,
-    unless its run took all n steps.  steps is the number of Lanczos steps
-    of the run that found lambda_max: on P^(-1/2) A P^(-1/2), which for the
-    circulant and tau kinds finds lambda_min too, or, for the identity, on
-    (upper_shift I - A)^(-1).  For the identity and the Laplacian, lambda_min
-    comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2) instead, in
-    inverse_steps steps; inner_steps counts the `pcg` iterations of the
-    generator solves, one per inverse run, behind those runs' products
-    (`_inverse_end`), and a bound of an inverse run is its top Ritz value's
-    mapped to the end.  For the other kinds shift is None and both counts
-    are 0; upper_shift is None but for the identity.
+    unless its run took all n steps.  steps counts the Lanczos steps of the
+    run that found lambda_max: on P^(-1/2) A P^(-1/2), or, for the
+    identity, on (upper_shift I - A)^(-1).  For the kinds whose lambda_min
+    comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2) (the identity,
+    the Frobenius circulant and the Laplacian), inverse_steps counts that
+    run's steps and inner_steps the `pcg` iterations of the generator
+    solves, one per inverse run (`_inverse_end`); otherwise shift is None
+    and both counts are 0.  upper_shift is None but for the identity.
     """
 
     lambda_min: float
@@ -271,29 +269,28 @@ def _sine_block(generators, p):
     return block
 
 
-def _negative_pivots(generators, d, sigma):
-    """For each row r of the shifts sigma and the transform-domain
-    spectra d (one row each), the number of negative pivots of
-    B - sigma_r diag(d_r), and whether every pivot was finite and nonzero.
+def _negative_pivots(half, q, x_rows, delta_rows):
+    """For each row of the generators x_rows and the diagonals delta_rows,
+    the number of negative pivots of the matrix with that diagonal delta,
+    zero across parities and Cauchy-like within them,
+    (x_j q_k - q_j x_k) / (c_j - c_k), c_j = cos(j theta), and whether
+    every pivot was finite and nonzero; half and q are `_sine_generators`'s.
 
-    Each parity block of B - sigma diag(d) is Cauchy-like,
-    M_jk = (x_j y_k - y_j x_k) / (c_j - c_k) off the diagonal, with
-    x = u^, y = q, c_j = cos(j theta), and its own diagonal delta.  A 1x1
-    Schur step on the pivot p takes the pivot column
-    k_j = (x_j y_p - y_j x_p) / (c_j - c_p) from the generators and
-    updates x <- x - (x_p / delta_p) k, y <- y - (y_p / delta_p) k and
-    delta <- delta - k^2 / delta_p, which keeps the form.  Every block of
-    every row is eliminated as one batch row of ceil(n/2) columns, each
-    column holding its sine index j, so both parities share the step loop
-    and the denominators come from `_signed_gaps` and half_(j+k) by index.
-    At odd n the short flip-odd block gets a sentinel column j = n + 1 with
-    x = y = 0 and delta = 1: its pivot column entry is 0, so its Schur
-    steps change nothing, and its own pivot, 1, counts as positive.  Each
-    batch row pivots on its largest remaining |delta|: the pivot swaps into
-    the last active column, so step t works on ceil(n/2) - t columns.
+    A 1x1 Schur step on the pivot p of a parity block, with y = q, takes
+    the pivot column k_j = (x_j y_p - y_j x_p) / (c_j - c_p) from the
+    generators and updates x <- x - (x_p / delta_p) k,
+    y <- y - (y_p / delta_p) k and delta <- delta - k^2 / delta_p, which
+    keeps the form.  Every block of every row is eliminated as one batch
+    row of ceil(n/2) columns, each column holding its sine index j, so both
+    parities share the step loop and the denominators come from
+    `_signed_gaps` and half_(j+k) by index.  At odd n the short flip-odd
+    block gets a sentinel column j = n + 1 with x = y = 0 and delta = 1:
+    its pivot column entry is 0, so its Schur steps change nothing, and its
+    own pivot, 1, counts as positive.  Each batch row pivots on its largest
+    remaining |delta|: the pivot swaps into the last active column, so step
+    t works on ceil(n/2) - t columns.
     """
-    half, q, u_hat, diag = generators
-    n, rows = len(q), len(sigma)
+    n, rows = len(q), len(x_rows)
     m = (n + 1) // 2
     # x, y and delta in one array, so a pivot swap and the generator
     # update each take one operation
@@ -303,9 +300,9 @@ def _negative_pivots(generators, d, sigma):
     index = np.empty((2 * rows, m), dtype=np.intp)
     for p, block in ((0, slice(None, rows)), (1, slice(rows, None))):
         width = len(q[p::2])
-        x[block, :width] = u_hat[p::2]
+        x[block, :width] = x_rows[:, p::2]
         y[block, :width] = q[p::2]
-        delta[block, :width] = diag[p::2] - sigma[:, None] * d[:, p::2]
+        delta[block, :width] = delta_rows[:, p::2]
         index[block, :width] = np.arange(p + 1, n + 1, 2)
         # the sentinel, at odd n only
         delta[block, width:] = 1.0
@@ -346,26 +343,29 @@ def count_below(c, rows):
     """The number of eigenvalues of P^(-1) A below sigma for each (P, sigma)
     in rows, A the symmetric Toeplitz matrix with coefficients c
     (ToeplitzCoeffs), as a list: by Sylvester's law, the negative pivots of
-    the Cauchy-like parity blocks of B - sigma D (`_negative_pivots`),
-    every row of one call eliminated at once.  An entry is None where P is
-    not a sine-domain kind, or where the elimination met a zero or
-    non-finite pivot; the dense spectrum then counts.  Raises TypeError
-    and ValueError as `preconditioned_spectrum` does.
+    the Cauchy-like parity blocks of Q (A - sigma P) Q (`_negative_pivots`),
+    every row of one call eliminated at once; a Toeplitz kind's generators
+    are A's less sigma times those of its `_toeplitz_column`.  An entry is
+    None where the elimination met a zero or non-finite pivot, as it does
+    where sigma is an eigenvalue.
+    Raises TypeError and ValueError as `preconditioned_spectrum` does.
     """
     rows = list(rows)
     for P, _ in rows:
         _check_order(c, P)
-    sine = [i for i, (P, _) in enumerate(rows) if P.kind in _SINE]
-    counts = [None] * len(rows)
-    if sine:
-        d = np.array([rows[i][0].spectrum for i in sine])
-        sigma = np.array([rows[i][1] for i in sine], dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            negative, finite = _negative_pivots(_sine_generators(c.a), d, sigma)
-        for i, count, ok in zip(sine, negative, finite):
-            if ok:
-                counts[i] = int(count)
-    return counts
+    if not rows:
+        return []
+    half, q, u_hat, diag = _sine_generators(c.a)
+    x, delta = np.empty((2, len(rows), c.n))
+    for r, (P, sigma) in enumerate(rows):
+        if P.kind in _SINE:
+            x[r], delta[r] = u_hat, diag - sigma * P.spectrum
+        else:
+            _, _, p_hat, p_diag = _sine_generators(_toeplitz_column(P))
+            x[r], delta[r] = u_hat - sigma * p_hat, diag - sigma * p_diag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        negative, finite = _negative_pivots(half, q, x, delta)
+    return [int(count) if ok else None for count, ok in zip(negative, finite)]
 
 
 def _merged_spectrum(parts):
@@ -413,8 +413,8 @@ def _check_order(c, P):
 def preconditioned_spectrum(c, P):
     """Spectrum of P^(-1/2) A P^(-1/2), which matches that of P^(-1) A,
     for the symmetric Toeplitz matrix A with coefficients c
-    (ToeplitzCoeffs), by dense eigensolves: the fallback and oracle of
-    the matrix-free routes.
+    (ToeplitzCoeffs), by dense eigensolves: the test oracle of the
+    matrix-free routes; no command calls it.
 
     A sine-domain kind P = Q diag(d) Q takes the two parity blocks of
     B = Q A Q, built from c without a dense transform, each scaled by
@@ -506,16 +506,16 @@ def _rayleigh_quotients(c, P):
 
 def _plain_extremes(c, P, ends):
     """_lanczos on P^(-1/2) A P^(-1/2), each product one Toeplitz matvec
-    between two P^(-1/2) convolutions: (steps, [(Rayleigh quotient,
-    bound)] for each end), or None."""
+    between two P^(-1/2) convolutions: for each end, (Rayleigh quotient,
+    steps, bound, 0 pcg iterations) as `_inverse_end` gives; or [None]."""
     matvec = ToeplitzOperator(c)
     root = _algebra_product(P.kind, P.spectrum ** -0.5)
     run = _lanczos(lambda x: root(matvec(root(x))), c.n, ends)
     if run is None:
-        return None
+        return [None]
     steps, _, ritz = run
     quotient = _rayleigh_quotients(c, P)
-    return steps, [(quotient(root(y)), bound) for _, y, bound in ritz]
+    return [(quotient(root(y)), steps, bound, 0) for _, y, bound in ritz]
 
 
 def _symbol_on_grid(a):
@@ -557,26 +557,43 @@ def _identity_ceiling(a):
     return -_grid_floor(-_symbol_on_grid(a)[1])
 
 
+# the kinds whose lower end comes from `_inverse_end`: the shift, from A's
+# first column, and the tau kind of the generator solve
+_INVERSE_LOWER = {
+    PrecKind.IDENTITY: (lambda a: 0.0, PrecKind.FROBENIUS_TAU),
+    PrecKind.FROBENIUS_CIRCULANT: (lambda a: 0.0, PrecKind.FROBENIUS_TAU),
+    PrecKind.LAPLACIAN: (_laplacian_shift, PrecKind.NATURAL_TAU),
+}
+
+
+def _toeplitz_column(P):
+    """P's first column for a Toeplitz kind: e_1 for the identity,
+    (2, -1, 0, ...) for the Laplacian, the inverse DFT of a circulant's
+    spectrum."""
+    e = np.eye(2, P.n)
+    if P.kind is PrecKind.IDENTITY:
+        return e[0]
+    if P.kind is PrecKind.LAPLACIAN:
+        return 2.0 * e[0] - e[1]
+    return _circulant_transform(P.spectrum) / P.n
+
+
 def _inverse_end(c, P, sigma, tau_kind, upper=False):
     """The lower (or, with upper, the upper) end of the spectrum of
-    P^(-1) A for a P that is a Toeplitz matrix (the identity or the
-    Laplacian) and a shift sigma below (above) it, by `_lanczos` on
-    P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
-    one application of `_gohberg_semencul` from x = S^(-1) e_1, which one
-    `pcg` on S preconditioned by its tau of tau_kind finds before the run.
+    P^(-1) A for a Toeplitz kind P (`_toeplitz_column`) and a shift sigma
+    below (above) it, by `_lanczos` on P^(1/2) S^(-1) P^(1/2),
+    S = A - sigma P (sigma P - A), each product one `_gohberg_semencul`
+    from x = S^(-1) e_1, which one `pcg` on S with its tau of tau_kind
+    finds before the run.
 
     Returns (Rayleigh quotient of the top Ritz vector taken back by
-    P^(-1/2), steps, bound, pcg iterations), where the bound
-    beta_k |s_k| of the top Ritz value mu is mapped to the end
-    sigma +- 1/mu as bound / mu^2, so it is at most 1e-10 of the end.
+    P^(-1/2), steps, bound, pcg iterations), the bound beta_k |s_k| of the
+    top Ritz value mu mapped to the end sigma +- 1/mu as bound / mu^2.
     Returns None when the build or the solve fails, x_0 is not positive
     and finite, the run does not certify, or a Ritz value is not positive,
     so sigma was not outside the spectrum."""
     n = c.n
-    head = _TOEPLITZ_HEADS[P.kind][:n]
-    column = np.zeros(n)
-    column[: len(head)] = head
-    shifted = c.a - sigma * column
+    shifted = c.a - sigma * _toeplitz_column(P)
     shifted = ToeplitzCoeffs(n, -shifted if upper else shifted)
     try:
         report = pcg(ToeplitzOperator(shifted), build_preconditioner(tau_kind, shifted),
@@ -601,53 +618,40 @@ def lanczos_extremes(c, P):
     Toeplitz matrix with coefficients c (ToeplitzCoeffs), as RitzExtremes,
     or None when a run does not certify its end.
 
-    The circulant and tau kinds take both ends from one `_lanczos` run on
-    P^(-1/2) A P^(-1/2).  The identity and the Laplacian take lambda_min
-    from a shift-and-invert run (`_inverse_end`) at shift 0 with A's
-    Frobenius tau for the identity and at `_laplacian_shift` with the
-    shifted matrix's natural tau for the Laplacian.  The Laplacian takes
-    lambda_max from the plain run, and the identity from a second inverse
-    run on (sigma I - A)^(-1), sigma the `_identity_ceiling`, with the
-    natural tau of sigma I - A, which samples sigma - f >= 0.
-    Raises TypeError and ValueError as `preconditioned_spectrum` does.
+    The Strang circulant and the tau kinds take both ends from one
+    `_lanczos` run on P^(-1/2) A P^(-1/2).  The kinds of `_INVERSE_LOWER`
+    take lambda_min from `_inverse_end` at their shift, and lambda_max
+    from a plain run on the top end alone, but the identity, which takes
+    it from a second inverse run on (sigma I - A)^(-1), sigma the
+    `_identity_ceiling`, with the natural tau of sigma I - A, which samples
+    sigma - f >= 0.  Raises TypeError and ValueError as
+    `preconditioned_spectrum` does.
     """
     _check_order(c, P)
-    if P.kind not in _TOEPLITZ_HEADS:
-        found = _plain_extremes(c, P, (0, -1))
-        if found is None:
-            return None
-        steps, [(low, low_bound), (high, high_bound)] = found
-        return RitzExtremes(low, high, steps, (low_bound, high_bound))
-    upper_shift = None
+    inverse = P.kind in _INVERSE_LOWER
+    sigma = upper_shift = None
     if P.kind is PrecKind.IDENTITY:
         upper_shift = float(_identity_ceiling(c.a))
-        found = _inverse_end(c, P, upper_shift, PrecKind.NATURAL_TAU, upper=True)
-        if found is None:
-            return None
-        high, steps, high_bound, upper_inner = found
-        sigma, tau_kind = 0.0, PrecKind.FROBENIUS_TAU
+        ends = [_inverse_end(c, P, upper_shift, PrecKind.NATURAL_TAU, upper=True)]
     else:
-        found = _plain_extremes(c, P, (-1,))
-        if found is None:
-            return None
-        steps, [(high, high_bound)] = found
-        upper_inner = 0
-        sigma, tau_kind = float(_laplacian_shift(c.a)), PrecKind.NATURAL_TAU
-    lower = _inverse_end(c, P, sigma, tau_kind)
-    if lower is None:
+        ends = _plain_extremes(c, P, (-1,) if inverse else (0, -1))
+    if inverse:
+        shift, tau_kind = _INVERSE_LOWER[P.kind]
+        sigma = float(shift(c.a))
+        ends.insert(0, _inverse_end(c, P, sigma, tau_kind))
+    if None in ends:
         return None
-    low, inverse_steps, low_bound, inner_steps = lower
-    return RitzExtremes(low, high, steps, (low_bound, high_bound), sigma, inverse_steps,
-                        inner_steps + upper_inner, upper_shift)
+    (low, low_steps, low_bound, low_inner), (high, steps, high_bound, high_inner) = ends
+    return RitzExtremes(low, high, steps, (low_bound, high_bound), sigma,
+                        low_steps if inverse else 0, low_inner + high_inner, upper_shift)
 
 
 def min_eig_normalized(c):
     """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
     with coefficients c (ToeplitzCoeffs): the long-double Rayleigh
     quotient of the top Ritz vector of Lanczos on A^(-1) (`_inverse_end`
-    at shift 0), or the identity's dense `preconditioned_spectrum` where
-    that run fails."""
+    at shift 0), or None where that run fails, as for `lanczos_extremes`."""
     P = build_identity(c.n)
     _check_order(c, P)
     found = _inverse_end(c, P, 0.0, PrecKind.FROBENIUS_TAU)
-    return c.n * (found[0] if found else preconditioned_spectrum(c, P).lambda_min)
+    return None if found is None else c.n * found[0]

@@ -69,28 +69,12 @@ def prec_spectrum(kind, n):
     return preconditioned_spectrum(scaled_coeffs(n), build_prec(kind, n))
 
 
-def outlier_rows(monkeypatch, spectra, eps):
-    """The rows `dofde outliers` prints, (n, kind, eps, left, right,
-    percent) before formatting, for the given (n, kind, SpectrumReport)
-    triples at each eps, counted on its dense route: `cli.count_below`
-    gives no count, and each spectrum is handed to `cli._cmd_outliers` in
-    place of the one it would compute."""
-    monkeypatch.setattr(dofde.cli, "count_below", lambda c, rows: [None] * len(rows))
-    rows = []
-    for n, kind, spectrum in spectra:
-        monkeypatch.setattr(dofde.cli, "preconditioned_spectrum", lambda c, P: spectrum)
-        args = SimpleNamespace(sizes=[n], precs=[kind], eps=list(eps), coeffs=coeffs_via_fft)
-        rows += dofde.cli._cmd_outliers(args)[1]
-    return rows
-
-
-def outlier_table(kinds, sizes, eps):
-    """(rows, routes) of `dofde outliers` for the given kinds, sizes and
-    eps, on its own routes."""
-    args = SimpleNamespace(sizes=list(sizes), precs=list(kinds), eps=list(eps),
-                           coeffs=coeffs_via_fft)
-    _, rows, extras = dofde.cli._cmd_outliers(args)
-    return rows, extras["routes"]
+def outlier_table(kinds, sizes, eps, coeffs=coeffs_via_fft):
+    """The rows of `dofde outliers` for the given kinds, sizes and eps,
+    (n, kind, eps, left, right, percent) before formatting, with the
+    coefficients coeffs(n) in place of the sampled ones where given."""
+    args = SimpleNamespace(sizes=list(sizes), precs=list(kinds), eps=list(eps), coeffs=coeffs)
+    return dofde.cli._cmd_outliers(args)[1]
 
 
 def peak_traced_bytes(fn):

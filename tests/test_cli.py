@@ -142,9 +142,10 @@ class TestCommands:
 
     def test_spectrum_json_gives_each_rows_route(self, tmp_path):
         # a certified Lanczos row gives its steps and both residual bounds,
-        # and the Laplacian's its shift-and-invert run's shift and outer and
-        # inner steps too; the CSV of the same run keeps its four columns
-        argv = ["spectrum", "--sizes", "32,512", "--precs", "strang,laplacian",
+        # and a kind whose lower end is a shift-and-invert run (the Frobenius
+        # circulant's at shift 0, the Laplacian's) that run's shift and outer
+        # and inner steps too; the CSV of the same run keeps its four columns
+        argv = ["spectrum", "--sizes", "32,512", "--precs", "strang,frobenius_circulant,laplacian",
                 "--out", str(tmp_path)]
         assert main(argv + ["--format", "json"]) == 0
         assert main(argv) == 0
@@ -158,9 +159,12 @@ class TestCommands:
             steps, bounds = routes[key]["lanczos_steps"], routes[key]["residual_bounds"]
             assert 1 <= steps <= dofde.spectral._LANCZOS_STEPS and len(bounds) == 2
             shifted = {"shift", "inverse_steps", "inner_steps"} <= set(routes[key])
-            assert shifted == key.endswith("laplacian"), key
+            kind = PrecKind(key.split(",")[1])
+            assert shifted == (kind in dofde.spectral._INVERSE_LOWER), key
         for n in ("32", "512"):
-            assert routes[f"n={n},laplacian"]["inverse_steps"] >= 1
+            for kind in ("frobenius_circulant", "laplacian"):
+                assert routes[f"n={n},{kind}"]["inverse_steps"] >= 1
+            assert routes[f"n={n},frobenius_circulant"]["shift"] == 0.0
         for key in ("512,strang", "512,laplacian"):
             row = next(row for row in payload["rows"] if ",".join(row[:2]) == key)
             bounds = routes[f"n={key}"]["residual_bounds"]
@@ -168,48 +172,15 @@ class TestCommands:
 
     def test_identity_takes_both_ends_from_inverse_runs(self, tmp_path):
         # beyond the plain step budget the identity's upper end comes from
-        # (sigma I - A)^(-1), sigma above A's spectrum, so its row is not dense
+        # (sigma I - A)^(-1), sigma above A's spectrum
         n = 512
         assert main(["spectrum", "--sizes", str(n), "--precs", "identity", "--format", "json",
                      "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         route = payload["routes"][f"n={n},identity"]
-        assert route != "dense"
         assert set(route) == {"lanczos_steps", "residual_bounds", "shift", "inverse_steps",
                               "inner_steps", "upper_shift"}
         assert route["shift"] == 0.0 and route["upper_shift"] > float(payload["rows"][0][3])
-
-    def test_spectrum_falls_back_per_kind(self, monkeypatch, tmp_path):
-        # with Lanczos giving up on Strang and the Laplacian only, those two
-        # rows are the dense spectrum's extremes and the other kinds of the
-        # same run keep their Lanczos rows and routes
-        n = 64
-        lanczos = dofde.cli.lanczos_extremes
-        dense_kinds = (PrecKind.STRANG_CIRCULANT, PrecKind.LAPLACIAN)
-        monkeypatch.setattr(dofde.cli, "lanczos_extremes",
-                            lambda c, P: None if P.kind in dense_kinds else lanczos(c, P))
-        assert main(["spectrum", "--sizes", str(n), "--precs", "all", "--format", "json",
-                     "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
-        assert [row[1] for row in payload["rows"]] == [kind.value for kind in PrecKind]
-        c = shared.scaled_coeffs(n)
-        for kind, row in zip(PrecKind, payload["rows"]):
-            P = dofde.build_preconditioner(kind, c)
-            route = payload["routes"][f"n={n},{kind.value}"]
-            if kind in dense_kinds:
-                extremes = dofde.preconditioned_spectrum(c, P)
-                assert route == "dense", kind
-            else:
-                extremes = lanczos(c, P)
-                want = {"lanczos_steps": extremes.steps,
-                        "residual_bounds": list(extremes.residual_bounds)}
-                if kind is PrecKind.IDENTITY:
-                    want.update(shift=0.0, inverse_steps=extremes.inverse_steps,
-                                inner_steps=extremes.inner_steps,
-                                upper_shift=extremes.upper_shift)
-                assert route == want, kind
-            assert row == [str(n), kind.value, "%.10e" % extremes.lambda_min,
-                           "%.10e" % extremes.lambda_max]
 
     def test_outliers_rows(self, capsys):
         assert main([
@@ -477,6 +448,34 @@ class TestErrorPaths:
         assert main(["bounds"]) == 2
         assert capsys.readouterr().err.startswith("error: integrand returned a non-finite value")
 
+    @pytest.mark.parametrize("argv, route, message", [
+        (["spectrum", "--sizes", "32,64", "--precs", "strang,laplacian"], "lanczos_extremes",
+         "spectrum n=64 preconditioner strang did not certify its extremes by Lanczos"),
+        (["outliers", "--sizes", "32,64", "--precs", "strang,laplacian"], "count_below",
+         "outliers n=64 preconditioner strang met a zero or non-finite pivot: "
+         "an eigenvalue may lie on 1 +- eps"),
+        (["mineig", "--sizes", "32,64"], "min_eig_normalized",
+         "mineig n=64 did not certify lambda_min by Lanczos on A^-1"),
+    ], ids=["spectrum", "outliers", "mineig"])
+    def test_unsettled_row_is_an_error(self, argv, route, message, capsys, monkeypatch, tmp_path):
+        # each row has one route: where it settles nothing (here every row
+        # at n = 64), no other route stands in, and the command writes no
+        # table
+        settle = getattr(dofde.cli, route)
+
+        def unsettled(c, *rest):
+            found = settle(c, *rest)
+            if c.n < 64:
+                return found
+            return [None] * len(found) if isinstance(found, list) else None
+
+        monkeypatch.setattr(dofde.cli, route, unsettled)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not list(out.glob("*"))
+
     def test_breakdown_reported(self, capsys, monkeypatch):
         # a negated preconditioner apply makes the inner product negative
         monkeypatch.setattr(dofde.krylov, "apply_inverse", lambda P, r: -r)
@@ -561,25 +560,36 @@ class TestReferenceTables:
 
 class TestMatrixFreeDefaults:
     def test_default_tables_make_no_dense_eigensolve(self, monkeypatch, tmp_path):
-        # spectrum, outliers and mineig at their default sizes and kinds run
-        # matrix-free: no eigvalsh, and no JSON route reads "dense"
+        # spectrum, outliers and mineig at their default sizes, with their
+        # default kinds and with every kind, run matrix-free: no eigvalsh
+        # and no dense spectrum
         def never(*args, **kwargs):
             raise AssertionError("a dense eigensolve ran")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        for command in ("spectrum", "outliers", "mineig"):
-            assert main([command, "--format", "json", "--out", str(tmp_path)]) == 0
-            payload = json.loads((tmp_path / f"{command}.json").read_text())
-            assert "dense" not in payload.get("routes", {}).values(), command
+        monkeypatch.setattr(dofde.spectral, "preconditioned_spectrum", never)
+        for argv in (["spectrum"], ["outliers"], ["mineig"],
+                     ["spectrum", "--precs", "all"], ["outliers", "--precs", "all"]):
+            assert main(argv + ["--out", str(tmp_path)]) == 0, argv
 
-    def test_outliers_json_gives_each_rows_route(self, tmp_path):
-        # the sine kinds count by inertia, a circulant by its dense spectrum
-        argv = ["outliers", "--sizes", "32", "--precs", "strang,natural_tau,laplacian",
+    def test_outliers_counts_every_kind_by_inertia(self, tmp_path):
+        # the circulants and the identity count by inertia like the sine
+        # kinds, to the dense spectrum's counts, and the JSON names no route
+        n = 32
+        argv = ["outliers", "--sizes", str(n), "--precs", "all", "--eps", "1e-1,1e-2",
                 "--format", "json", "--out", str(tmp_path)]
         assert main(argv) == 0
         payload = json.loads((tmp_path / "outliers.json").read_text())
-        assert payload["routes"] == {"n=32,strang": "dense", "n=32,natural_tau": "inertia",
-                                     "n=32,laplacian": "inertia"}
+        assert "routes" not in payload
+        want = []
+        for kind in PrecKind:
+            w = shared.prec_spectrum(kind, n).eigenvalues
+            for eps in (1e-1, 1e-2):
+                left = int(np.count_nonzero(w < 1.0 - eps))
+                right = int(np.count_nonzero(w >= 1.0 + eps))
+                want.append([str(n), kind.value, "%.10e" % eps, str(left), str(right),
+                             "%.10e" % (100.0 * (left + right) / n)])
+        assert payload["rows"] == want
 
 
 class TestNoDenseSineTransform:
@@ -587,8 +597,8 @@ class TestNoDenseSineTransform:
         # B = Q A Q comes from the displacement identity, the circulant
         # blocks from folded first columns, and the Lanczos extremes from
         # products of vectors: a dense sine transform or FFT anywhere on
-        # the spectrum/outliers path, on either of spectrum's routes, or a
-        # Lanczos product of a block of vectors fails here
+        # the spectrum/outliers path or in the dense oracle, or a Lanczos
+        # product of a block of vectors fails here
         vector_calls = []
 
         def vectors_only(name, transform):
@@ -622,9 +632,11 @@ class TestNoDenseSineTransform:
         # matvec, and the identity's and the Laplacian's shift-and-invert
         # runs a pcg of matvecs per step
         assert vector_calls.count("root") >= 2 * 18 and vector_calls.count("matvec") >= 18
-        # spectrum's dense route for every kind, as when Lanczos gives up
-        monkeypatch.setattr(dofde.cli, "lanczos_extremes", lambda c, P: None)
-        assert main(["spectrum", "--precs", "all"] + argv) == 0
+        # the dense spectra, the test oracle, for every kind
+        for n in (32, 64, 128):
+            c = shared.scaled_coeffs(n)
+            for kind in PrecKind:
+                dofde.preconditioned_spectrum(c, dofde.build_preconditioner(kind, c))
         assert vector_calls.count("dst1") >= 6
         assert vector_calls.count("_circulant_transform") >= 6
         assert vector_calls.count("_tau_transform") >= 6

@@ -102,14 +102,21 @@ class TestMinEigNormalized:
             oracle = c.n * np.linalg.eigvalsh(assemble_dense(c))[0]
             assert min_eig_normalized(c) == pytest.approx(oracle, rel=1e-12), c.n
 
-    @pytest.mark.parametrize("command, floats", [("mineig", 330), ("outliers", 165)])
-    def test_commands_hold_o_n_floats(self, command, floats, tmp_path):
+    @pytest.mark.parametrize("argv, n, floats", [
+        pytest.param(["mineig"], 2048, 330, id="mineig-330"),
+        pytest.param(["outliers"], 2048, 165, id="outliers-165"),
+        pytest.param(["spectrum", "--precs", "frobenius_circulant"], 32768, 137,
+                     id="spectrum-frobenius_circulant-137"),
+    ])
+    def test_commands_hold_o_n_floats(self, argv, n, floats, tmp_path):
         # no n^2/4 block (512 n floats at n = 2048) is formed: measured
         # peaks 295 n (mineig: the coefficients, the bound constants and
-        # the 96-row Lanczos basis) and 147 n (outliers: the coefficient
-        # samples), with a margin of about 12%
-        n = 2048
-        argv = [command, "--sizes", str(n), "--out", str(tmp_path)]
+        # the 96-row Lanczos basis), 147 n (outliers: the coefficient
+        # samples) and 122 n (the Frobenius circulant's spectrum at 32768,
+        # whose lambda_min the plain run does not certify within its budget
+        # there: the 96-row Lanczos bases of its two runs, one at a time),
+        # with a margin of about 12%
+        argv = argv + ["--sizes", str(n), "--out", str(tmp_path)]
         assert main(argv) == 0  # lazy imports and caches first
         peak, status = shared.peak_traced_bytes(lambda: main(argv))
         assert status == 0
@@ -125,7 +132,6 @@ class TestMinEigNormalized:
     def test_inverse_routes_match_dense(self, n):
         # A^(-1) for the package's and a random nonnegative symbol, and the
         # Laplacian's shift-and-invert for the package's, each matrix-free
-        # (not through min_eig_normalized's dense fallback)
         cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
         for c in cases + ([shared.coeffs(n)] if n > 1 else []):
             identity = build_identity(n)
@@ -140,6 +146,12 @@ class TestMinEigNormalized:
             dense = preconditioned_spectrum(c, P)
             assert found is not None and found.shift >= 0.0 and found.inverse_steps >= 1
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), n
+
+    def test_failed_run_gives_none(self, monkeypatch):
+        # an unconverged generator solve settles nothing, and no other
+        # route stands in for it
+        monkeypatch.setattr(dofde.spectral, "pcg", shared.one_step_pcg)
+        assert min_eig_normalized(shared.coeffs(64)) is None
 
 
 class TestPreconditionedSpectrum:
@@ -379,8 +391,8 @@ _STEPS = dofde.spectral._LANCZOS_STEPS
 
 
 class TestLanczosExtremes:
-    """The matrix-free Lanczos extremes against the dense spectra they
-    fall back on."""
+    """The matrix-free Lanczos extremes against the dense spectra, their
+    test oracle."""
 
     @settings(deadline=None, max_examples=20)
     @given(n=st.integers(2, 300))
@@ -493,15 +505,22 @@ class TestInertiaCounts:
              picks=[(0.0, 1.0, -6.0), (1.0, -1.0, -7.0)])
     @example(tail=np.linspace(0.5, -0.5, 62), margin=0.05,
              picks=[(0.0, 1.0, -6.0), (0.5, -1.0, -8.0), (1.0, 1.0, -7.0)])
+    @example(tail=np.linspace(0.3, -0.2, 8), margin=0.02,
+             picks=[(0.25, -1.0, -6.0), (0.75, 1.0, -6.0)])
     def test_counts_match_eigvalsh(self, tail, margin, picks):
-        # a0 above 2 sum |a_k| keeps A and the sine kinds SPD; each shift
-        # is an eigenvalue of a kind moved by 1e-8 to 1e-6 relative, to
-        # either side, and 0.5 and 1.5 are in every batch too
+        # a0 above 2 sum |a_k| keeps A and every kind SPD; each shift is an
+        # eigenvalue of a kind moved by 1e-8 to 1e-6 relative, to either
+        # side, and 0.5 and 1.5 are in every batch too.  The sine kinds
+        # shift the diagonal of Q A Q; the identity and the circulants are
+        # Toeplitz, so their generators shift too
         a = np.concatenate([[2.0 * np.abs(tail).sum() + margin], tail])
         n = len(a)
         c = ToeplitzCoeffs(n, a)
         A = assemble_dense(c)
-        precs = [build_natural_tau(c), build_frobenius_tau(c), build_laplacian(n)]
+        precs = [build_identity(n), build_natural_tau(c), build_frobenius_tau(c),
+                 build_laplacian(n)]
+        if n > 1:
+            precs += [build_strang(c), build_frobenius_circulant(c)]
         spectra = [np.linalg.eigvalsh(shared.explicit_preconditioned(A, P)) for P in precs]
         rows = []
         for P, w in zip(precs, spectra):
@@ -513,10 +532,15 @@ class TestInertiaCounts:
         assert count_below(c, rows) == want
 
     def test_non_sine_kinds_and_order_mismatch(self):
+        # every kind gets a count, in the order of the rows; not at 1, an
+        # eigenvalue of Strang's P^(-1) A, where the Frobenius tau's B - D
+        # also starts with a zero diagonal
         c = shared.scaled_coeffs(16)
-        rows = [(build_strang(c), 1.0), (build_identity(16), 1.0), (build_natural_tau(c), 1.0)]
-        counts = count_below(c, rows)
-        assert counts[:2] == [None, None] and isinstance(counts[2], int)
+        precs = [build_preconditioner(kind, c) for kind in PrecKind]
+        counts = count_below(c, [(P, 1.1) for P in precs])
+        assert all(type(count) is int for count in counts)
+        assert counts == [int(np.count_nonzero(shared.prec_spectrum(P.kind, 16).eigenvalues < 1.1))
+                          for P in precs]
         with pytest.raises(ValueError):
             count_below(c, [(build_laplacian(17), 1.0)])
         with pytest.raises(TypeError):
@@ -525,8 +549,8 @@ class TestInertiaCounts:
 
     def test_zero_pivot_gives_no_count(self):
         # A = 2 I is its own Frobenius tau, to the bit, so at shift 1 the
-        # matrix B - D is zero: every pivot is 0, the row has no count, and
-        # the dense spectrum must decide; at 1.5 every pivot is -1
+        # matrix B - D is zero: every pivot is 0 and the row has no count,
+        # which the CLI reports as an error; at 1.5 every pivot is -1
         n = 9
         c = ToeplitzCoeffs(n, np.eye(n)[0] * 2.0)
         P = build_frobenius_tau(c)
@@ -577,38 +601,52 @@ class TestSpectrumReport:
 
 
 class TestOutliers:
-    # `dofde outliers` counts in `cli._cmd_outliers`; these tests hand it
-    # the spectra and read back (left, right, percent)
+    # `dofde outliers` counts by inertia in `cli._cmd_outliers`; these
+    # tests read back (left, right, percent) for matrices whose spectra are
+    # known, and for the package's own
     @staticmethod
-    def counts(monkeypatch, spectrum, eps):
-        n = len(spectrum.eigenvalues)
-        (row,) = shared.outlier_rows(monkeypatch, [(n, PrecKind.NATURAL_TAU, spectrum)], [eps])
+    def counts(a, kind, eps):
+        """(left, right, percent) of `dofde outliers` for the symmetric
+        Toeplitz matrix with first column a, which the command scales by
+        1/n from n a."""
+        n = len(a)
+        (row,) = shared.outlier_table([kind], [n], [eps],
+                                      coeffs=lambda n: ToeplitzCoeffs(n, n * np.asarray(a)))
         return tuple(row[3:])
 
-    def test_synthetic_spectrum(self, monkeypatch):
-        rep = SpectrumReport(np.array([0.5, 0.95, 1.0, 1.05, 1.5]))
-        left, right, percent = self.counts(monkeypatch, rep, 0.1)
-        assert (left, right) == (1, 1)
-        assert percent == pytest.approx(40.0)
+    def test_synthetic_spectrum(self):
+        # tridiag(0.3, 1, 0.3) has the eigenvalues 1 + 0.6 cos(j pi/6):
+        # 0.48, 0.7, 1.0, 1.3, 1.52
+        left, right, percent = self.counts([1.0, 0.3, 0.0, 0.0, 0.0], PrecKind.IDENTITY, 0.1)
+        assert (left, right) == (2, 2)
+        assert percent == pytest.approx(80.0)
 
-    def test_endpoints_count_as_outliers(self, monkeypatch):
-        rep = SpectrumReport(np.array([0.9, 1.0, 1.1]))
-        assert self.counts(monkeypatch, rep, 0.1)[:2] == (1, 1)
+    def test_eigenvalue_on_a_threshold_is_an_error(self, monkeypatch, capsys):
+        # 1.5 I at eps 0.5 has every eigenvalue on 1 + eps: A - 1.5 I is
+        # zero, so every pivot is 0 and no count is settled
+        monkeypatch.setattr(dofde.cli, "coeffs_via_fft",
+                            lambda n: ToeplitzCoeffs(n, np.eye(1, n)[0] * 1.5 * n))
+        assert main(["outliers", "--sizes", "8", "--precs", "identity", "--eps", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: outliers n=8 preconditioner identity met a zero or "
+                                "non-finite pivot: an eigenvalue may lie on 1 +- eps\n")
+        assert captured.out == ""
 
-    def test_all_ones(self, monkeypatch):
-        assert self.counts(monkeypatch, SpectrumReport(np.ones(10)), 0.5) == (0, 0, 0.0)
+    def test_all_ones(self):
+        # 2 I is its own Frobenius tau, so every eigenvalue of P^(-1) A is 1
+        a = np.eye(1, 10)[0] * 2.0
+        assert self.counts(a, PrecKind.FROBENIUS_TAU, 0.5) == (0, 0, 0.0)
+        assert self.counts(a / 2.0, PrecKind.IDENTITY, 0.5) == (0, 0, 0.0)
 
-    def test_published_counts_small(self, monkeypatch):
-        rep = shared.prec_spectrum(PrecKind.NATURAL_TAU, 512)
-        left, right, percent = self.counts(monkeypatch, rep, 1e-1)
+    def test_published_counts_small(self):
+        (row,) = shared.outlier_table([PrecKind.NATURAL_TAU], [512], [1e-1])
+        left, right, percent = row[3:]
         assert (left, right) == (2, 2)
         assert percent == pytest.approx(100 * 4 / 512)
 
-    def test_percentages_decrease_with_size(self, monkeypatch):
-        pcts = [
-            self.counts(monkeypatch, shared.prec_spectrum(PrecKind.NATURAL_TAU, n), 1e-1)[2]
-            for n in (32, 64, 128, 256)
-        ]
+    def test_percentages_decrease_with_size(self):
+        rows = shared.outlier_table([PrecKind.NATURAL_TAU], (32, 64, 128, 256), [1e-1])
+        pcts = [row[5] for row in rows]
         assert all(b < a for a, b in zip(pcts, pcts[1:]))
 
     def test_eps_validated(self, capsys):
