@@ -22,14 +22,16 @@ fixed step budget.  It serves three kinds of operator:
 - P^(1/2) A^(-1) P^(1/2), for lambda_min = 1/mu_max of the identity
   (`min_eig_normalized`) and of the Frobenius circulant, beyond the plain
   run's budget from n = 24576 on; (sigma I - A)^(-1) for the
-  identity's lambda_max = sigma - 1/mu_max, sigma the greatest of A's symbol
-  f = a_0 + 2 sum a_k cos(k theta) on a grid plus the grid's miss, so
-  sigma I - A is positive definite (Grenander and Szego, Toeplitz Forms
-  and Their Applications, 1958: f >= sigma g implies T(f) >= sigma T(g));
+  identity's lambda_max = sigma - 1/mu_max, sigma = a_0 + 2 sum |a_k| the
+  Gershgorin ceiling, which bounds A's symbol
+  f = a_0 + 2 sum a_k cos(k theta) without a grid, so sigma I - A is
+  positive definite but for a diagonal A (Grenander and Szego, Toeplitz
+  Forms and Their Applications, 1958: f >= sigma g implies
+  T(f) >= sigma T(g));
 - L^(1/2) (A - sigma L)^(-1) L^(1/2) for the Laplacian L, whose densely
   packed lower end the plain operator does not reach in its budget, with
   lambda_min = sigma + 1/mu_max.  The shift sigma is the least ratio
-  f(theta) / (4 sin^2(theta/2)) on the same grid, less its miss, so
+  f(theta) / (4 sin^2(theta/2)) on a grid, less the grid's miss, so
   A - sigma L is positive definite, L = T(4 sin^2(theta/2)).
 
 An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
@@ -518,11 +520,15 @@ def _plain_extremes(c, P, ends):
     return [(quotient(root(y)), steps, bound, 0) for _, y, bound in ritz]
 
 
-def _symbol_on_grid(a):
-    """theta and the symbol f(theta) = a_0 + 2 sum_k a_k cos(k theta) of the
-    symmetric Toeplitz matrix with first column a, on the grid
+def _laplacian_shift(a):
+    """A shift sigma >= 0 below lambda_min(L^(-1) T), T the symmetric
+    Toeplitz matrix with first column a: the least ratio
+    f(theta) / (4 sin^2(theta/2)) of T's symbol
+    f(theta) = a_0 + 2 sum_k a_k cos(k theta) on the grid
     theta = 2 pi j / samples, j = 1..samples/2, of (0, pi], at
-    max(_SHIFT_SAMPLES, 64 n) samples rounded up to a power of two."""
+    max(_SHIFT_SAMPLES, 64 n) samples rounded up to a power of two, less
+    the amount by which the grid of every other sample misses it, about
+    three times the grid's own miss."""
     n = len(a)
     samples = max(_SHIFT_SAMPLES, _next_pow2(64 * n))
     # the symbol at 2 pi j / samples is the cosine sum of a, mirrored
@@ -531,30 +537,9 @@ def _symbol_on_grid(a):
     even[samples - n + 1 :] = a[:0:-1]
     f = _circulant_transform(even)[1 : samples // 2 + 1]
     theta = 2.0 * np.pi / samples * np.arange(1, samples // 2 + 1)
-    return theta, f
-
-
-def _grid_floor(values):
-    """The least of values sampled on `_symbol_on_grid`'s grid, less the
-    amount by which the grid of every other sample misses it, about three
-    times the grid's own miss."""
-    least = values.min()
-    return least - (values[1::2].min() - least)
-
-
-def _laplacian_shift(a):
-    """A shift sigma >= 0 below lambda_min(L^(-1) T), T the symmetric
-    Toeplitz matrix with first column a: `_grid_floor` of
-    f(theta) / (4 sin^2(theta/2)), f the symbol of T."""
-    theta, f = _symbol_on_grid(a)
-    return max(0.0, _grid_floor(f / (4.0 * np.sin(theta / 2) ** 2)))
-
-
-def _identity_ceiling(a):
-    """A shift sigma above lambda_max(T), T the symmetric Toeplitz matrix
-    with first column a: the greatest of its symbol f on the grid, plus the
-    grid's miss, so sigma I - T is positive definite."""
-    return -_grid_floor(-_symbol_on_grid(a)[1])
+    ratio = f / (4.0 * np.sin(theta / 2) ** 2)
+    least = ratio.min()
+    return max(0.0, least - (ratio[1::2].min() - least))
 
 
 # the kinds whose lower end comes from `_inverse_end`: the shift, from A's
@@ -622,16 +607,17 @@ def lanczos_extremes(c, P):
     `_lanczos` run on P^(-1/2) A P^(-1/2).  The kinds of `_INVERSE_LOWER`
     take lambda_min from `_inverse_end` at their shift, and lambda_max
     from a plain run on the top end alone, but the identity, which takes
-    it from a second inverse run on (sigma I - A)^(-1), sigma the
-    `_identity_ceiling`, with the natural tau of sigma I - A, which samples
-    sigma - f >= 0.  Raises TypeError and ValueError as
-    `preconditioned_spectrum` does.
+    it from a second inverse run on (sigma I - A)^(-1), with the natural tau
+    of sigma I - A, which samples sigma - f >= 0: sigma is Gershgorin's
+    ceiling a_0 + 2 sum_k |a_k|, which bounds A's symbol f and so needs
+    no grid.  Raises TypeError and ValueError as `preconditioned_spectrum`
+    does.
     """
     _check_order(c, P)
     inverse = P.kind in _INVERSE_LOWER
     sigma = upper_shift = None
     if P.kind is PrecKind.IDENTITY:
-        upper_shift = float(_identity_ceiling(c.a))
+        upper_shift = float(c.a[0] + 2.0 * np.abs(c.a[1:]).sum())
         ends = [_inverse_end(c, P, upper_shift, PrecKind.NATURAL_TAU, upper=True)]
     else:
         ends = _plain_extremes(c, P, (-1,) if inverse else (0, -1))

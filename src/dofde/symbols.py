@@ -50,23 +50,20 @@ def dist_order_symbol(n, theta):
     theta = _check_angle(theta)
     scalar = theta.ndim == 0
     th = np.abs(np.atleast_1d(theta))
-    out = np.zeros_like(th)
-
-    nz = th > 0.0
-    t = th[nz]
-    x = n * t
-    logx = np.log(x)
-    # 1 - x^(-1/n) computed as -expm1(-log(x)/n) to keep small exponents exact
+    x = n * th
+    # theta = 0 passes through 0/0 and is set to 0 at the end
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = t**2 * (1.0 - 1.0 / x) / (-np.expm1(-logx / n))
+        logx = np.log(x)
+        # 1 - x^(-1/n) computed as -expm1(-log(x)/n) to keep small exponents exact
+        out = th**2 * (1.0 - 1.0 / x) / (-np.expm1(-logx / n))
 
     near_one = np.abs(logx) / n < _CLOSED_FORM_GUARD
     if np.any(near_one):
         j = np.arange(n)
         xg = x[near_one, None]
-        vals[near_one] = t[near_one] ** 2 * np.sum(xg ** (-j / n), axis=1)
+        out[near_one] = th[near_one] ** 2 * np.sum(xg ** (-j / n), axis=1)
 
-    out[nz] = vals
+    out[th == 0.0] = 0.0
     return float(out[0]) if scalar else out.reshape(theta.shape)
 
 

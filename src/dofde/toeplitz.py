@@ -1,13 +1,14 @@
 """Toeplitz realization of the distributed-order operator.
 
-Fourier coefficients of the generating symbol (chunked rfft sampling
-with doubling stabilization, plus an independent quadrature oracle),
-dense assembly, and `_product`, the one cached rfft convolution behind
-every O(n log n) Toeplitz product: the matvec by circulant embedding
-here, the triangular products of `_gohberg_semencul`'s inverse and, with a
-Hankel term, every preconditioner inverse, each checking its operand
-there; and beside it `_series_reciprocal`, the Newton reciprocal behind
-multigrid's tril(T)^-1.
+Fourier coefficients of the generating symbol (each doubled grid
+sampled once, chunk by chunk, through one rfft, whose folded tail is the
+change since the grid of half the size; plus an independent quadrature
+oracle), dense assembly, and `_product`, the one cached rfft convolution
+behind every O(n log n) Toeplitz product: the matvec by circulant
+embedding here, the triangular products of `_gohberg_semencul`'s inverse
+and, with a Hankel term, every preconditioner inverse, each checking its
+operand there; and beside it `_series_reciprocal`, the Newton reciprocal
+behind multigrid's tril(T)^-1.
 """
 
 from __future__ import annotations
@@ -89,12 +90,18 @@ def _corner_slope(n):
 def coeffs_via_fft(n):
     """Fourier coefficients of the order-n symbol by uniform sampling + FFT.
 
-    Samples the symbol on a uniform grid of [0, 2pi), takes a real FFT,
-    keeps the first n coefficients, and doubles the sample count until
-    two successive coefficient vectors agree to 1e-10 in max norm
-    (budget: 4 doublings, then CoeffStabilizationError).  The m samples
-    fill one preallocated array, _SAMPLE_CHUNK at a time, so the working
-    memory is that array and the rfft's m/2 + 1 outputs.
+    Samples the symbol on a uniform grid of m points of [0, 2pi), takes
+    one real FFT X and keeps X_k / m, k < n.  The m/2 even samples are
+    the grid of half the size, whose transform is (X_k + conj X_(m/2-k))/2
+    (Cooley and Tukey's decimation in time), so the change of the
+    coefficients since that grid is the folded tail -Re X_(m/2-k) / m.
+    Once it is below 1e-10 in max norm the coefficients are returned;
+    otherwise m doubles (budget: 4 grids, each a doubling of the grid its
+    tail compares with, then CoeffStabilizationError).
+    Each grid point is evaluated once: the m samples fill one
+    preallocated array, _SAMPLE_CHUNK at a time, and are dropped after
+    the rfft, so the working memory is that array and the rfft's m/2 + 1
+    outputs.
 
     The periodic continuation of the symbol has a corner at theta = pi
     that would cap plain-sampling accuracy near 1e-6; the matched
@@ -102,39 +109,30 @@ def coeffs_via_fft(n):
     analytic coefficients are added back, which removes that corner from
     the sampled function entirely.
 
-    Sampling starts at the next power of two >= max(4n, 2^16), large
-    enough that the first doubling already verifies stabilization.
+    Sampling starts at twice the next power of two >= max(4n, 2^16), so
+    the first grid's tail already verifies stabilization.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    samples = max(_next_pow2(4 * n), _MIN_SAMPLES)
+    m = 2 * max(_next_pow2(4 * n), _MIN_SAMPLES)
     beta = _corner_slope(n) / (2.0 * np.pi)
-
-    def sampled_coeffs(m):
+    k = np.arange(1, n)
+    corner = np.r_[beta * np.pi**2 / 3.0, beta * 2.0 * (-1.0) ** k / k**2]
+    for _ in range(_DOUBLING_BUDGET):
         vals = np.empty(m)
         for start in range(0, m, _SAMPLE_CHUNK):
-            k = np.arange(start, min(start + _SAMPLE_CHUNK, m))
-            theta = fold_angle(2.0 * np.pi * k / m)
+            j = np.arange(start, min(start + _SAMPLE_CHUNK, m))
+            theta = fold_angle(2.0 * np.pi * j / m)
             vals[start : start + _SAMPLE_CHUNK] = dist_order_symbol(n, theta) - beta * theta**2
         spec = np.fft.rfft(vals)
-        # free the samples and all but n outputs before the O(n) work below
         del vals
-        spec = spec[:n].copy()
+        # X_k and the folded tail X_(m/2-k), k < n; the rest is dropped
+        spec = np.r_[spec[:n], spec[m // 2 - n + 1 : m // 2 + 1]]
         if np.max(np.abs(spec.imag)) > 1e-12 * max(1.0, np.max(np.abs(spec.real))):
             raise CoeffStabilizationError("sampled symbol is not even")
-        a = spec.real / m
-        k = np.arange(1, n)
-        a[0] += beta * np.pi**2 / 3.0
-        a[1:] += beta * 2.0 * (-1.0) ** k / k**2
-        return a
-
-    prev = sampled_coeffs(samples)
-    for _ in range(_DOUBLING_BUDGET):
-        samples *= 2
-        cur = sampled_coeffs(samples)
-        if np.max(np.abs(cur - prev)) < _STABILIZATION_TOL:
-            return ToeplitzCoeffs(n=n, a=cur)
-        prev = cur
+        if np.max(np.abs(spec.real[n:])) / m < _STABILIZATION_TOL:
+            return ToeplitzCoeffs(n=n, a=spec.real[:n] / m + corner)
+        m *= 2
     raise CoeffStabilizationError(
         f"coefficients did not stabilize to {_STABILIZATION_TOL:g} "
         f"within {_DOUBLING_BUDGET} doublings"

@@ -33,6 +33,7 @@ from dofde import (
 import dofde.cli
 from dofde.preconditioners import _frobenius_tau_spectrum
 from dofde.symbols import _check_order
+from dofde.toeplitz import _corner_slope, _next_pow2
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,6 +88,61 @@ def peak_traced_bytes(fn):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# sampling oracles: the package evaluates the symbol in place and samples
+# each doubled grid once, reading the doubling test off the folded tail of
+# one rfft; these gather and scatter the nonzero angles, and transform each
+# grid in full and compare it with the grid of half the size
+
+
+def masked_dist_order_symbol(n, theta):
+    """The closed form of `dist_order_symbol` on the nonzero |theta| only,
+    gathered by a mask and scattered into zeros, with the same operations
+    in the same order, so the two agree bit for bit."""
+    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
+    out = np.zeros_like(th)
+    nz = th > 0.0
+    t = th[nz]
+    x = n * t
+    logx = np.log(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = t**2 * (1.0 - 1.0 / x) / (-np.expm1(-logx / n))
+    near_one = np.abs(logx) / n < 1e-6
+    if np.any(near_one):
+        j = np.arange(n)
+        vals[near_one] = t[near_one] ** 2 * np.sum(x[near_one, None] ** (-j / n), axis=1)
+    out[nz] = vals
+    return out
+
+
+def two_grid_coeffs(n):
+    """(a, m): `coeffs_via_fft`'s coefficients and final sample count by
+    two full transforms per test, each grid evaluated through
+    `masked_dist_order_symbol` and compared with the one before it: grids
+    of s, 2s, ... points from s = max(next_pow2(4n), 2^16) until two
+    successive coefficient vectors agree to 1e-10 in max norm, within four
+    doublings."""
+    samples = max(_next_pow2(4 * n), 1 << 16)
+    beta = _corner_slope(n) / (2.0 * np.pi)
+
+    def sampled(m):
+        theta = fold_angle(2.0 * np.pi * np.arange(m) / m)
+        a = np.fft.rfft(masked_dist_order_symbol(n, theta) - beta * theta**2)[:n].real / m
+        k = np.arange(1, n)
+        a[0] += beta * np.pi**2 / 3.0
+        a[1:] += beta * 2.0 * (-1.0) ** k / k**2
+        return a
+
+    prev = sampled(samples)
+    for _ in range(4):
+        samples *= 2
+        cur = sampled(samples)
+        if np.max(np.abs(cur - prev)) < 1e-10:
+            return cur, samples
+        prev = cur
+    raise AssertionError("the two-grid oracle did not stabilize")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bound_correction,
     bound_correction_coeffs,
     laplacian_eigvec_transform,
+    masked_dist_order_symbol,
     rescaled_remainder,
 )
 from dofde import build_laplacian, dist_order_symbol, fold_angle, limit_symbol
@@ -23,6 +26,20 @@ def direct_sum(n, theta):
 
 
 class TestDistOrderSymbol:
+    @settings(deadline=None, max_examples=50)
+    @given(n=st.integers(2, 5000),
+           theta=st.lists(st.floats(-np.pi, np.pi, allow_subnormal=False), max_size=32),
+           near=st.lists(st.floats(-1e-6, 1e-6), max_size=8))
+    def test_matches_masked_oracle(self, n, theta, near):
+        # in place, bit for bit as on the gathered nonzero angles, at 0,
+        # +-pi and on both branches: n|theta| within 1e-6 of 1 takes the
+        # direct sum (subnormal angles overflow 1/(n|theta|) to NaN on
+        # both sides, so they show nothing)
+        ones = (1.0 + np.array(near)) / n
+        theta = np.r_[theta, 0.0, -0.0, np.pi, -np.pi, ones, -ones]
+        np.testing.assert_array_equal(dist_order_symbol(n, theta),
+                                      masked_dist_order_symbol(n, theta))
+
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 8, 17, 64):

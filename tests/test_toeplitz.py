@@ -19,7 +19,22 @@ from dofde import (
     build_identity,
     coeff_oracle,
     coeffs_via_fft,
+    dist_order_symbol,
 )
+
+
+def rfft_lengths(patch):
+    """The lengths of the np.fft.rfft calls made after this one, in order,
+    recorded by a spy that patch sets."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def spy(x, *args, **kwargs):
+        lengths.append(len(x))
+        return rfft(x, *args, **kwargs)
+
+    patch.setattr(np.fft, "rfft", spy)
+    return lengths
 
 
 class TestCoeffs:
@@ -36,17 +51,61 @@ class TestCoeffs:
 
     def test_stabilization_failure_raises(self, monkeypatch):
         # a jump off the sampling grid converges too slowly for the budget:
-        # its aliasing error is still far above 1e-10 after four doublings
+        # its aliasing error is still far above 1e-10 after four doublings,
+        # one rfft per grid
         monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol",
                             lambda n, t: (np.abs(t) < 1.0).astype(float))
+        lengths = rfft_lengths(monkeypatch)
         with pytest.raises(CoeffStabilizationError, match="within 4 doublings"):
             coeffs_via_fft(4)
+        assert lengths == [1 << 17, 1 << 18, 1 << 19, 1 << 20]
+
+    def test_odd_symbol_raises(self, monkeypatch):
+        monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol", lambda n, t: np.sin(t))
+        with pytest.raises(CoeffStabilizationError, match="sampled symbol is not even"):
+            coeffs_via_fft(4)
+
+    @pytest.mark.parametrize("n, symbol, grids", [
+        (2, dist_order_symbol, [1 << 17]),
+        (2048, dist_order_symbol, [1 << 17]),
+        (16384, dist_order_symbol, [1 << 17, 1 << 18]),
+        (4, lambda n, t: dist_order_symbol(n, t) + np.cos(2.0**16 * t), [1 << 17, 1 << 18]),
+    ], ids=["n2", "n2048", "n16384", "nyquist"])
+    def test_one_rfft_per_grid(self, monkeypatch, n, symbol, grids):
+        # each grid is transformed once, its folded tail deciding whether
+        # to double: the symbol passes on its first grid, 2^17 points, at
+        # n = 2 and 2048, and on the second at n = 16384, where the first
+        # has only 8 points per coefficient; a cosine added at the first
+        # grid's Nyquist frequency lies wholly in X_(m/2), the tail's k = 0
+        # term, so it doubles once
+        monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol", symbol)
+        lengths = rfft_lengths(monkeypatch)
+        coeffs_via_fft(n)
+        assert lengths == grids
+
+    @settings(deadline=None, max_examples=25)
+    @given(n=st.integers(2, 5000))
+    @example(n=2049)
+    @example(n=16384)
+    @example(n=32768)
+    @example(n=65535)
+    def test_matches_two_grid_oracle(self, n):
+        # the coefficients and the final sample count bit for bit: the
+        # folded tail decides as the full transform of the grid of half
+        # the size does
+        with pytest.MonkeyPatch.context() as patch:
+            lengths = rfft_lengths(patch)
+            a = coeffs_via_fft(n).a
+        want, samples = shared.two_grid_coeffs(n)
+        np.testing.assert_array_equal(a, want)
+        assert lengths[-1] == samples
 
     def test_sampling_memory_is_linear_in_the_samples(self, monkeypatch):
         # the samples fill one array chunk by chunk and go through one
         # rfft, so the peak is that array plus the m/2 + 1 complex outputs,
-        # about 2 m floats at the final sample count m = 2^19 (sampling
-        # starts at 4n = 2^18, and one doubling verifies it)
+        # about 2 m floats at the final sample count m = 2^19, each grid
+        # point evaluated once (the first grid is twice the least power of
+        # two >= 4n = 2^18, and its folded tail verifies it)
         evaluated = []
         symbol = dofde.toeplitz.dist_order_symbol
 
@@ -57,7 +116,7 @@ class TestCoeffs:
         monkeypatch.setattr(dofde.toeplitz, "dist_order_symbol", counting)
         peak, _ = shared.peak_traced_bytes(lambda: coeffs_via_fft(65536))
         m = 1 << 19
-        assert sum(evaluated) == m // 2 + m
+        assert sum(evaluated) == m
         assert peak <= 3 * m * 8
 
     @settings(deadline=None, max_examples=25)
