@@ -49,6 +49,10 @@ class StoppingRule:
         return self.max_iterations if self.max_iterations is not None else 10 * n
 
 
+# the PCG for T^{-1} e_1 behind every Gohberg-Semencul inverse
+_GENERATOR_STOP = StoppingRule(tol=1e-13)
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one iterative solve; one residual per step follows the
@@ -66,10 +70,10 @@ class SolveReport:
 def _iterate(apply_A, b, x0, stop, steps):
     """The one solve loop behind `pcg`, `vcycle` and `tgm`.
 
-    Returns at once for a zero b or an initial residual under stop.tol;
-    otherwise draws (x, r) pairs, r the residual of the iterate x, from
-    the generator steps(x0, r0) until ||r||/||b|| < stop.tol or stop's
-    cap.  No step past the cap is drawn, so none of its work is done.
+    x0=None is zero, whose residual b takes no product.  Returns at once for a
+    zero b or an initial residual under stop.tol; otherwise draws (x, r)
+    pairs, r the residual of the iterate x, from the generator steps(x0, r0)
+    until ||r||/||b|| < stop.tol or stop's cap, past which no step is drawn.
     """
     if stop is None:
         stop = StoppingRule()
@@ -83,7 +87,7 @@ def _iterate(apply_A, b, x0, stop, steps):
     if norm_b == 0.0:
         return SolveReport(np.zeros(1), True, np.zeros(n))
 
-    r = b - np.asarray(apply_A(x), dtype=float)
+    r = b.copy() if x0 is None else b - np.asarray(apply_A(x), dtype=float)
     history = [np.linalg.norm(r) / norm_b]
     if not history[0] < stop.tol:
         # islice checks its count before it draws, so no step past the cap runs
@@ -129,9 +133,9 @@ def pcg(apply_A, P, b, x0=None, stop=None):
 
 
 def cg_smooth_step(apply_A, P, x, b, steps=1):
-    """Run `steps` PCG iterations from the iterate x and return the
-    update; the Krylov space is built afresh on every call, which is
-    what makes this usable as a multigrid smoother.
+    """Run `steps` PCG iterations from the iterate x (None is zero, which
+    takes no product) and return the update; the Krylov space is built
+    afresh on every call, which makes this usable as a multigrid smoother.
 
     The smallest positive tolerance leaves only a zero residual to stop
     the loop early, so reaching the exact solution returns it.

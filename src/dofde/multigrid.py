@@ -16,17 +16,20 @@ from x = T^{-1} e_1, one Frobenius-tau PCG solve per level; its four
 triangular products are cached rfft convolutions, `toeplitz._product`,
 as is the matvec.
 
-Smoothers are Gauss-Seidel sweeps or a fixed number of restarted PCG
-steps (`pcg` run by `cg_smooth_step`) with the natural tau, Frobenius
-tau and discrete Laplacian preconditioners.  The table `MGM_CASES`
-declares the study's five named cases: each gives the (pre, post)
-smoothers of the finest level and of the coarser levels as (method,
-steps) pairs, the method "gs" or a PrecKind value, and
-`vcycle` and `tgm` take a case by its name and run its pairs, read from
-`MGM_CASES`, through `_smooth`; `tgm` is the V-cycle on the first two
+Smoothers are Gauss-Seidel sweeps or restarted PCG steps (`pcg` run by
+`cg_smooth_step`), as the five cases of `MGM_CASES` declare; `vcycle`
+and `tgm` take a case by name, and `tgm` is the V-cycle on the first two
 levels of the same hierarchy.  A level builds each preconditioner kind
-once, for its smoothers and its exact solve.  The cycles run in krylov's
-stopping loop, the one `pcg` runs in.
+once, for its smoothers and its exact solve.
+
+A cycle is a correction operator (Briggs, Henson and McCormick, A
+Multigrid Tutorial, SIAM 2000): `_cycle` turns a residual r into
+e ~ A^{-1} r by one V-cycle from e = 0.  The pre-smoother solves A e = r
+from zero, so it takes no product with A; the coarse right-hand side is
+R (r - A e), and the post-smoother continues from e.  The solves run in
+krylov's stopping loop, the one `pcg` runs in, and each step adds the
+correction to the iterate and forms the true residual once.
+
 Gauss-Seidel inverts tril(T), the lower-triangular Toeplitz matrix with
 first column a.  Its inverse is the lower-triangular Toeplitz matrix of
 the power-series reciprocal of a(z) = sum_k a_k z^k, computed once per
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import StoppingRule, _iterate, cg_smooth_step, pcg
+from .krylov import _GENERATOR_STOP, _iterate, cg_smooth_step, pcg
 from .preconditioners import PrecKind, build_preconditioner
 from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _product,
                        _series_reciprocal)
@@ -60,13 +63,11 @@ __all__ = [
     "tgm",
 ]
 
-# The five smoother configurations of the study, by name: the finest
-# level's (pre, post) smoothers, then those of every coarser non-coarsest
-# level.  A smoother is (method, steps): "gs" is forward Gauss-Seidel
-# sweeps, any other method is restarted PCG steps preconditioned by the
-# PrecKind of that value.  The finest level, the problem's own Toeplitz
-# matrix, takes natural tau, and the coarse Galerkin levels take
-# Frobenius-optimal tau.
+# The study's five smoother cases by name: the finest level's (pre, post)
+# smoothers, then those of every coarser level but the coarsest, each
+# (method, steps), "gs" for forward Gauss-Seidel sweeps or a PrecKind value
+# for restarted PCG steps: natural tau on the finest level, the problem's
+# own matrix, and Frobenius-optimal tau on the Galerkin levels below it.
 MGM_CASES = {
     "alpha": ((("gs", 1), ("gs", 1)), (("gs", 1), ("gs", 1))),
     "beta": ((("gs", 1), ("natural_tau", 1)), (("gs", 1), ("frobenius_tau", 1))),
@@ -75,7 +76,6 @@ MGM_CASES = {
     "finest_only": ((("laplacian", 1), ("natural_tau", 1)), (("gs", 1), ("gs", 1))),
 }
 
-_EXACT_SOLVE_TOL = 1e-13
 _COARSEST_SIZE = 15
 
 
@@ -106,9 +106,9 @@ class GridLevel:
         """r -> T^{-1} r by `_gohberg_semencul` from x = T^{-1} e_1, which
         one Frobenius-tau PCG solve finds."""
         report = pcg(self.matvec, self._preconditioner(PrecKind.FROBENIUS_TAU),
-                     np.eye(1, self.n)[0], stop=StoppingRule(tol=_EXACT_SOLVE_TOL))
+                     np.eye(1, self.n)[0], stop=_GENERATOR_STOP)
         if not report.converged:
-            raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_EXACT_SOLVE_TOL:g}")
+            raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_GENERATOR_STOP.tol:g}")
         return _gohberg_semencul(report.solution)
 
 
@@ -138,10 +138,9 @@ def prolong(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("prolongation needs a vector")
-    z = np.zeros(2 * y.shape[0] + 1)
-    z[0:-2:2] += y
-    z[1:-1:2] += 2.0 * y
-    z[2::2] += y
+    z = np.empty(2 * y.shape[0] + 1)
+    z[0::2] = np.r_[y, 0.0] + np.r_[0.0, y]
+    z[1::2] = 2.0 * y
     return z
 
 
@@ -155,16 +154,12 @@ def _galerkin_coarse(a):
     return b
 
 
-def _is_pow2_minus_1(n):
-    return n >= 3 and ((n + 1) & n) == 0
-
-
 def build_hierarchy(c):
     """Coarsen the symmetric Toeplitz matrix with coefficients c by the
     Galerkin recurrence at least once, then until the size is at most 15."""
     if not isinstance(c, ToeplitzCoeffs):
         raise TypeError("build_hierarchy takes ToeplitzCoeffs")
-    if not _is_pow2_minus_1(c.n):
+    if not (c.n >= 3 and (c.n + 1) & c.n == 0):
         raise ValueError(f"size must be one less than a power of two, got {c.n}")
 
     levels = [GridLevel(c)]
@@ -177,12 +172,14 @@ def build_hierarchy(c):
 def gauss_seidel_sweep(level, x, b, sweeps=1):
     """Forward Gauss-Seidel on the GridLevel's system T x = b: `sweeps`
     updates x <- x + tril(T)^{-1} (b - T x), returning the new iterate.
-    Raises ValueError unless sweeps >= 1."""
+    x=None starts from zero, where the first update is tril(T)^{-1} b,
+    with no product.  Raises ValueError unless sweeps >= 1."""
     if not sweeps >= 1:
         raise ValueError("sweeps must be at least 1")
     if level.coeffs.a[0] == 0.0:
         raise ValueError("Gauss-Seidel needs a zero-free diagonal")
-    x = np.array(x, dtype=float)
+    if x is None:
+        x, sweeps = level.solve_lower(b), sweeps - 1
     for _ in range(sweeps):
         x = x + level.solve_lower(b - level.matvec(x))
     return x
@@ -190,24 +187,23 @@ def gauss_seidel_sweep(level, x, b, sweeps=1):
 
 def _smooth(level, smoother, x, b):
     """One (method, steps) smoother of `MGM_CASES` on the GridLevel from x,
-    by the module globals gauss_seidel_sweep or cg_smooth_step, looked up
-    at call time so that a wrapper set on the module sees every call."""
+    None for zero, by the module globals gauss_seidel_sweep or cg_smooth_step,
+    looked up at call time so that a wrapper set on the module sees every call."""
     method, steps = smoother
     if method == "gs":
         return gauss_seidel_sweep(level, x, b, steps)
     return cg_smooth_step(level.matvec, level._preconditioner(PrecKind(method)), x, b, steps)
 
 
-def _cycle(levels, pairs, b, x):
-    """One V-cycle from x: pairs[0] is the first level's (pre, post)
-    smoothers, pairs[1] those of every coarser non-coarsest level."""
+def _cycle(levels, pairs, r):
+    """The correction e ~ A^{-1} r of one V-cycle from e = 0: pairs[0] is the
+    first level's (pre, post) smoothers, pairs[1] those of the coarser ones."""
     if len(levels) == 1:
-        return levels[0].solve(b)
+        return levels[0].solve(r)
     level, (pre, post) = levels[0], pairs[0]
-    x = _smooth(level, pre, x, b)
-    r = restrict(b - level.matvec(x))
-    x = x + prolong(_cycle(levels[1:], (pairs[1], pairs[1]), r, np.zeros(r.shape[0])))
-    return _smooth(level, post, x, b)
+    e = _smooth(level, pre, None, r)
+    e = e + prolong(_cycle(levels[1:], (pairs[1], pairs[1]), restrict(r - level.matvec(e))))
+    return _smooth(level, post, e, r)
 
 
 def _mgm_solve(levels, case, b, stop):
@@ -220,8 +216,9 @@ def _mgm_solve(levels, case, b, stop):
 
     def steps(x, r):
         while True:
-            x = _cycle(levels, MGM_CASES[case], b, x)
-            yield x, b - finest.matvec(x)
+            x = x + _cycle(levels, MGM_CASES[case], r)
+            r = b - finest.matvec(x)
+            yield x, r
 
     return _iterate(finest.matvec, b, None, stop, steps)
 

@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import BreakdownError, StoppingRule, pcg
+from .krylov import _GENERATOR_STOP, BreakdownError, pcg
 from .preconditioners import (_SINE, _SPECTRA, NotSPDError, PrecKind, _algebra_product,
                               _frobenius_tau_spectrum, apply_inverse_sqrt, build_identity,
                               build_preconditioner)
@@ -114,8 +114,6 @@ _SYMMETRY_RTOL = 1e-10
 # relative residual bound that certifies a Ritz value
 _LANCZOS_STEPS = 96
 _RITZ_RTOL = 1e-10
-# the inner solves of the inverse operators
-_INNER_STOP = StoppingRule(tol=1e-13)
 # the fewest samples of the Laplacian shift's grid; it takes 64 per unknown
 _SHIFT_SAMPLES = 1 << 16
 
@@ -582,7 +580,7 @@ def _inverse_end(c, P, sigma, tau_kind, upper=False):
     shifted = ToeplitzCoeffs(n, -shifted if upper else shifted)
     try:
         report = pcg(ToeplitzOperator(shifted), build_preconditioner(tau_kind, shifted),
-                     np.eye(1, n)[0], stop=_INNER_STOP)
+                     np.eye(1, n)[0], stop=_GENERATOR_STOP)
     except (NotSPDError, BreakdownError):
         return None
     x = report.solution

@@ -41,8 +41,8 @@ def dist_order_symbol(n, theta):
     f(theta) = theta^2 * sum_{j=0}^{n-1} (n|theta|)^(-j/n), evaluated
     through the geometric closed form
         theta^2 * (1 - 1/x) / (1 - x^(-1/n)),   x = n|theta|,
-    with f(0) = 0 by continuity and f = n*theta^2 at x = 1.  Even and
-    nonnegative on [-pi, pi].
+    with f(0) = 0 by continuity, also at subnormal |theta|, and
+    f = n*theta^2 at x = 1.  Even and nonnegative on [-pi, pi].
 
     Accepts scalar or array theta; returns a matching shape.
     """
@@ -51,8 +51,9 @@ def dist_order_symbol(n, theta):
     scalar = theta.ndim == 0
     th = np.abs(np.atleast_1d(theta))
     x = n * th
-    # theta = 0 passes through 0/0 and is set to 0 at the end
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # theta = 0 passes through 0/0, and a subnormal |theta| overflows 1/x
+    # (f < 1.5|theta| there): both are set to 0 at the end
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logx = np.log(x)
         # 1 - x^(-1/n) computed as -expm1(-log(x)/n) to keep small exponents exact
         out = th**2 * (1.0 - 1.0 / x) / (-np.expm1(-logx / n))
@@ -63,7 +64,7 @@ def dist_order_symbol(n, theta):
         xg = x[near_one, None]
         out[near_one] = th[near_one] ** 2 * np.sum(xg ** (-j / n), axis=1)
 
-    out[th == 0.0] = 0.0
+    out[th < np.finfo(float).tiny] = 0.0
     return float(out[0]) if scalar else out.reshape(theta.shape)
 
 

@@ -10,25 +10,31 @@ import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from dofde import (
+    MGM_CASES,
     PrecKind,
     StoppingRule,
     ToeplitzCoeffs,
     ToeplitzOperator,
     assemble_dense,
     build_preconditioner,
+    cg_smooth_step,
     coeffs_via_fft,
     dist_order_symbol,
     dst1,
     fold_angle,
+    gauss_seidel_sweep,
     integrate_adaptive,
     limit_symbol,
     lower_bound_constant,
     pcg,
     preconditioned_spectrum,
+    prolong,
+    restrict,
 )
 import dofde.cli
 from dofde.preconditioners import _frobenius_tau_spectrum
@@ -374,6 +380,52 @@ def one_step_pcg(apply_A, P, b, stop):
     converge (the recursive residual falls to exactly zero within pcg's
     10 n cap, so no tolerance alone is out of its reach)."""
     return pcg(apply_A, P, b, stop=StoppingRule(tol=stop.tol, max_iterations=1))
+
+
+def _x_form_smooth(level, smoother, x, b):
+    method, steps = smoother
+    if method == "gs":
+        return gauss_seidel_sweep(level, x, b, steps)
+    return cg_smooth_step(level.matvec, level._preconditioner(PrecKind(method)), x, b, steps)
+
+
+def x_form_cycle(levels, pairs, b, x):
+    """One V-cycle on A x = b from the iterate x, in the form the package
+    ran before `multigrid._cycle` became a correction operator: every
+    smoother starts from its iterate and the right-hand side, and every
+    coarse level from a zero vector."""
+    if len(levels) == 1:
+        return levels[0].solve(b)
+    level, (pre, post) = levels[0], pairs[0]
+    x = _x_form_smooth(level, pre, x, b)
+    r = restrict(b - level.matvec(x))
+    x = x + prolong(x_form_cycle(levels[1:], (pairs[1], pairs[1]), r, np.zeros(r.shape[0])))
+    return _x_form_smooth(level, post, x, b)
+
+
+def x_form_iterates(levels, case, b, cycles):
+    """The iterates of `cycles` x-form V-cycles of the MGM_CASES entry
+    `case` from zero."""
+    x, iterates = np.zeros(b.shape[0]), []
+    for _ in range(cycles):
+        x = x_form_cycle(levels, MGM_CASES[case], b, x)
+        iterates.append(x)
+    return iterates
+
+
+@pytest.fixture
+def operator_products(monkeypatch):
+    """A one-element list that counts `ToeplitzOperator` products from
+    the moment the fixture is set up."""
+    count = [0]
+    product = ToeplitzOperator.__call__
+
+    def counted(self, x):
+        count[0] += 1
+        return product(self, x)
+
+    monkeypatch.setattr(ToeplitzOperator, "__call__", counted)
+    return count
 
 
 def laplacian_coeffs(n):

@@ -126,12 +126,29 @@ class TestPcgBasics:
 
     def test_preconditioner_breakdown_precedes_the_first_step(self, monkeypatch):
         # a non-positive r.z stops the solve before its first operator
-        # product; the one matvec is the initial residual's
+        # product; from zero the initial residual is b and takes none
         monkeypatch.setattr(dofde.krylov, "apply_inverse", lambda prec, r: -r)
         matvecs = []
         with pytest.raises(BreakdownError, match="preconditioned inner product"):
             pcg(lambda x: matvecs.append(x) or x, build_identity(8), np.ones(8))
-        assert len(matvecs) == 1
+        assert len(matvecs) == 0
+
+    def test_zero_start_takes_no_product_before_its_first_step(self, operator_products):
+        # each step takes one product; the initial residual of zero is b
+        op = scaled_operator(64)
+        for cap in (1, 2, 5):
+            operator_products[0] = 0
+            report = pcg(op, build_identity(64), np.ones(64),
+                         stop=StoppingRule(tol=np.finfo(float).tiny, max_iterations=cap))
+            assert report.iterations == cap
+            assert operator_products[0] == cap
+
+    def test_smoother_from_none_is_from_zero(self, operator_products):
+        op, P = scaled_operator(32), build_laplacian(32)
+        b = np.random.default_rng(3).standard_normal(32)
+        x = cg_smooth_step(op, P, None, b, 2)
+        assert operator_products[0] == 2
+        np.testing.assert_array_equal(x, cg_smooth_step(op, P, np.zeros(32), b, 2))
 
     def test_nan_right_hand_side_breaks_down(self):
         # NaN fails every positivity test, so the solve stops on its first

@@ -172,6 +172,18 @@ class TestGaussSeidel:
             assert energy <= prev * (1 + 1e-12)
             prev = energy
 
+    def test_from_none_is_from_zero_without_a_product(self, operator_products):
+        # from zero the first sweep is tril(T)^{-1} b; each later sweep
+        # takes one product for its residual
+        rng = np.random.default_rng(5)
+        c = shared.nonnegative_symbol_coeffs(31, rng)
+        lv, b = GridLevel(c), rng.standard_normal(31)
+        for sweeps in (1, 2, 3):
+            operator_products[0] = 0
+            x = gauss_seidel_sweep(lv, None, b, sweeps=sweeps)
+            assert operator_products[0] == sweeps - 1
+            np.testing.assert_array_equal(x, gauss_seidel_sweep(lv, np.zeros(31), b, sweeps))
+
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             gauss_seidel_sweep(level([0.0, 1.0]), np.zeros(2), np.ones(2))
@@ -293,6 +305,51 @@ class TestCaseConfigs:
         assert sorted(built) == sorted([(63, "laplacian"), (63, "natural_tau"),
                                         (31, "laplacian"), (31, "frobenius_tau"),
                                         (15, "frobenius_tau")])
+
+
+class TestProductCounts:
+    # products of A in one cycle and its true residual, the exact coarse
+    # solves already built: per smoothed level, a pre-smoother from zero
+    # forms no residual (a Gauss-Seidel sweep takes none, a PCG step one),
+    # the coarse right-hand side takes one, a Gauss-Seidel post-smoother
+    # one and s PCG post-steps s + 1; alpha, gamma and delta make 2, 4 and
+    # 5 per level, and the true residual adds one
+    VCYCLE = {63: (5, 9, 11), 2047: (15, 29, 36)}
+    TGM = (3, 5, 6)
+
+    @pytest.mark.parametrize("n", [63, 2047])
+    @pytest.mark.parametrize("solver", [vcycle, tgm], ids=["vcycle", "tgm"])
+    def test_one_cycle(self, operator_products, solver, n):
+        h = hierarchy(n)
+        stop = StoppingRule(tol=np.finfo(float).tiny, max_iterations=1)
+        counts = []
+        for case in ("alpha", "gamma", "delta"):
+            solver(h, case, np.ones(n), stop=stop)
+            operator_products[0] = 0
+            assert solver(h, case, np.ones(n), stop=stop).iterations == 1
+            counts.append(operator_products[0])
+        assert tuple(counts) == (self.VCYCLE[n] if solver is vcycle else self.TGM)
+
+
+class TestCycleOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           case=st.sampled_from(list(MGM_CASES)), two_grid=st.booleans())
+    def test_matches_x_form_cycle(self, k, seed, case, two_grid):
+        # the correction form computes the V-cycle the package ran in
+        # x-form (`conftest.x_form_cycle`), up to rounding
+        n = 2**k - 1
+        rng = np.random.default_rng(seed)
+        c = shared.nonnegative_symbol_coeffs(n, rng, int(rng.integers(1, n + 1)))
+        b = rng.standard_normal(n)
+        h = build_hierarchy(c)
+        solver, levels = (tgm, h.levels[:2]) if two_grid else (vcycle, h.levels)
+        expected = shared.x_form_iterates(levels, case, b, 3)
+        for cycles in (1, 2, 3):
+            stop = StoppingRule(tol=np.finfo(float).tiny, max_iterations=cycles)
+            got = solver(h, case, b, stop=stop).solution
+            x = expected[cycles - 1]
+            assert np.linalg.norm(got - x) <= 1e-10 * np.linalg.norm(x), (cycles, case)
 
 
 class TestSolvers:
