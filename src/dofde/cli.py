@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -212,14 +213,8 @@ def _cmd_spectrum(args):
             if extremes is None:
                 raise CliError(f"spectrum n={n} preconditioner {kind.value} "
                                "did not certify its extremes by Lanczos")
-            route = {"lanczos_steps": extremes.steps,
-                     "residual_bounds": list(extremes.residual_bounds)}
-            if extremes.shift is not None:
-                route.update(shift=extremes.shift, inverse_steps=extremes.inverse_steps,
-                             inner_steps=extremes.inner_steps)
-            if extremes.upper_shift is not None:
-                route["upper_shift"] = extremes.upper_shift
-            routes[f"n={n},{kind.value}"] = route
+            routes[f"n={n},{kind.value}"] = {"lower": asdict(extremes.lower),
+                                             "upper": asdict(extremes.upper)}
             rows.append([n, kind.value, extremes.lambda_min, extremes.lambda_max])
     return ["n", "preconditioner", "lambda_min", "lambda_max"], rows, {"routes": routes}
 

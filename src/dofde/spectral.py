@@ -13,26 +13,30 @@ flip parities, so both ends come from one Krylov space, and it stops
 once each end it is asked for has a residual bound
 beta_k |s_k| <= 1e-10 |theta| (Parlett, The Symmetric Eigenvalue Problem,
 1980, ch. 13), or when the space is the whole of R^n; it gives up after a
-fixed step budget.  It serves three kinds of operator:
+fixed step budget.  One driver, `_ritz`, runs it on P^p M P^p for a
+symmetric product M and takes each Ritz vector back by P^(-1/2).
 
-- P^(-1/2) A P^(-1/2), each product one Toeplitz matvec between two
-  P^(-1/2) convolutions: both ends for the Strang circulant and the tau
-  kinds, and the upper end alone for the Frobenius circulant and the
-  Laplacian;
-- P^(1/2) A^(-1) P^(1/2), for lambda_min = 1/mu_max of the identity
-  (`min_eig_normalized`) and of the Frobenius circulant, beyond the plain
-  run's budget from n = 24576 on; (sigma I - A)^(-1) for the
-  identity's lambda_max = sigma - 1/mu_max, sigma = a_0 + 2 sum |a_k| the
-  Gershgorin ceiling, which bounds A's symbol
-  f = a_0 + 2 sum a_k cos(k theta) without a grid, so sigma I - A is
-  positive definite but for a diagonal A (Grenander and Szego, Toeplitz
-  Forms and Their Applications, 1958: f >= sigma g implies
-  T(f) >= sigma T(g));
-- L^(1/2) (A - sigma L)^(-1) L^(1/2) for the Laplacian L, whose densely
-  packed lower end the plain operator does not reach in its budget, with
-  lambda_min = sigma + 1/mu_max.  The shift sigma is the least ratio
-  f(theta) / (4 sin^2(theta/2)) on a grid, less the grid's miss, so
-  A - sigma L is positive definite, L = T(4 sin^2(theta/2)).
+The table `_ENDS` gives each kind a route for its lower and its upper
+end.  None is the plain run on P^(-1/2) A P^(-1/2), each product one
+Toeplitz matvec between two P^(-1/2) convolutions; it serves both ends
+of the Strang circulant and the tau kinds, and the upper end of the
+Frobenius circulant and the Laplacian.  Any other route is a shift sigma
+from A's first column and the tau kind of a generator solve:
+`_inverse_end` runs on P^(1/2) S^(-1) P^(1/2), S = A - sigma P for a
+lower end, lambda_min = sigma + 1/mu_max, and S = sigma P - A for an
+upper end, lambda_max = sigma - 1/mu_max.  The shifts are:
+
+- 0 for the lower end of the identity (`min_eig_normalized`) and of the
+  Frobenius circulant, beyond the plain run's budget from n = 24576 on;
+- Gershgorin's ceiling a_0 + 2 sum |a_k| for the identity's upper end,
+  which bounds A's symbol f = a_0 + 2 sum a_k cos(k theta) without a
+  grid, so sigma I - A is positive definite but for a diagonal A
+  (Grenander and Szego, Toeplitz Forms and Their Applications, 1958:
+  f >= sigma g implies T(f) >= sigma T(g));
+- for the Laplacian L's lower end, too densely packed for the plain
+  run's budget, the least ratio f(theta) / (4 sin^2(theta/2)) on a grid,
+  less the grid's miss, so A - sigma L is positive definite,
+  L = T(4 sin^2(theta/2)).
 
 An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
 matrix S, at tol 1e-13, and then four triangular Toeplitz convolutions
@@ -101,6 +105,7 @@ from .transforms import _circulant_transform, _tau_transform, dst1
 
 __all__ = [
     "SpectrumReport",
+    "RitzEnd",
     "RitzExtremes",
     "count_below",
     "dense_sym_eigs",
@@ -142,38 +147,49 @@ class SpectrumReport:
 
 
 @dataclass(frozen=True)
-class RitzExtremes:
-    """The extreme eigenvalues of P^(-1) A, each the long-double Rayleigh
-    quotient of a certified Ritz vector, and how they were found.
+class RitzEnd:
+    """One end of the spectrum of P^(-1) A and how it was found.  value is
+    the long-double Rayleigh quotient of its certified Ritz vector, steps
+    the steps of its Lanczos run, and bound the residual bound beta_k |s_k|
+    of its Ritz value mu, at most 1e-10 mu unless the run took all n steps;
+    an inverse run (`_inverse_end`) maps bound to the end as bound / mu^2,
+    and gives its shift and the `pcg` iterations of its generator solve as
+    shift and inner_steps, both None for an end of the plain run."""
 
-    residual_bounds are the bounds beta_k |s_k| of the two Ritz values,
-    lambda_min's first, each at most 1e-10 of its Ritz value, relative,
-    unless its run took all n steps.  steps counts the Lanczos steps of the
-    run that found lambda_max: on P^(-1/2) A P^(-1/2), or, for the
-    identity, on (upper_shift I - A)^(-1).  For the kinds whose lambda_min
-    comes from Lanczos on P^(1/2) (A - shift P)^(-1) P^(1/2) (the identity,
-    the Frobenius circulant and the Laplacian), inverse_steps counts that
-    run's steps and inner_steps the `pcg` iterations of the generator
-    solves, one per inverse run (`_inverse_end`); otherwise shift is None
-    and both counts are 0.  upper_shift is None but for the identity.
-    """
-
-    lambda_min: float
-    lambda_max: float
+    value: float
     steps: int
-    residual_bounds: tuple
-    shift: float | None = None
-    inverse_steps: int = 0
-    inner_steps: int = 0
-    upper_shift: float | None = None
+    bound: float
+    shift: float | None
+    inner_steps: int | None
+
+
+@dataclass(frozen=True)
+class RitzExtremes:
+    """The lower and the upper end of the spectrum of P^(-1) A, each a
+    RitzEnd on the route that `_ENDS` gives P's kind."""
+
+    lower: RitzEnd
+    upper: RitzEnd
+
+    @property
+    def lambda_min(self):
+        return self.lower.value
+
+    @property
+    def lambda_max(self):
+        return self.upper.value
 
 
 def _check_symmetric(A):
-    """A as a float array; raises ValueError unless it is square and
-    symmetric."""
+    """A as a float array; raises ValueError unless it is square,
+    non-empty, finite and symmetric."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if not A.size:
+        raise ValueError("matrix must not be empty")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
     scale = np.abs(A).max() or 1.0
     if np.abs(A - A.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix must be symmetric")
@@ -504,18 +520,19 @@ def _rayleigh_quotients(c, P):
     return quotient
 
 
-def _plain_extremes(c, P, ends):
-    """_lanczos on P^(-1/2) A P^(-1/2), each product one Toeplitz matvec
-    between two P^(-1/2) convolutions: for each end, (Rayleigh quotient,
-    steps, bound, 0 pcg iterations) as `_inverse_end` gives; or [None]."""
-    matvec = ToeplitzOperator(c)
-    root = _algebra_product(P.kind, P.spectrum ** -0.5)
-    run = _lanczos(lambda x: root(matvec(root(x))), c.n, ends)
+def _ritz(c, P, inner, power, ends):
+    """`_lanczos` on P^power M P^power, M the symmetric product inner,
+    for the ends in ends: its (steps, lowest, ritz) with each Ritz vector
+    replaced by the long-double Rayleigh quotient (`_rayleigh_quotients`)
+    of its image under P^(-1/2), or None."""
+    root = _algebra_product(P.kind, P.spectrum ** power)
+    run = _lanczos(lambda x: root(inner(root(x))), c.n, ends)
     if run is None:
-        return [None]
-    steps, _, ritz = run
+        return None
+    steps, lowest, ritz = run
+    back = root if power == -0.5 else _algebra_product(P.kind, P.spectrum ** -0.5)
     quotient = _rayleigh_quotients(c, P)
-    return [(quotient(root(y)), steps, bound, 0) for _, y, bound in ritz]
+    return steps, lowest, [(theta, quotient(back(y)), bound) for theta, y, bound in ritz]
 
 
 def _laplacian_shift(a):
@@ -540,12 +557,18 @@ def _laplacian_shift(a):
     return max(0.0, least - (ratio[1::2].min() - least))
 
 
-# the kinds whose lower end comes from `_inverse_end`: the shift, from A's
-# first column, and the tau kind of the generator solve
-_INVERSE_LOWER = {
-    PrecKind.IDENTITY: (lambda a: 0.0, PrecKind.FROBENIUS_TAU),
-    PrecKind.FROBENIUS_CIRCULANT: (lambda a: 0.0, PrecKind.FROBENIUS_TAU),
-    PrecKind.LAPLACIAN: (_laplacian_shift, PrecKind.NATURAL_TAU),
+# each kind's (lower, upper) route: None for the plain run, else
+# `_inverse_end`'s (shift from A's first column, tau kind of the generator
+# solve); the route of A^(-1), shift 0 on A's Frobenius tau, serves two kinds
+_A_INVERSE = (lambda a: 0.0, PrecKind.FROBENIUS_TAU)
+_ENDS = {
+    PrecKind.IDENTITY: (_A_INVERSE, (lambda a: a[0] + 2.0 * np.abs(a[1:]).sum(),
+                                     PrecKind.NATURAL_TAU)),
+    PrecKind.STRANG_CIRCULANT: (None, None),
+    PrecKind.FROBENIUS_CIRCULANT: (_A_INVERSE, None),
+    PrecKind.NATURAL_TAU: (None, None),
+    PrecKind.FROBENIUS_TAU: (None, None),
+    PrecKind.LAPLACIAN: ((_laplacian_shift, PrecKind.NATURAL_TAU), None),
 }
 
 
@@ -561,81 +584,66 @@ def _toeplitz_column(P):
     return _circulant_transform(P.spectrum) / P.n
 
 
-def _inverse_end(c, P, sigma, tau_kind, upper=False):
-    """The lower (or, with upper, the upper) end of the spectrum of
-    P^(-1) A for a Toeplitz kind P (`_toeplitz_column`) and a shift sigma
-    below (above) it, by `_lanczos` on P^(1/2) S^(-1) P^(1/2),
-    S = A - sigma P (sigma P - A), each product one `_gohberg_semencul`
-    from x = S^(-1) e_1, which one `pcg` on S with its tau of tau_kind
-    finds before the run.
+def _inverse_end(c, P, end, route):
+    """The lower (end 0) or upper (end -1) end of the spectrum of P^(-1) A
+    for a Toeplitz kind P (`_toeplitz_column`) by its route (shift, tau
+    kind): with sigma = shift(a) below the end (above it), `_ritz` on
+    P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
+    one `_gohberg_semencul` from x = S^(-1) e_1, which one `pcg` on S with
+    its tau of the route's kind finds before the run.
 
-    Returns (Rayleigh quotient of the top Ritz vector taken back by
-    P^(-1/2), steps, bound, pcg iterations), the bound beta_k |s_k| of the
-    top Ritz value mu mapped to the end sigma +- 1/mu as bound / mu^2.
-    Returns None when the build or the solve fails, x_0 is not positive
-    and finite, the run does not certify, or a Ritz value is not positive,
-    so sigma was not outside the spectrum."""
-    n = c.n
+    Returns the RitzEnd of the top Ritz value mu, the end sigma +- 1/mu,
+    or None when the build or the solve fails, x_0 is not positive and
+    finite, the run does not certify, or a Ritz value is not positive, so
+    sigma was not outside the spectrum."""
+    shift, tau_kind = route
+    sigma = float(shift(c.a))
     shifted = c.a - sigma * _toeplitz_column(P)
-    shifted = ToeplitzCoeffs(n, -shifted if upper else shifted)
+    shifted = ToeplitzCoeffs(c.n, -shifted if end else shifted)
     try:
         report = pcg(ToeplitzOperator(shifted), build_preconditioner(tau_kind, shifted),
-                     np.eye(1, n)[0], stop=_GENERATOR_STOP)
+                     np.eye(1, c.n)[0], stop=_GENERATOR_STOP)
     except (NotSPDError, BreakdownError):
         return None
     x = report.solution
     if not (report.converged and 0.0 < x[0] < np.inf):
         return None
-    inverse = _gohberg_semencul(x)
-    root = _algebra_product(P.kind, P.spectrum ** 0.5)
-    run = _lanczos(lambda v: root(inverse(root(v))), n, (-1,))
+    run = _ritz(c, P, _gohberg_semencul(x), 0.5, (-1,))
     if run is None or not run[1] > 0.0:
         return None
-    steps, _, [(mu, y, bound)] = run
-    z = _algebra_product(P.kind, P.spectrum ** -0.5)(y)
-    return _rayleigh_quotients(c, P)(z), steps, float(bound / mu**2), report.iterations
+    steps, _, [(mu, value, bound)] = run
+    return RitzEnd(value, steps, float(bound / mu**2), sigma, report.iterations)
 
 
 def lanczos_extremes(c, P):
     """The extreme eigenvalues of P^(-1/2) A P^(-1/2), A the symmetric
     Toeplitz matrix with coefficients c (ToeplitzCoeffs), as RitzExtremes,
-    or None when a run does not certify its end.
-
-    The Strang circulant and the tau kinds take both ends from one
-    `_lanczos` run on P^(-1/2) A P^(-1/2).  The kinds of `_INVERSE_LOWER`
-    take lambda_min from `_inverse_end` at their shift, and lambda_max
-    from a plain run on the top end alone, but the identity, which takes
-    it from a second inverse run on (sigma I - A)^(-1), with the natural tau
-    of sigma I - A, which samples sigma - f >= 0: sigma is Gershgorin's
-    ceiling a_0 + 2 sum_k |a_k|, which bounds A's symbol f and so needs
-    no grid.  Raises TypeError and ValueError as `preconditioned_spectrum`
-    does.
+    or None when a run does not certify its end: the ends that `_ENDS`
+    routes None share one `_ritz` run on P^(-1/2) A P^(-1/2), made first,
+    and each other end is one `_inverse_end`, the lower before the upper.
+    Raises TypeError and ValueError as `preconditioned_spectrum` does.
     """
     _check_order(c, P)
-    inverse = P.kind in _INVERSE_LOWER
-    sigma = upper_shift = None
-    if P.kind is PrecKind.IDENTITY:
-        upper_shift = float(c.a[0] + 2.0 * np.abs(c.a[1:]).sum())
-        ends = [_inverse_end(c, P, upper_shift, PrecKind.NATURAL_TAU, upper=True)]
-    else:
-        ends = _plain_extremes(c, P, (-1,) if inverse else (0, -1))
-    if inverse:
-        shift, tau_kind = _INVERSE_LOWER[P.kind]
-        sigma = float(shift(c.a))
-        ends.insert(0, _inverse_end(c, P, sigma, tau_kind))
-    if None in ends:
-        return None
-    (low, low_steps, low_bound, low_inner), (high, steps, high_bound, high_inner) = ends
-    return RitzExtremes(low, high, steps, (low_bound, high_bound), sigma,
-                        low_steps if inverse else 0, low_inner + high_inner, upper_shift)
+    routes = dict(zip((0, -1), _ENDS[P.kind]))
+    plain = [end for end, route in routes.items() if route is None]
+    found = {}
+    if plain:
+        run = _ritz(c, P, ToeplitzOperator(c), -0.5, plain)
+        if run is None:
+            return None
+        steps, _, ritz = run
+        found = {end: RitzEnd(value, steps, bound, None, None)
+                 for end, (_, value, bound) in zip(plain, ritz)}
+    found.update((end, _inverse_end(c, P, end, route))
+                 for end, route in routes.items() if route is not None)
+    return None if None in found.values() else RitzExtremes(found[0], found[-1])
 
 
 def min_eig_normalized(c):
     """n times the smallest eigenvalue of the symmetric Toeplitz matrix A
-    with coefficients c (ToeplitzCoeffs): the long-double Rayleigh
-    quotient of the top Ritz vector of Lanczos on A^(-1) (`_inverse_end`
-    at shift 0), or None where that run fails, as for `lanczos_extremes`."""
+    with coefficients c (ToeplitzCoeffs): the identity's lower end of
+    `_ENDS`, by Lanczos on A^(-1), or None where that run fails."""
     P = build_identity(c.n)
     _check_order(c, P)
-    found = _inverse_end(c, P, 0.0, PrecKind.FROBENIUS_TAU)
-    return None if found is None else c.n * found[0]
+    found = _inverse_end(c, P, 0, _ENDS[PrecKind.IDENTITY][0])
+    return None if found is None else c.n * found.value

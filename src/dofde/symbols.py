@@ -1,9 +1,8 @@
 """Scalar symbol functions of the distributed-order discretization.
 
 Every function here is a pure, vectorized map on angles or rescaled
-angles: the generating symbol of the stiffness matrix, its rescaled
-limit, and the fold to one period that the coefficient transform
-samples through.
+angles: the generating symbol of the stiffness matrix and its rescaled
+limit.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 __all__ = [
     "dist_order_symbol",
     "limit_symbol",
-    "fold_angle",
 ]
 
 # Relative log-distance from n*|theta| = 1 below which the geometric
@@ -87,15 +85,3 @@ def limit_symbol(sigma):
     sr = s[reg]
     out[reg] = sr * (sr - 1.0) / np.log1p(sr - 1.0)
     return float(out[0]) if scalar else out.reshape(sigma.shape)
-
-
-def fold_angle(sigma):
-    """Fold sigma to its representative in (-pi, pi] modulo 2*pi.
-
-    Round-to-nearest multiple of 2*pi; the half-integer ties fall on
-    +-pi where the functions folded here are continuous, so the
-    tie-breaking direction is inert.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    folded = sigma - 2.0 * np.pi * np.round(sigma / (2.0 * np.pi))
-    return folded if folded.ndim else float(folded)

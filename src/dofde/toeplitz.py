@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import dist_order_symbol, fold_angle
+from .symbols import dist_order_symbol
 
 __all__ = [
     "ToeplitzCoeffs",
@@ -122,7 +122,8 @@ def coeffs_via_fft(n):
         vals = np.empty(m)
         for start in range(0, m, _SAMPLE_CHUNK):
             j = np.arange(start, min(start + _SAMPLE_CHUNK, m))
-            theta = fold_angle(2.0 * np.pi * j / m)
+            theta = 2.0 * np.pi * j / m
+            theta[j > m // 2] -= 2.0 * np.pi
             vals[start : start + _SAMPLE_CHUNK] = dist_order_symbol(n, theta) - beta * theta**2
         spec = np.fft.rfft(vals)
         del vals

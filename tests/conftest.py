@@ -26,7 +26,6 @@ from dofde import (
     coeffs_via_fft,
     dist_order_symbol,
     dst1,
-    fold_angle,
     gauss_seidel_sweep,
     integrate_adaptive,
     limit_symbol,
@@ -40,6 +39,12 @@ import dofde.cli
 from dofde.preconditioners import _frobenius_tau_spectrum
 from dofde.symbols import _check_order
 from dofde.toeplitz import _corner_slope, _next_pow2
+
+
+def fold_angle(sigma):
+    """sigma folded to its representative in (-pi, pi] modulo 2 pi, by
+    the nearest multiple of 2 pi."""
+    return sigma - 2.0 * np.pi * np.round(sigma / (2.0 * np.pi))
 
 
 @functools.lru_cache(maxsize=None)

@@ -141,10 +141,11 @@ class TestCommands:
         assert float(hi) == pytest.approx(1.1475, rel=1e-3)
 
     def test_spectrum_json_gives_each_rows_route(self, tmp_path):
-        # a certified Lanczos row gives its steps and both residual bounds,
-        # and a kind whose lower end is a shift-and-invert run (the Frobenius
-        # circulant's at shift 0, the Laplacian's) that run's shift and outer
-        # and inner steps too; the CSV of the same run keeps its four columns
+        # a certified Lanczos row gives each end's steps and residual bound,
+        # and an end that comes from a shift-and-invert run (the Frobenius
+        # circulant's lower end at shift 0, the Laplacian's) that run's
+        # shift and inner steps too; the CSV of the same run keeps its four
+        # columns
         argv = ["spectrum", "--sizes", "32,512", "--precs", "strang,frobenius_circulant,laplacian",
                 "--out", str(tmp_path)]
         assert main(argv + ["--format", "json"]) == 0
@@ -156,19 +157,41 @@ class TestCommands:
         routes = payload["routes"]
         assert sorted(routes) == sorted(f"n={n},{kind}" for n, kind, _, _ in payload["rows"])
         for key in routes:
-            steps, bounds = routes[key]["lanczos_steps"], routes[key]["residual_bounds"]
-            assert 1 <= steps <= dofde.spectral._LANCZOS_STEPS and len(bounds) == 2
-            shifted = {"shift", "inverse_steps", "inner_steps"} <= set(routes[key])
+            assert set(routes[key]) == {"lower", "upper"}, key
+            for end in routes[key].values():
+                assert 1 <= end["steps"] <= dofde.spectral._LANCZOS_STEPS
+            lower = routes[key]["lower"]
+            shifted = lower["shift"] is not None and lower["inner_steps"] is not None
             kind = PrecKind(key.split(",")[1])
-            assert shifted == (kind in dofde.spectral._INVERSE_LOWER), key
+            assert shifted == (dofde.spectral._ENDS[kind][0] is not None), key
         for n in ("32", "512"):
             for kind in ("frobenius_circulant", "laplacian"):
-                assert routes[f"n={n},{kind}"]["inverse_steps"] >= 1
-            assert routes[f"n={n},frobenius_circulant"]["shift"] == 0.0
+                assert routes[f"n={n},{kind}"]["lower"]["steps"] >= 1
+            assert routes[f"n={n},frobenius_circulant"]["lower"]["shift"] == 0.0
         for key in ("512,strang", "512,laplacian"):
             row = next(row for row in payload["rows"] if ",".join(row[:2]) == key)
-            bounds = routes[f"n={key}"]["residual_bounds"]
+            ends = routes[f"n={key}"]
+            bounds = [ends["lower"]["bound"], ends["upper"]["bound"]]
             assert all(b <= 1e-10 * float(v) for b, v in zip(bounds, row[2:]))
+
+    def test_spectrum_json_records_match_rows_and_routes(self, capsys):
+        # each end's record holds the value its CSV cell prints, and an end
+        # carries a shift and inner steps exactly when `_ENDS` routes it
+        # through an inverse run
+        argv = ["spectrum", "--sizes", "32,512", "--precs", "all"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        csv_rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert payload["rows"] == csv_rows and len(csv_rows) == 2 * len(PrecKind)
+        for n, kind, low, high in csv_rows:
+            ends = payload["routes"][f"n={n},{kind}"]
+            assert ["%.10e" % ends["lower"]["value"], "%.10e" % ends["upper"]["value"]] == [low, high]
+            for end, route in zip(("lower", "upper"), dofde.spectral._ENDS[PrecKind(kind)]):
+                record = ends[end]
+                assert set(record) == {"value", "steps", "bound", "shift", "inner_steps"}
+                assert (record["shift"] is not None) == (route is not None), (n, kind, end)
+                assert (record["inner_steps"] is not None) == (route is not None), (n, kind, end)
 
     def test_identity_takes_both_ends_from_inverse_runs(self, tmp_path):
         # beyond the plain step budget the identity's upper end comes from
@@ -178,9 +201,11 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         route = payload["routes"][f"n={n},identity"]
-        assert set(route) == {"lanczos_steps", "residual_bounds", "shift", "inverse_steps",
-                              "inner_steps", "upper_shift"}
-        assert route["shift"] == 0.0 and route["upper_shift"] > float(payload["rows"][0][3])
+        assert set(route) == {"lower", "upper"}
+        for end in route.values():
+            assert end["shift"] is not None and end["inner_steps"] is not None
+        assert route["lower"]["shift"] == 0.0
+        assert route["upper"]["shift"] > float(payload["rows"][0][3])
 
     def test_outliers_rows(self, capsys):
         assert main([

@@ -107,9 +107,10 @@ class TestLayers:
 
     def test_each_result_type_is_made_at_one_site(self):
         # a SolveReport is made only where the one solve loop stops, and a
-        # SpectrumReport only in the spectral layer, which checks what it
-        # is made from; sites are (module, top-level definition)
-        sites = {"SolveReport": set(), "SpectrumReport": set()}
+        # SpectrumReport or a RitzEnd only in the spectral layer, which
+        # checks what it is made from; sites are (module, top-level
+        # definition)
+        sites = {"SolveReport": set(), "SpectrumReport": set(), "RitzEnd": set()}
         for path in ROOT.glob("src/dofde/*.py"):
             for top in ast.parse(path.read_text()).body:
                 for node in ast.walk(top):
@@ -119,6 +120,7 @@ class TestLayers:
                         sites[name].add((path.name, getattr(top, "name", None)))
         assert sites["SolveReport"] == {("krylov.py", "_iterate")}
         assert {module for module, _ in sites["SpectrumReport"]} == {"spectral.py"}
+        assert {module for module, _ in sites["RitzEnd"]} == {"spectral.py"}
 
     def test_cli_formats_floats_at_one_site(self):
         # `_run_one` turns every runner value into its cell and writes it;

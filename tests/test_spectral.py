@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dofde import (
     preconditioned_spectrum,
 )
 from dofde.cli import main
+from dofde.preconditioners import _SINE
 from dofde.spectral import _flip_block, _inverse_end, _sine_block, _sine_generators
 
 
@@ -86,6 +88,22 @@ class TestDenseEigs:
         with pytest.raises(ValueError):
             dense_sym_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry, value, message", [
+        ((0, 0), np.nan, "finite"),
+        ((0, 1), np.nan, "finite"),
+        ((1, 2), np.inf, "finite"),
+        ((2, 2), -np.inf, "finite"),
+        (None, None, "empty"),
+    ], ids=["nan-diagonal", "nan-off-diagonal", "inf", "minus-inf", "empty"])
+    def test_rejects_non_finite_and_empty(self, entry, value, message):
+        # NaN passes a max-norm symmetry test, and an empty matrix has no
+        # max: each is a ValueError naming the fault before the eigensolve
+        A = np.zeros((0, 0)) if entry is None else np.eye(3)
+        if entry is not None:
+            A[entry] = value
+        with pytest.raises(ValueError, match=message):
+            dense_sym_eigs(A)
+
 
 class TestMinEigNormalized:
     def test_frozen_midsize(self):
@@ -135,16 +153,16 @@ class TestMinEigNormalized:
         cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
         for c in cases + ([shared.coeffs(n)] if n > 1 else []):
             identity = build_identity(n)
-            found = _inverse_end(c, identity, 0.0, PrecKind.FROBENIUS_TAU)
+            found = _inverse_end(c, identity, 0, (lambda a: 0.0, PrecKind.FROBENIUS_TAU))
             dense = preconditioned_spectrum(c, identity).lambda_min
-            assert found is not None and found[0] == pytest.approx(dense, rel=1e-9, abs=0), n
-            assert min_eig_normalized(c) == n * found[0]
+            assert found is not None and found.value == pytest.approx(dense, rel=1e-9, abs=0), n
+            assert min_eig_normalized(c) == n * found.value
         if n > 1:
             c = shared.scaled_coeffs(n)
             P = build_laplacian(n)
             found = lanczos_extremes(c, P)
             dense = preconditioned_spectrum(c, P)
-            assert found is not None and found.shift >= 0.0 and found.inverse_steps >= 1
+            assert found is not None and found.lower.shift >= 0.0 and found.lower.steps >= 1
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), n
 
     def test_failed_run_gives_none(self, monkeypatch):
@@ -415,14 +433,13 @@ class TestLanczosExtremes:
             found = lanczos_extremes(c, P)
             if n <= _STEPS:
                 # at the latest k = n, where the Krylov space is all of R^n
-                assert found is not None and found.steps <= n, P.kind
+                assert found is not None and found.upper.steps <= n, P.kind
             else:
                 # clustered spectra, and the shifted ends of the identity and
                 # the Laplacian: certified well inside the budget
                 assert found is not None, P.kind
-            assert found.steps == n or all(
-                b <= 1e-10 * abs(v) for b, v in zip(found.residual_bounds,
-                                                    (found.lambda_min, found.lambda_max)))
+            assert found.upper.steps == n or all(
+                end.bound <= 1e-10 * abs(end.value) for end in (found.lower, found.upper))
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), (n, P.kind)
             assert found.lambda_max == pytest.approx(dense.lambda_max, rel=1e-9, abs=0), (n, P.kind)
 
@@ -448,14 +465,11 @@ class TestLanczosExtremes:
                      "--format", "json", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         route = payload["routes"][f"n={n},laplacian"]
-        assert route == {"lanczos_steps": found.steps,
-                         "residual_bounds": list(found.residual_bounds),
-                         "shift": found.shift, "inverse_steps": found.inverse_steps,
-                         "inner_steps": found.inner_steps}
-        assert found.steps < _STEPS and 1 <= found.inverse_steps < _STEPS
-        assert [found.inner_steps] == [report.iterations for report in solves]
-        assert found.inner_steps >= 1
-        assert 0.0 < found.shift < found.lambda_min
+        assert route == {"lower": asdict(found.lower), "upper": asdict(found.upper)}
+        assert found.upper.steps < _STEPS and 1 <= found.lower.steps < _STEPS
+        assert [found.lower.inner_steps] == [report.iterations for report in solves]
+        assert found.lower.inner_steps >= 1 and found.upper.inner_steps is None
+        assert 0.0 < found.lower.shift < found.lambda_min
         assert payload["rows"] == [[str(n), "laplacian", "%.10e" % dense.lambda_min,
                                     "%.10e" % dense.lambda_max]]
         assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-12, abs=0)
@@ -483,6 +497,22 @@ class TestLanczosExtremes:
         with pytest.raises(ValueError):
             lanczos_extremes(c, build_laplacian(7))
 
+    def test_ends_table_routes_each_kind_once(self):
+        # one (lower, upper) pair per kind; a route is the plain run (None)
+        # or a shift from A's first column and the sine kind of the
+        # generator solve; the identity and the Frobenius circulant share
+        # the lower route of A^(-1), and only the identity routes its upper
+        # end through an inverse run
+        ends = dofde.spectral._ENDS
+        assert list(ends) == list(PrecKind)
+        for kind, routes in ends.items():
+            assert len(routes) == 2, kind
+            for route in routes:
+                assert route is None or (len(route) == 2 and callable(route[0])
+                                         and route[1] in _SINE), kind
+        assert ends[PrecKind.IDENTITY][0] is ends[PrecKind.FROBENIUS_CIRCULANT][0] is not None
+        assert [kind for kind, (_, upper) in ends.items() if upper] == [PrecKind.IDENTITY]
+
 
 class TestInertiaCounts:
     """`count_below`'s Cauchy-like inertia counts against eigvalsh of the
@@ -498,6 +528,8 @@ class TestInertiaCounts:
                                  st.floats(-8.0, -6.0)), min_size=1, max_size=4),
     )
     @example(tail=np.array([]), margin=0.1, picks=[(0.5, 1.0, -6.0)])
+    @example(tail=np.array([]), margin=0.5, picks=[(0.0, -1.0, -6.0)])
+    @example(tail=np.array([]), margin=1.0, picks=[(0.0, -1.0, -6.0)])
     @example(tail=np.array([0.5]), margin=0.1, picks=[(0.0, -1.0, -6.0), (1.0, 1.0, -7.0)])
     @example(tail=np.array([0.5, -0.25]), margin=0.1, picks=[(0.5, 1.0, -8.0)])
     # odd orders, whose short flip-odd block takes a sentinel column
@@ -524,8 +556,12 @@ class TestInertiaCounts:
         spectra = [np.linalg.eigvalsh(shared.explicit_preconditioned(A, P)) for P in precs]
         rows = []
         for P, w in zip(precs, spectra):
-            shifts = [0.5, 1.5] + [w[min(int(at * n), n - 1)] * (1.0 + side * 10.0**power)
-                                   for at, side, power in picks]
+            # a fixed shift on an eigenvalue, as 0.5 is at n = 1 for a_0 = 0.5
+            # (the identity) or 1 (the Laplacian), has no count: count_below
+            # gives None there
+            fixed = [s for s in (0.5, 1.5) if not np.isclose(w, s, rtol=1e-12, atol=0).any()]
+            shifts = fixed + [w[min(int(at * n), n - 1)] * (1.0 + side * 10.0**power)
+                              for at, side, power in picks]
             rows += [(P, shift) for shift in shifts]
         want = [int(np.count_nonzero(w < shift))
                 for w, P in zip(spectra, precs) for Q, shift in rows if Q is P]

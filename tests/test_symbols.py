@@ -12,7 +12,7 @@ from conftest import (
     masked_dist_order_symbol,
     rescaled_remainder,
 )
-from dofde import build_laplacian, dist_order_symbol, fold_angle, limit_symbol
+from dofde import build_laplacian, dist_order_symbol, limit_symbol
 from dofde.quadrature import integrate_adaptive
 
 
@@ -150,22 +150,6 @@ class TestLaplacianPieces:
         val = laplacian_eigvec_transform(4, np.pi / 2)
         assert abs(val) == pytest.approx(0.15635160606788384, rel=1e-12)
         assert val.real == pytest.approx(0.11055728090000841, rel=1e-10)
-
-
-class TestFoldAngle:
-    def test_values(self):
-        assert fold_angle(0.0) == 0.0
-        assert fold_angle(2 * np.pi) == pytest.approx(0.0, abs=1e-15)
-        assert fold_angle(2 * np.pi + 0.1) == pytest.approx(0.1, rel=1e-12)
-        assert abs(fold_angle(np.pi)) == pytest.approx(np.pi)
-
-    def test_periodic_and_bounded(self):
-        sigma = np.linspace(0.0, 60.0, 1201)
-        folded = fold_angle(sigma)
-        assert np.all(np.abs(folded) <= np.pi + 1e-12)
-        np.testing.assert_allclose(
-            fold_angle(sigma + 2 * np.pi), folded, atol=1e-10, rtol=0
-        )
 
 
 class TestBoundCorrection:
