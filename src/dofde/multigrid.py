@@ -138,8 +138,12 @@ def prolong(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("prolongation needs a vector")
-    z = np.empty(2 * y.shape[0] + 1)
-    z[0::2] = np.r_[y, 0.0] + np.r_[0.0, y]
+    m = y.shape[0]
+    z = np.empty(2 * m + 1)
+    even = z[0::2]
+    even[:m] = y
+    even[m] = 0.0
+    even[1:] += y
     z[1::2] = 2.0 * y
     return z
 

@@ -11,13 +11,21 @@ not positive, NaN included, raises NotSPDError.  All builders are scale
 equivariant: coefficients scaled by alpha produce spectra scaled by
 alpha, so preconditioned spectra are invariant under system rescaling.
 
-Every inverse is a Toeplitz (for the sine kinds, Toeplitz minus Hankel)
-convolution whose kernel each `Preconditioner` caches when it is built,
-applied by the rfft helper of the Toeplitz matvec at a power-of-two
-length, never by a transform of length n (`_algebra_product`).  Every
-spectrum and kernel is a real cosine sum: one zero-padded rfft of length
-2(n+1) for the tau algebra (`transforms._tau_transform`) and one rfft of
-length n, mirrored, for the circulants (`transforms._circulant_transform`).
+Each `Preconditioner` caches its inverse when it is built.  The
+Laplacian's is its Green's function, two cumulative sums and no
+transform (`_green_function`).  Every other inverse, and each P^(1/2)
+and P^(-1/2), is a convolution applied by the rfft helper of the
+Toeplitz matvec at a power-of-two length (`_algebra_product`): Toeplitz
+minus Hankel for the sine kinds, at the least power of two >= 2n; a
+circulant of order n itself when n is a power of two, whose eigenvalues
+are the kernel, and otherwise its first column embedded at the least
+power of two >= 2n (`toeplitz._circulant_product`).  Every spectrum and
+kernel is a real cosine sum: one zero-padded rfft of length 2(n+1) for
+the tau algebra (`transforms._tau_transform`) and one rfft of length n,
+mirrored, for the circulants (`transforms._circulant_transform`).  Both
+new routes rest on the spectrum, so a `Preconditioner` also checks that
+a circulant's is even and that a Laplacian's is the Laplacian's, or
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import ToeplitzCoeffs, _symmetric_product
+from .toeplitz import ToeplitzCoeffs, _circulant_product, _symmetric_product
 from .transforms import _circulant_transform, _tau_transform
 
 __all__ = [
@@ -59,9 +67,9 @@ class PrecKind(enum.Enum):
     LAPLACIAN = "laplacian"
 
 
-# the kinds diagonal in the DST-I domain; the others but the identity
-# are circulants
+# the kinds diagonal in the DST-I domain, and those in the DFT domain
 _SINE = {PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU, PrecKind.LAPLACIAN}
+_CIRCULANT = {PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT}
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,11 @@ class Preconditioner:
     Circulant kinds diagonalize under the FFT, tau kinds and the
     Laplacian under DST-I; the Identity carries an empty spectrum.
     Raises ValueError unless kind is a PrecKind or its name, n >= 1 and
-    the spectrum has n entries (none for the identity), and NotSPDError
-    unless every entry is positive, so a NaN entry is rejected too.
+    the spectrum has n entries (none for the identity), then NotSPDError
+    unless every entry is positive, so a NaN entry is rejected too, and
+    then ValueError unless a circulant's spectrum is even
+    (s_j = s_(n-j)) and a Laplacian's is `_laplacian_spectrum(n)` bit
+    for bit, the facts its inverse is built on.
     """
 
     kind: PrecKind
@@ -96,9 +107,21 @@ class Preconditioner:
                 f"{self.kind.value} preconditioner of order {self.n} is not positive "
                 f"definite (min transform eigenvalue {np.min(s):.6e})"
             )
+        if self.kind in _CIRCULANT and not np.array_equal(s[1:], s[:0:-1]):
+            raise ValueError(
+                f"{self.kind.value} preconditioner of order {self.n} needs an even "
+                f"spectrum, s_j = s_(n-j)"
+            )
+        if self.kind is PrecKind.LAPLACIAN and not np.array_equal(s, _laplacian_spectrum(self.n)):
+            raise ValueError(
+                f"laplacian preconditioner of order {self.n} needs the spectrum "
+                f"of tridiag(-1, 2, -1)"
+            )
         object.__setattr__(self, "spectrum", s)
         s.setflags(write=False)
-        object.__setattr__(self, "_inverse", _algebra_product(self.kind, 1.0 / s))
+        inverse = (_green_function(self.n) if self.kind is PrecKind.LAPLACIAN
+                   else _algebra_product(self.kind, 1.0 / s))
+        object.__setattr__(self, "_inverse", inverse)
 
 
 def build_identity(n):
@@ -200,13 +223,30 @@ def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
     diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
     formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
-    return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n, np.float64))
+    return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n))
 
 
-def _laplacian_spectrum(n, dtype):
+def _laplacian_spectrum(n, dtype=np.float64):
     j = np.arange(1, n + 1, dtype=dtype)
     pi = 4 * np.arctan(dtype(1))
     return 4.0 * np.sin(j * pi / (2 * (n + 1))) ** 2
+
+
+def _green_function(n):
+    """x -> L^{-1} x for L = tridiag(-1, 2, -1) of order n, by its Green's
+    function G_ij = min(i, j)(n + 1 - max(i, j))/(n + 1), 1-based:
+    (G x)_i = ((n + 1 - i) sum_{j <= i} j x_j + i sum_{j > i} (n + 1 - j) x_j)
+    / (n + 1), two cumulative sums, O(n) and no transform."""
+    i = np.arange(1.0, n + 1)
+    rev = i[::-1]
+
+    def apply(x):
+        below = np.cumsum(i * x)
+        above = np.zeros(n)
+        above[:-1] = np.cumsum((rev * x)[:0:-1])[::-1]
+        return (rev * below + i * above) / (n + 1)
+
+    return apply
 
 
 # Builders are looked up at call time, so a wrapper installed on the
@@ -242,19 +282,21 @@ def build_preconditioner(kind, c):
 
 def _algebra_product(kind, w):
     """x -> M x for the matrix M of kind's algebra with transform-domain
-    eigenvalues w, by `toeplitz._symmetric_product`: M is P^{-1} for
-    w = 1/spectrum and P^{-1/2} for w = spectrum^(-1/2).
+    eigenvalues w: M is P^{-1} for w = 1/spectrum and P^{-1/2} for
+    w = spectrum^(-1/2).
 
-    A symmetric circulant M is the symmetric Toeplitz matrix with first
-    column _circulant_transform(w) / n, the inverse DFT of the even w.  A
-    sine-algebra M = Q diag(w) Q is T(c) - H(c), H_ij = c_{i+j+2}, where
+    A symmetric circulant M goes to `toeplitz._circulant_product`, which
+    applies it at order n when n is a power of two and otherwise embeds
+    its first column, the inverse DFT of the even w, at m >= 2n.  A
+    sine-algebra M = Q diag(w) Q is `toeplitz._symmetric_product` of
+    T(c) - H(c), H_ij = c_{i+j+2}, where
     c_m = (1/(n+1)) sum_j w_j cos(j m pi/(n+1)) for m = 0..2n comes from
     `_tau_transform` and is even about n + 1 (Bini and Capovani, Linear
     Algebra Appl. 52/53, 1983)."""
     if kind is PrecKind.IDENTITY:
         return lambda x: x.copy()
-    if kind not in _SINE:
-        return _symmetric_product(_circulant_transform(w) / len(w))
+    if kind in _CIRCULANT:
+        return _circulant_product(w)
     n = len(w)
     half = _tau_transform(w, n).real / (n + 1)
     c = np.concatenate([half, half[n:0:-1]])
@@ -270,7 +312,7 @@ def _vector(P, x):
 
 
 def apply_inverse(P, x):
-    """Apply P^{-1} to the vector x by P's cached convolution."""
+    """Apply P^{-1} to the vector x by P's cached inverse."""
     return P._inverse(_vector(P, x))
 
 

@@ -6,8 +6,10 @@ change since the grid of half the size; plus an independent quadrature
 oracle), dense assembly, and `_product`, the one cached rfft convolution
 behind every O(n log n) Toeplitz product: the matvec by circulant
 embedding here, the triangular products of `_gohberg_semencul`'s inverse
-and, with a Hankel term, every preconditioner inverse, each checking its
-operand there; and beside it `_series_reciprocal`, the Newton reciprocal
+and, with a Hankel term, the tau kinds' inverses, each checking its
+operand in `_convolution`; `_circulant_product`, the circulants' inverse
+and square roots on the same convolution, at order n when n is a power
+of two; and beside them `_series_reciprocal`, the Newton reciprocal
 behind multigrid's tril(T)^-1.
 """
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import dist_order_symbol
+from .transforms import _circulant_transform
 
 __all__ = [
     "ToeplitzCoeffs",
@@ -170,6 +173,14 @@ def _product(col, n, hankel=None):
     m = _next_pow2(2 * n)
     spectrum = np.fft.rfft(col, m)
     reflected = None if hankel is None else np.fft.rfft(hankel, m)
+    return _convolution(spectrum, m, n, reflected)
+
+
+def _convolution(spectrum, m, n, reflected=None):
+    """x -> irfft(spectrum * rfft(x, m) [+ reflected * conj rfft(x, m)],
+    m)[:n] for the cached rfft-domain kernels of a circulant of order m,
+    one rfft/irfft pair per product.  Raises ValueError unless x converts
+    to a float vector of length n."""
 
     def apply(x):
         x = np.asarray(x, dtype=float)
@@ -247,10 +258,28 @@ def _symmetric_product(a, hankel=None):
     return _product(col, n, hankel)
 
 
+def _circulant_product(w):
+    """x -> C x for the symmetric circulant C of order n = len(w) with
+    the even eigenvalues w (w_j = w_(n-j)), run by `_convolution` at the
+    least power of two m at which C is the leading n x n block of an
+    order-m circulant.  At n = 2^k that is C itself: m = n and the first
+    n/2 + 1 eigenvalues are the rfft-domain kernel, so the build
+    transforms nothing and a product costs two transforms of length n
+    (R. Chan and Ng, SIAM Rev. 38, 1996).  Any other n embeds C's first
+    column, _circulant_transform(w) / n, at m >= 2n."""
+    n = len(w)
+    if n & (n - 1):
+        return _symmetric_product(_circulant_transform(w) / n)
+    return _convolution(w[: n // 2 + 1], n, n)
+
+
 class ToeplitzOperator:
     """O(n log n) symmetric Toeplitz matvec: the first column embedded
     in a circulant of order m >= 2n, a power of two, run by `_product`,
-    so each product (Krylov loops) costs one rfft/irfft pair."""
+    so each product (Krylov loops) costs one rfft/irfft pair of length m.
+    Unlike a circulant, a general Toeplitz matrix of order n is the
+    leading block only of circulants of order >= 2n - 1, so m is 2n even
+    at n = 2^k."""
 
     def __init__(self, c):
         self.n = c.n

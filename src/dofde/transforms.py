@@ -2,12 +2,14 @@
 orthonormal DST-I Q_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)) built on one.
 
 Every transform in the package is a real rfft.  Toeplitz products and
-preconditioner inverses run on `toeplitz._product` at a power-of-two
-length, and coefficient sampling takes one rfft.  Each cosine or sine sum
-of the tau algebra (tau spectra, sine kinds' inverse kernels, dst1) is one
+the circulant and tau inverses run on `toeplitz._convolution` at a
+power-of-two length (the Laplacian's inverse takes no transform), and
+coefficient sampling takes one rfft.  Each cosine or sine sum of the tau
+algebra (tau spectra, sine kinds' inverse kernels, dst1) is one
 zero-padded rfft of length 2(n+1), `_tau_transform`; each cosine sum of
-the circulants (spectra, first columns of the inverse and inverse square
-root) is one rfft of length n, mirrored, `_circulant_transform`.
+the circulants (spectra, and at n other than a power of two the first
+columns of the inverse and inverse square root) is one rfft of length n,
+mirrored, `_circulant_transform`.
 """
 
 from __future__ import annotations

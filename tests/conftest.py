@@ -362,6 +362,15 @@ def build_restriction(n):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
 
 
+def prolong_concatenated(y):
+    """R^T y with its even entries formed by concatenation,
+    [y, 0] + [0, y], as `multigrid.prolong` once did."""
+    z = np.empty(2 * len(y) + 1)
+    z[0::2] = np.r_[y, 0.0] + np.r_[0.0, y]
+    z[1::2] = 2.0 * y
+    return z
+
+
 def galerkin_dense(A):
     """The dense Galerkin product R A R^T."""
     R = build_restriction(A.shape[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import conftest as shared
 import dofde.multigrid
@@ -86,6 +87,18 @@ class TestRestriction:
         R = shared.build_restriction(n)
         np.testing.assert_array_equal(restrict(x), R @ x)
         np.testing.assert_array_equal(prolong(y), R.T @ y)
+
+    @settings(deadline=None)
+    @given(y=st.integers(0, 1100).flatmap(lambda m: arrays(np.float64, m)))
+    @example(y=np.arange(1.0, 8.0))
+    @example(y=np.linspace(-1.0, 1.0, 63))
+    @example(y=np.random.default_rng(1023).standard_normal(1023))
+    def test_prolong_equals_concatenated_form(self, y):
+        # the even entries are y_k + y_(k-1) in the same operand order as
+        # [y, 0] + [0, y]: equal as floats, overflow, inf and NaN included
+        # (a first entry of -0.0 stays -0.0 where y_0 + 0.0 gave +0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(prolong(y), shared.prolong_concatenated(y))
 
 
 class TestHierarchy:

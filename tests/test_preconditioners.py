@@ -8,6 +8,7 @@ from scipy.linalg import circulant
 import conftest as shared
 import dofde.spectral
 import dofde.transforms
+from dofde.preconditioners import _algebra_product, _laplacian_spectrum
 from dofde import (
     NotSPDError,
     PrecKind,
@@ -211,6 +212,19 @@ class TestLaplacian:
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-11, rtol=0)
         np.testing.assert_allclose(A @ x, b, atol=1e-10, rtol=0)
 
+    @settings(deadline=None)
+    @given(n=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    def test_green_function_matches_dense_solve(self, n, seed):
+        # the inverse is the Green's function by two cumulative sums
+        L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        b = np.random.default_rng(seed).standard_normal(n)
+        want = np.linalg.solve(L, b)
+        got = apply_inverse(build_laplacian(n), b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_hand_worked_solve(self):
         P = build_laplacian(2)
         np.testing.assert_allclose(
@@ -278,25 +292,53 @@ class TestApplication:
         assert Preconditioner(PrecKind.IDENTITY, 3, np.empty(0)).spectrum.shape == (0,)
 
     def test_container_keeps_a_private_copy(self):
+        # a tau spectrum is free; a Laplacian's is fixed by n
         d = np.array([1.0, 2.0, 3.0])
-        P = Preconditioner(PrecKind.LAPLACIAN, 3, d)
+        P = Preconditioner(PrecKind.NATURAL_TAU, 3, d)
         d[0] = 5.0
         assert d.flags.writeable and not P.spectrum.flags.writeable
         np.testing.assert_array_equal(P.spectrum, [1.0, 2.0, 3.0])
 
 
 NON_IDENTITY = [kind for kind in PrecKind if kind is not PrecKind.IDENTITY]
+CIRCULANT = [PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT]
 
 
 class TestConstructionChecks:
     @pytest.mark.parametrize("kind", NON_IDENTITY)
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_spectrum_must_be_positive(self, kind, bad):
-        # every construction checks, not only the builders; NaN fails too
+        # every construction checks, not only the builders; NaN fails too.
+        # [1, bad, 3] is neither even nor the Laplacian's, so positivity
+        # is checked first
         spectrum = np.array([1.0, bad, 3.0])
         message = f"{kind.value} preconditioner of order 3 is not positive definite"
         with pytest.raises(NotSPDError, match=message):
             Preconditioner(kind, 3, spectrum)
+
+    @pytest.mark.parametrize("kind", CIRCULANT)
+    def test_circulant_spectrum_must_be_even(self, kind):
+        # the order-n product at n = 2^k reads only s_0..s_(n/2)
+        Preconditioner(kind, 4, np.array([4.0, 1.0, 2.0, 1.0]))
+        for odd in ([4.0, 1.0, 2.0, 3.0], [4.0, 1.0, 2.0, np.nextafter(1.0, 2.0)],
+                    [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match=f"{kind.value} .* order {len(odd)} .* even") as info:
+                Preconditioner(kind, len(odd), np.array(odd))
+            assert not isinstance(info.value, NotSPDError)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_laplacian_spectrum_must_be_the_laplacians(self, n):
+        # the Green's function inverts tridiag(-1, 2, -1) whatever the
+        # spectrum says, so no other spectrum is a Laplacian's, not even
+        # one an ulp away
+        d = _laplacian_spectrum(n)
+        np.testing.assert_array_equal(Preconditioner(PrecKind.LAPLACIAN, n, d).spectrum, d)
+        near = d.copy()
+        near[n // 2] = np.nextafter(near[n // 2], 0.0)
+        for other in (near, 2.0 * d, np.ones(n)):
+            with pytest.raises(ValueError, match=f"laplacian .* order {n} .* tridiag") as info:
+                Preconditioner(PrecKind.LAPLACIAN, n, other)
+            assert not isinstance(info.value, NotSPDError)
 
     @pytest.mark.parametrize("build", [build_identity, build_laplacian])
     def test_order_must_be_positive(self, build):
@@ -383,6 +425,55 @@ class TestNoComplexFftOnTauSide:
         for P in [build_identity(n)] + precs:
             dofde.spectral.preconditioned_spectrum(c, P)
         dofde.transforms.dst1(np.ones(n))
+
+
+def record_transform_lengths(monkeypatch):
+    """Make numpy's FFTs append their lengths to the returned list."""
+    lengths = []
+
+    def recorded(fft, real_input):
+        def call(a, n=None, *args, **kwargs):
+            given = np.shape(a)[-1]
+            lengths.append(n if n is not None else given if real_input else 2 * (given - 1))
+            return fft(a, n, *args, **kwargs)
+        return call
+
+    for name in ("rfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name), True))
+    monkeypatch.setattr(np.fft, "irfft", recorded(np.fft.irfft, False))
+    return lengths
+
+
+class TestTransformLengths:
+    # a circulant of power-of-two order is the leading block of no
+    # smaller circulant than itself: its products transform at length n
+    # and its build at none; any other order embeds at the least power of
+    # two >= 2n.  The Laplacian's inverse transforms nothing.
+    @pytest.mark.parametrize("kind", CIRCULANT)
+    @pytest.mark.parametrize("n, m", [(64, 64), (2048, 2048), (65, 256), (96, 256)])
+    def test_circulant_products(self, monkeypatch, kind, n, m):
+        P = build_preconditioner(kind, random_coeffs(n, n))
+        x = np.random.default_rng(n).standard_normal(n)
+        lengths = record_transform_lengths(monkeypatch)
+        apply_inverse(P, x)
+        assert lengths == [m, m]
+        for power in (-0.5, 0.5):
+            lengths.clear()
+            product = _algebra_product(kind, P.spectrum ** power)
+            assert (lengths == []) == (m == n)
+            lengths.clear()
+            product(x)
+            assert lengths == [m, m]
+        if m == n:
+            lengths.clear()
+            apply_inverse_sqrt(P, x)
+            assert lengths == [n, n]
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 2048, 65536])
+    def test_laplacian_builds_and_inverts_without_transforms(self, monkeypatch, n):
+        lengths = record_transform_lengths(monkeypatch)
+        apply_inverse(build_laplacian(n), np.ones(n))
+        assert lengths == []
 
 
 class TestRegistry:
