@@ -223,7 +223,7 @@ def _cmd_outliers(args):
     # counts by inertia for the natural and Frobenius tau (or the kinds
     # --precs names), every kind and eps of a size in one call
     precs = args.precs or [PrecKind.NATURAL_TAU, PrecKind.FROBENIUS_TAU]
-    # each eps positive and finite, as _parse_list checks
+    # each eps positive, finite and wide enough to move 1, as `main` checks
     shifts = [shift for eps in args.eps for shift in (1.0 - eps, 1.0 + eps)]
     rows = []
     for n in args.sizes:
@@ -313,6 +313,9 @@ def main(argv=None):
         args.sizes = parse_sizes(args.sizes) if args.sizes else []
         args.precs = _parse_precs(args.precs) if args.precs else []
         args.eps = _parse_list(args.eps, float, "eps")
+        # a shift that rounds to 1 would count at 1 itself
+        if any(1.0 - eps == 1.0 or 1.0 + eps == 1.0 for eps in args.eps):
+            raise CliError(f"eps {min(args.eps)!r} is too small: 1 +- eps rounds to 1")
         args.stop = StoppingRule(tol=args.tol)
         args.coeffs = _coefficients()
         if args.command != "all":

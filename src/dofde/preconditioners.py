@@ -11,26 +11,28 @@ not positive, NaN included, raises NotSPDError.  All builders are scale
 equivariant: coefficients scaled by alpha produce spectra scaled by
 alpha, so preconditioned spectra are invariant under system rescaling.
 
-Each `Preconditioner` caches its inverse when it is built.  The
-Laplacian's is its Green's function, two cumulative sums and no
-transform (`_green_function`).  Every other inverse, and each P^(1/2)
-and P^(-1/2), is a convolution applied by the rfft helper of the
-Toeplitz matvec at a power-of-two length (`_algebra_product`): Toeplitz
-minus Hankel for the sine kinds, at the least power of two >= 2n; a
-circulant of order n itself when n is a power of two, whose eigenvalues
-are the kernel, and otherwise its first column embedded at the least
-power of two >= 2n (`toeplitz._circulant_product`).  Every spectrum and
-kernel is a real cosine sum: one zero-padded rfft of length 2(n+1) for
-the tau algebra (`transforms._tau_transform`) and one rfft of length n,
-mirrored, for the circulants (`transforms._circulant_transform`).  Both
-new routes rest on the spectrum, so a `Preconditioner` also checks that
-a circulant's is even and that a Laplacian's is the Laplacian's, or
-raises ValueError.
+Each `Preconditioner` keeps its inverse, built when it is made, and its
+P^(-1/2), built on first use.  The Laplacian's inverse is its Green's
+function, two cumulative sums and no transform (`_green_function`).
+Every other inverse, and each P^(1/2) and P^(-1/2), is a convolution
+applied by the rfft helper of the Toeplitz matvec at a power-of-two
+length (`_algebra_product`): Toeplitz minus Hankel for the sine kinds,
+at the least power of two >= 2n; a circulant of order n itself when n is
+a power of two, whose eigenvalues are the kernel, and otherwise its
+first column embedded at the least power of two >= 2n
+(`toeplitz._circulant_product`).  Every spectrum and kernel is a real
+cosine sum, formed once, in double: one zero-padded rfft of length
+2(n+1) for the tau algebra (`transforms._tau_transform`) and one rfft of
+length n, mirrored, for the circulants (`transforms._circulant_transform`).
+The order-n circulant product and the Green's function rest on the
+spectrum, so a `Preconditioner` also checks that a circulant's is even
+and that a Laplacian's is the Laplacian's, or raises ValueError.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +125,11 @@ class Preconditioner:
                    else _algebra_product(self.kind, 1.0 / s))
         object.__setattr__(self, "_inverse", inverse)
 
+    @functools.cached_property
+    def _inverse_sqrt(self):
+        """x -> P^{-1/2} x, built on first use and kept."""
+        return _algebra_product(self.kind, self.spectrum ** -0.5)
+
 
 def build_identity(n):
     """No preconditioning; apply_inverse is the identity map."""
@@ -138,14 +145,10 @@ def build_strang(c):
     """
     if c.n < 2:
         raise ValueError("n must be at least 2")
-    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=c.n, spectrum=_strang_spectrum(c.a))
-
-
-def _strang_spectrum(a):
-    n = len(a)
-    j = np.arange(n)
+    n, a, j = c.n, c.a, np.arange(c.n)
     # modular index keeps a[n - j] in range at j = 0 (both branches evaluate)
-    return _circulant_transform(np.where(j <= n // 2, a[j], a[(n - j) % n]))
+    col = np.where(j <= n // 2, a[j], a[(n - j) % n])
+    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=n, spectrum=_circulant_transform(col))
 
 
 def build_frobenius_circulant(c):
@@ -154,23 +157,10 @@ def build_frobenius_circulant(c):
     col[j] = ((n-j) a[j] + j a[n-j]) / n, even like Strang's."""
     if c.n < 2:
         raise ValueError("n must be at least 2")
-    return Preconditioner(kind=PrecKind.FROBENIUS_CIRCULANT, n=c.n,
-                          spectrum=_frobenius_circulant_spectrum(c.a))
-
-
-def _frobenius_circulant_spectrum(a):
-    n = len(a)
-    j = np.arange(1, n)
-    col = np.empty_like(a)
-    col[0] = a[0]
-    col[1:] = ((n - j) * a[j] + j * a[n - j]) / n
-    return _circulant_transform(col)
-
-
-def _natural_tau_spectrum(a):
-    # d_j = a0 + 2 sum_k a_k cos(j k pi/(n+1))
-    n = len(a)
-    return a[0] + 2.0 * _tau_transform(a[1:], n).real[1 : n + 1]
+    n, a, j = c.n, c.a, np.arange(1, c.n)
+    col = np.r_[a[0], ((n - j) * a[j] + j * a[n - j]) / n]
+    return Preconditioner(kind=PrecKind.FROBENIUS_CIRCULANT, n=n,
+                          spectrum=_circulant_transform(col))
 
 
 def _frobenius_tau_spectrum(a):
@@ -191,7 +181,7 @@ def _frobenius_tau_spectrum(a):
         s[p::2] = np.cumsum(a[p::2][::-1])[::-1]
     k = np.arange(1, n)
     sums = _tau_transform((n - k) * a[1:] + 2.0 * s[1:], n).real[1 : n + 1]
-    return a[0] + a.dtype.type(2) / (n + 1) * (sums + s[0] - a[0])
+    return a[0] + 2.0 / (n + 1) * (sums + s[0] - a[0])
 
 
 def build_natural_tau(c):
@@ -202,8 +192,9 @@ def build_natural_tau(c):
     Equals the Toeplitz matrix minus its two Hankel corner corrections;
     for a tridiagonal symbol it reproduces the Toeplitz matrix exactly.
     """
-    return Preconditioner(kind=PrecKind.NATURAL_TAU, n=c.n,
-                          spectrum=_natural_tau_spectrum(c.a))
+    n = c.n
+    spectrum = c.a[0] + 2.0 * _tau_transform(c.a[1:], n).real[1 : n + 1]
+    return Preconditioner(kind=PrecKind.NATURAL_TAU, n=n, spectrum=spectrum)
 
 
 def build_frobenius_tau(c):
@@ -226,10 +217,9 @@ def build_laplacian(n):
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n))
 
 
-def _laplacian_spectrum(n, dtype=np.float64):
-    j = np.arange(1, n + 1, dtype=dtype)
-    pi = 4 * np.arctan(dtype(1))
-    return 4.0 * np.sin(j * pi / (2 * (n + 1))) ** 2
+def _laplacian_spectrum(n):
+    j = np.arange(1.0, n + 1)
+    return 4.0 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 
 
 def _green_function(n):
@@ -258,18 +248,6 @@ _BUILDERS = {
     PrecKind.NATURAL_TAU: lambda c: build_natural_tau(c),
     PrecKind.FROBENIUS_TAU: lambda c: build_frobenius_tau(c),
     PrecKind.LAPLACIAN: lambda c: build_laplacian(c.n),
-}
-
-
-# Each kind's transform-domain spectrum from a coefficient vector, in the
-# vector's float type: the builders pass doubles, and `spectral`'s Rayleigh
-# quotients pass long doubles.
-_SPECTRA = {
-    PrecKind.STRANG_CIRCULANT: _strang_spectrum,
-    PrecKind.FROBENIUS_CIRCULANT: _frobenius_circulant_spectrum,
-    PrecKind.NATURAL_TAU: _natural_tau_spectrum,
-    PrecKind.FROBENIUS_TAU: _frobenius_tau_spectrum,
-    PrecKind.LAPLACIAN: lambda a: _laplacian_spectrum(len(a), a.dtype.type),
 }
 
 
@@ -318,5 +296,5 @@ def apply_inverse(P, x):
 
 def apply_inverse_sqrt(P, x):
     """Apply P^{-1/2} to the vector x by a convolution built from the
-    square root of P's spectrum."""
-    return _algebra_product(P.kind, P.spectrum ** -0.5)(_vector(P, x))
+    square root of P's spectrum on the first call and kept on P."""
+    return P._inverse_sqrt(_vector(P, x))

@@ -52,9 +52,9 @@ to 102).
 The Ritz values carry the rounding of the double FFT products, which the
 roots and the inverses amplify.  So each extreme is reported as the
 Rayleigh quotient z^T A z / z^T P z of its Ritz vector z, taken to the
-coordinates of P^(-1) A and evaluated in long double, with P's spectrum
-formed in long double from the coefficients: a one-sided bound on the
-eigenvalue, however rough z is.
+coordinates of P^(-1) A and evaluated in long double over P's own double
+spectrum: a one-sided bound on the end for the P that every solver here
+uses, however rough z is.
 
 Outlier counts.  By Sylvester's law of inertia, the number of
 eigenvalues of P^(-1) A below sigma is the number of negative pivots of
@@ -96,12 +96,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krylov import _GENERATOR_STOP, BreakdownError, pcg
-from .preconditioners import (_SINE, _SPECTRA, NotSPDError, PrecKind, _algebra_product,
+from .preconditioners import (_SINE, NotSPDError, PrecKind, _algebra_product,
                               _frobenius_tau_spectrum, apply_inverse_sqrt, build_identity,
                               build_preconditioner)
 from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _next_pow2,
                        _quadratic_form)
-from .transforms import _circulant_transform, _tau_transform, dst1
+from .transforms import _circulant_power, _circulant_transform, _tau_transform, dst1
 
 __all__ = [
     "SpectrumReport",
@@ -497,21 +497,22 @@ def _lanczos(apply, n, ends):
 
 
 def _rayleigh_quotients(c, P):
-    """z -> z^T A z / z^T P z in long double, with A and P's spectrum d
-    formed once in long double from c: z^T P z is sum_j d_j (Q z)_j^2 for
-    a sine kind, and a circulant is the symmetric Toeplitz matrix whose
-    first column is the inverse transform of d."""
-    a = c.a.astype(np.longdouble)
+    """z -> z^T A z / z^T P z in long double, over A's coefficients and
+    P's own double spectrum d, both widened once, so the quotient bounds an
+    end for the P that Lanczos, `pcg` and `count_below` use.  z^T P z is
+    summed in P's transform domain, sum_j d_j (Q z)_j^2 for a sine kind and
+    sum_j d_j |(F z)_j|^2 / n for a circulant, F the DFT, term by term: the
+    Toeplitz form of a circulant cancels by P's condition number along z
+    (1.5e-12 relative for Strang's at n = 2048)."""
+    a, d = c.a.astype(np.longdouble), P.spectrum.astype(np.longdouble)
     n = c.n
     if P.kind is PrecKind.IDENTITY:
         energy = lambda z: z @ z
     elif P.kind in _SINE:
-        d = _SPECTRA[P.kind](a)
         # the sine sums are -sqrt((n + 1)/2) Q z
         energy = lambda z: 2 * (d @ _tau_transform(z, n)[1 : n + 1].imag ** 2) / (n + 1)
     else:
-        column = _circulant_transform(_SPECTRA[P.kind](a)) / n
-        energy = lambda z: _quadratic_form(column, z)
+        energy = lambda z: d @ _circulant_power(z) / n
 
     def quotient(z):
         z = np.asarray(z, dtype=np.longdouble)
@@ -524,13 +525,14 @@ def _ritz(c, P, inner, power, ends):
     """`_lanczos` on P^power M P^power, M the symmetric product inner,
     for the ends in ends: its (steps, lowest, ritz) with each Ritz vector
     replaced by the long-double Rayleigh quotient (`_rayleigh_quotients`)
-    of its image under P^(-1/2), or None."""
-    root = _algebra_product(P.kind, P.spectrum ** power)
+    of its image under P^(-1/2), or None.  P^(-1/2) is the one P keeps,
+    so only a power of 0.5 builds a product here."""
+    back = P._inverse_sqrt
+    root = back if power == -0.5 else _algebra_product(P.kind, P.spectrum ** power)
     run = _lanczos(lambda x: root(inner(root(x))), c.n, ends)
     if run is None:
         return None
     steps, lowest, ritz = run
-    back = root if power == -0.5 else _algebra_product(P.kind, P.spectrum ** -0.5)
     quotient = _rayleigh_quotients(c, P)
     return steps, lowest, [(theta, quotient(back(y)), bound) for theta, y, bound in ritz]
 

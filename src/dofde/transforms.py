@@ -9,7 +9,9 @@ algebra (tau spectra, sine kinds' inverse kernels, dst1) is one
 zero-padded rfft of length 2(n+1), `_tau_transform`; each cosine sum of
 the circulants (spectra, and at n other than a power of two the first
 columns of the inverse and inverse square root) is one rfft of length n,
-mirrored, `_circulant_transform`.
+mirrored, `_circulant_transform`, and so are the squared moduli of a
+vector's DFT, against which the Rayleigh quotients weigh a circulant's
+spectrum, `_circulant_power`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ def _circulant_transform(w):
     The sum is even in j, so the rfft's real part is mirrored."""
     h = np.fft.rfft(w).real
     return np.r_[h, h[(len(w) - 1) // 2 : 0 : -1]]
+
+
+def _circulant_power(z):
+    """|sum_k z_k e^(-2 pi i jk/n)|^2, j = 0..n-1, for a real z of length
+    n: the squared moduli of its DFT, even in j, so the rfft's are
+    mirrored as in `_circulant_transform`."""
+    h = np.fft.rfft(z)
+    h = h.real**2 + h.imag**2
+    return np.r_[h, h[(len(z) - 1) // 2 : 0 : -1]]
 
 
 def dst1(x):

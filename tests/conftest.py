@@ -287,46 +287,42 @@ def frobenius_tau_dense(A):
 
 # ---------------------------------------------------------------------------
 # the accuracy oracle of every printed extreme: the Rayleigh quotient of the
-# dense eigenvector with A and P assembled in long double from the package's
-# coefficients, densely and without an FFT, where the package evaluates its
-# own quotients by long-double FFTs (`spectral._rayleigh_quotients`)
+# dense eigenvector with A assembled in long double from the coefficients and
+# P from its own double spectrum, densely and without an FFT, where the
+# package evaluates its own quotients over the same spectrum by long-double
+# FFTs (`spectral._rayleigh_quotients`); each spectrum is checked against its
+# coefficients by the dense oracles of test_preconditioners.py
 
 LD = np.longdouble
 PI_LD = 4 * np.arctan(LD(1))
 
 
-def _long_double_energy(c, kind, z):
-    """z^T P z in long double for P of the given kind, from c's
-    coefficients: the circulants from their first columns, the natural tau
-    as T - H (Hankel flaps H_ij = a_(i+j) + a_(2(n+1)-i-j), 1-based), the
-    Frobenius tau as sum_j d_j (Q z)_j^2 with d = diag(Q T Q) in its closed
-    form over a dense cosine table, and the stencil tridiag(-1, 2, -1) as
-    a sum of squared differences."""
-    n = c.n
-    a = c.a.astype(LD)
-    i = np.arange(n)
-    if kind is PrecKind.IDENTITY:
+def _long_double_energy(P, z):
+    """z^T P z in long double for P assembled from P.spectrum d widened to
+    long double, with jk reduced before the angle: a sine kind as
+    sum_j d_j (Q z)_j^2 over the dense sine table Q, and a circulant as
+    (1/n) sum_j d_j |(F z)_j|^2 over the dense cosine and sine tables of
+    the DFT F."""
+    n = P.n
+    if P.kind is PrecKind.IDENTITY:
         return z @ z
-    if kind is PrecKind.LAPLACIAN:
-        return z[0] ** 2 + z[-1] ** 2 + np.sum(np.diff(z) ** 2)
-    if kind is PrecKind.STRANG_CIRCULANT:
-        col = np.where(i <= n // 2, a[i], a[(n - i) % n])
-        return z @ (col[(i[:, None] - i) % n] @ z)
-    if kind is PrecKind.FROBENIUS_CIRCULANT:
-        col = np.r_[a[0], ((n - i[1:]) * a[1:] + i[1:] * a[n - i[1:]]) / n]
-        return z @ (col[(i[:, None] - i) % n] @ z)
-    if kind is PrecKind.NATURAL_TAU:
-        padded = np.concatenate([a, np.zeros(n + 2, dtype=LD)])
-        s = i[:, None] + i + 2
-        return z @ ((a[np.abs(i[:, None] - i)] - padded[s] - padded[2 * (n + 1) - s]) @ z)
-    # d_j = a_0 + 2/(n+1) [sum_k ((n-k) a_k + 2 s_k) cos(jk theta) + s_0 - a_0],
-    # s_l the stride-2 suffix sums, as in `preconditioners._frobenius_tau_spectrum`
-    sums = np.array([a[k::2].sum() for k in range(n)], dtype=LD)
+    d = P.spectrum.astype(LD)
+    if P.kind in (PrecKind.STRANG_CIRCULANT, PrecKind.FROBENIUS_CIRCULANT):
+        k = np.arange(n)
+        angles = (np.outer(k, k) % n).astype(LD) * (2 * PI_LD / n)
+        return d @ ((np.cos(angles) @ z) ** 2 + (np.sin(angles) @ z) ** 2) / n
     j = np.arange(1, n + 1)
-    cosines = np.cos(np.outer(j, i[1:]).astype(LD) * PI_LD / (n + 1))
-    d = a[0] + 2 * (cosines @ ((n - i[1:]) * a[1:] + 2 * sums[1:]) + sums[0] - a[0]) / (n + 1)
-    Q = np.sqrt(LD(2) / (n + 1)) * np.sin(np.outer(j, j).astype(LD) * PI_LD / (n + 1))
-    return d @ (Q @ z) ** 2
+    angles = (np.outer(j, j) % (2 * (n + 1))).astype(LD) * (PI_LD / (n + 1))
+    return d @ (np.sqrt(LD(2) / (n + 1)) * (np.sin(angles) @ z)) ** 2
+
+
+def long_double_quotient(c, P, z):
+    """z^T A z / z^T P z in long double for a long-double z, with the dense
+    symmetric Toeplitz A of c's coefficients and P by
+    `_long_double_energy`."""
+    a = c.a.astype(LD)
+    i = np.arange(c.n)
+    return (z @ (a[np.abs(i[:, None] - i)] @ z)) / _long_double_energy(P, z)
 
 
 def rayleigh_oracle(c, P):
@@ -334,15 +330,10 @@ def rayleigh_oracle(c, P):
     quotients z^T A z / z^T P z of the dense eigenvectors z = P^(-1/2) v,
     v the extreme eigenvectors of the explicit P^(-1/2) A P^(-1/2).  Each is
     a one-sided bound whose error is quadratic in v's."""
-    A = np.asarray(assemble_dense(c))
     R = prec_power_dense(P, -0.5)
-    _, V = np.linalg.eigh(explicit_preconditioned(A, P))
-    A_ld = A.astype(LD)
-    quotients = []
-    for v in (V[:, 0], V[:, -1]):
-        z = (R @ v).astype(LD)
-        quotients.append(float((z @ (A_ld @ z)) / _long_double_energy(c, P.kind, z)))
-    return tuple(quotients)
+    _, V = np.linalg.eigh(explicit_preconditioned(assemble_dense(c), P))
+    return tuple(float(long_double_quotient(c, P, (R @ v).astype(LD)))
+                 for v in (V[:, 0], V[:, -1]))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,26 @@ class TestErrorPaths:
         assert captured.out == ""
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("eps", ["1e-17", "1e-1,1.1e-16", "5e-17,1e-2"])
+    def test_eps_that_leaves_one_unmoved_writes_nothing(self, capsys, tmp_path, eps):
+        # 1 + eps rounds to 1 at eps <= 2^-53, so both counts would be
+        # taken at 1 itself; the list is refused before any table
+        out = tmp_path / "out"
+        argv = ["outliers", "--sizes", "16", "--precs", "frobenius_tau", "--eps", eps]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        smallest = min(float(tok) for tok in eps.split(","))
+        assert captured.err == f"error: eps {smallest!r} is too small: 1 +- eps rounds to 1\n"
+        assert captured.out == ""
+        assert not list(out.glob("*"))
+
+    def test_least_eps_that_moves_one_is_counted(self, capsys):
+        eps = float(np.nextafter(2.0**-53, 1.0))
+        assert 1.0 + eps > 1.0 > 1.0 - eps
+        assert main(["outliers", "--sizes", "32", "--precs", "natural_tau",
+                     "--eps", repr(eps)]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
     def test_unparsable_eps(self, capsys):
         assert main(["outliers", "--sizes", "32", "--eps", "abc"]) == 2
         captured = capsys.readouterr()

@@ -86,6 +86,20 @@ class TestLayers:
                     callers.add(path.name)
         assert callers <= {"toeplitz.py", "transforms.py"}
 
+    def test_long_double_only_in_the_rayleigh_quotients(self):
+        # a second float type would mean a second P: every preconditioner
+        # is its double spectrum, and only the printed quotients widen it
+        tree = ast.parse((ROOT / "src/dofde/spectral.py").read_text())
+        (quotients,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and node.name == "_rayleigh_quotients"]
+        allowed = range(quotients.lineno, quotients.end_lineno + 1)
+        found = []
+        for path in ROOT.glob("src/dofde/*.py"):
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if "longdouble" in line and not (path.name == "spectral.py" and number in allowed):
+                    found.append(f"{path.name}:{number}")
+        assert found == []
+
     def test_dense_eigensolves_only_in_the_spectral_layer(self):
         # every dense symmetric eigensolve, the dense spectra and the
         # Lanczos tridiagonal's alike, runs in spectral.py

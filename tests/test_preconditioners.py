@@ -469,6 +469,21 @@ class TestTransformLengths:
             apply_inverse_sqrt(P, x)
             assert lengths == [n, n]
 
+    @pytest.mark.parametrize("kind", list(PrecKind))
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_inverse_sqrt_is_built_once(self, monkeypatch, kind, n):
+        # the first call builds P^(-1/2) and keeps it on P, so a second
+        # call runs only its own rfft/irfft pair, on the same product
+        P = build_preconditioner(kind, random_coeffs(n, n))
+        x = np.random.default_rng(n).standard_normal(n)
+        lengths = record_transform_lengths(monkeypatch)
+        first = apply_inverse_sqrt(P, x)
+        built = lengths.copy()
+        lengths.clear()
+        np.testing.assert_array_equal(apply_inverse_sqrt(P, x), first)
+        assert lengths == built[-2:]
+        assert len(lengths) == (0 if kind is PrecKind.IDENTITY else 2)
+
     @pytest.mark.parametrize("n", [1, 64, 65, 2048, 65536])
     def test_laplacian_builds_and_inverts_without_transforms(self, monkeypatch, n):
         lengths = record_transform_lengths(monkeypatch)

@@ -490,6 +490,26 @@ class TestLanczosExtremes:
         assert run(shared.scaled_coeffs(512)) is not None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind, inverse_runs", [
+        (PrecKind.STRANG_CIRCULANT, 0),
+        (PrecKind.NATURAL_TAU, 0),
+        (PrecKind.LAPLACIAN, 1),
+        (PrecKind.IDENTITY, 2),
+    ])
+    def test_runs_build_only_the_square_root(self, kind, inverse_runs, monkeypatch):
+        # every run takes P^(-1/2) from P, where it is built once; only an
+        # inverse run builds a product, its P^(1/2)
+        c = shared.scaled_coeffs(64)
+        P = build_preconditioner(kind, c)
+        built = []
+        product = dofde.spectral._algebra_product
+        monkeypatch.setattr(dofde.spectral, "_algebra_product",
+                            lambda kind, w: built.append(w) or product(kind, w))
+        assert lanczos_extremes(c, P) is not None
+        assert len(built) == inverse_runs
+        for w in built:
+            np.testing.assert_array_equal(w, P.spectrum ** 0.5)
+
     def test_rejects_what_preconditioned_spectrum_rejects(self):
         c = shared.scaled_coeffs(6)
         with pytest.raises(TypeError):
@@ -614,6 +634,40 @@ class TestLongDoubleOracle:
         for n in (16, 32, 64, 128, 256, 512):
             oracle = n * shared.rayleigh_oracle(shared.coeffs(n), build_identity(n))[0]
             assert min_eig_normalized(shared.coeffs(n)) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+class TestRayleighQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(PrecKind)), n=st.integers(2, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind=PrecKind.STRANG_CIRCULANT, n=2, seed=0)
+    @example(kind=PrecKind.FROBENIUS_TAU, n=64, seed=1)
+    def test_matches_dense_long_double_quotient(self, kind, n, seed):
+        # the quotient over P's own double spectrum, by long-double FFTs,
+        # against the same quotient with A and P assembled densely; the
+        # coefficients are diagonally dominant, so every kind is SPD
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, n) / (1.0 + np.arange(n)) ** 2
+        a[0] = 3.0
+        c = ToeplitzCoeffs(n, a)
+        P = build_preconditioner(kind, c)
+        z = rng.standard_normal(n)
+        want = float(shared.long_double_quotient(c, P, z.astype(shared.LD)))
+        got = dofde.spectral._rayleigh_quotients(c, P)(z)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_circulant_energy_does_not_cancel(self):
+        # Strang's least eigenvalue at n = 512 is its DFT mode 0, 3.7e5
+        # times below its largest; along that mode the Toeplitz form of
+        # z^T P z cancels by about that factor (1.5e-14 relative), while
+        # the sum over the DFT domain does not
+        c = shared.scaled_coeffs(512)
+        P = build_strang(c)
+        assert np.argmin(P.spectrum) == 0 and P.spectrum.max() > 1e5 * P.spectrum[0]
+        z = np.ones(512)
+        want = float(shared.long_double_quotient(c, P, z.astype(shared.LD)))
+        got = dofde.spectral._rayleigh_quotients(c, P)(z)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestSpectrumReport:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import conftest as shared
 import dofde
 from dofde import dst1
-from dofde.transforms import _circulant_transform
+from dofde.transforms import _circulant_power, _circulant_transform
 
 
 class TestDst1:
@@ -81,6 +81,20 @@ class TestCirculantTransform:
         h = _circulant_transform(w)
         np.testing.assert_allclose(h, np.fft.fft(w).real, rtol=0, atol=1e-12)
         np.testing.assert_allclose(_circulant_transform(h) / n, w, rtol=0, atol=1e-13)
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    @example(n=64, seed=0)
+    @example(n=65, seed=0)
+    def test_power_matches_complex_fft(self, n, seed):
+        # the squared moduli of any real z's DFT, in the float type of z
+        z = np.random.default_rng(seed).standard_normal(n)
+        np.testing.assert_allclose(_circulant_power(z), np.abs(np.fft.fft(z)) ** 2,
+                                   rtol=1e-12, atol=1e-12 * n)
+        assert _circulant_power(z.astype(np.longdouble)).dtype == np.longdouble
 
 
 class TestImportCost:
