@@ -17,6 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .preconditioners import apply_inverse
+from .toeplitz import _gohberg_semencul
 
 __all__ = ["StoppingRule", "SolveReport", "BreakdownError", "pcg", "cg_smooth_step"]
 
@@ -47,10 +48,6 @@ class StoppingRule:
 
     def resolve_max(self, n):
         return self.max_iterations if self.max_iterations is not None else 10 * n
-
-
-# the PCG for T^{-1} e_1 behind every Gohberg-Semencul inverse
-_GENERATOR_STOP = StoppingRule(tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -142,3 +139,22 @@ def cg_smooth_step(apply_A, P, x, b, steps=1):
     """
     stop = StoppingRule(tol=np.finfo(float).tiny, max_iterations=steps)
     return pcg(apply_A, P, b, x0=x, stop=stop).solution
+
+
+def _generator_inverse(apply_T, P):
+    """(r -> T^{-1} r, iterations): `_gohberg_semencul` of x = T^{-1} e_1 by
+    `pcg` on P at tol 1e-13, for the symmetric Toeplitz T with products
+    apply_T; where the true residual r = e_1 - T x misses tol once the
+    recursive one passes, one more `pcg` solves T d = r to the same
+    absolute tol and x becomes x + d.  Raises ValueError unless the solves
+    converge and 0 < x_0 < inf."""
+    stop, e1 = StoppingRule(tol=1e-13), np.eye(1, P.n)[0]
+    report = pcg(apply_T, P, e1, stop=stop)
+    x, steps = report.solution, report.iterations
+    if report.converged and not np.linalg.norm(r := e1 - apply_T(x)) < stop.tol:
+        report = pcg(apply_T, P, r, stop=StoppingRule(tol=stop.tol / np.linalg.norm(r)))
+        x, steps = x + report.solution, steps + report.iterations
+    if not (report.converged and 0.0 < x[0] < np.inf):
+        raise ValueError(f"PCG for T^-1 e_1 at order {P.n} gave no generator: "
+                         f"converged {report.converged}, x_0 = {x[0]:g}")
+    return _gohberg_semencul(x), steps

@@ -12,7 +12,7 @@ so every level is stored as its first column and built in O(n)
 Comput. 19, 1998).  Restriction and prolongation are stencil slices,
 and no level is assembled densely: a cycle's coarsest level is solved
 exactly by the Gohberg-Semencul formula, `toeplitz._gohberg_semencul`,
-from x = T^{-1} e_1, one Frobenius-tau PCG solve per level; its four
+from x = T^{-1} e_1 by `krylov._generator_inverse` on a Frobenius tau; its four
 triangular products are cached rfft convolutions, `toeplitz._product`,
 as is the matvec.
 
@@ -46,10 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import _GENERATOR_STOP, _iterate, cg_smooth_step, pcg
+from .krylov import _generator_inverse, _iterate, cg_smooth_step
 from .preconditioners import PrecKind, build_preconditioner
-from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _product,
-                       _series_reciprocal)
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _product, _series_reciprocal
 
 __all__ = [
     "MGM_CASES",
@@ -103,13 +102,8 @@ class GridLevel:
 
     @functools.cached_property
     def solve(self):
-        """r -> T^{-1} r by `_gohberg_semencul` from x = T^{-1} e_1, which
-        one Frobenius-tau PCG solve finds."""
-        report = pcg(self.matvec, self._preconditioner(PrecKind.FROBENIUS_TAU),
-                     np.eye(1, self.n)[0], stop=_GENERATOR_STOP)
-        if not report.converged:
-            raise ValueError(f"PCG for T^-1 e_1 at order {self.n} missed tol {_GENERATOR_STOP.tol:g}")
-        return _gohberg_semencul(report.solution)
+        """r -> T^{-1} r by `_generator_inverse` on the level's Frobenius tau."""
+        return _generator_inverse(self.matvec, self._preconditioner(PrecKind.FROBENIUS_TAU))[0]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import ToeplitzCoeffs, _circulant_product, _symmetric_product
-from .transforms import _circulant_transform, _tau_transform
+from .transforms import _circulant_embedding, _circulant_transform, _tau_transform
 
 __all__ = [
     "PrecKind",
@@ -145,10 +145,8 @@ def build_strang(c):
     """
     if c.n < 2:
         raise ValueError("n must be at least 2")
-    n, a, j = c.n, c.a, np.arange(c.n)
-    # modular index keeps a[n - j] in range at j = 0 (both branches evaluate)
-    col = np.where(j <= n // 2, a[j], a[(n - j) % n])
-    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=n, spectrum=_circulant_transform(col))
+    spectrum = _circulant_transform(_circulant_embedding(c.a[: c.n // 2 + 1], c.n))
+    return Preconditioner(kind=PrecKind.STRANG_CIRCULANT, n=c.n, spectrum=spectrum)
 
 
 def build_frobenius_circulant(c):
@@ -276,8 +274,7 @@ def _algebra_product(kind, w):
     if kind in _CIRCULANT:
         return _circulant_product(w)
     n = len(w)
-    half = _tau_transform(w, n).real / (n + 1)
-    c = np.concatenate([half, half[n:0:-1]])
+    c = _circulant_embedding(_tau_transform(w, n).real / (n + 1), 2 * n + 2)
     return _symmetric_product(c[:n], hankel=-c[2 : 2 * n + 1])
 
 

@@ -39,22 +39,23 @@ upper end, lambda_max = sigma - 1/mu_max.  The shifts are:
   L = T(4 sin^2(theta/2)).
 
 An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
-matrix S, at tol 1e-13, and then four triangular Toeplitz convolutions
-per product: S^(-1) = (L(x) L(x)^T - L(y) L(y)^T)/x_0 by the formula of
-Gohberg and Semencul (`toeplitz._gohberg_semencul`).  The solve is
-preconditioned by A's Frobenius tau for A^(-1), and otherwise by the
-natural tau of S, whose eigenvalues are the shifted symbol sampled on the
-sine grid: nonnegative by the choice of sigma, and small where the
-shifted symbol vanishes, which the Frobenius tau does not follow (17 to
-22 iterations for the Laplacian's solve at n = 128..2048 against its 36
-to 102).
+matrix S at tol 1e-13, refined once where its true residual misses
+(`krylov._generator_inverse`), then four triangular Toeplitz products
+each: S^(-1) = (L(x) L(x)^T - L(y) L(y)^T)/x_0 (Gohberg and Semencul,
+`toeplitz._gohberg_semencul`).  The solve is preconditioned by A's
+Frobenius tau for A^(-1), and otherwise by the natural tau of S, whose
+eigenvalues are the shifted symbol sampled on the sine grid:
+nonnegative by the choice of sigma, and small where the shifted symbol
+vanishes, which the Frobenius tau does not follow (17 to 22 iterations
+for the Laplacian's solve at n = 128..2048 against its 36 to 102).
 
 The Ritz values carry the rounding of the double FFT products, which the
 roots and the inverses amplify.  So each extreme is reported as the
 Rayleigh quotient z^T A z / z^T P z of its Ritz vector z, taken to the
 coordinates of P^(-1) A and evaluated in long double over P's own double
 spectrum: a one-sided bound on the end for the P that every solver here
-uses, however rough z is.
+uses, however rough z is.  Both sides are summed term by term in a
+transform domain, so neither cancels along the extreme vectors.
 
 Outlier counts.  By Sylvester's law of inertia, the number of
 eigenvalues of P^(-1) A below sigma is the number of negative pivots of
@@ -95,13 +96,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import _GENERATOR_STOP, BreakdownError, pcg
-from .preconditioners import (_SINE, NotSPDError, PrecKind, _algebra_product,
-                              _frobenius_tau_spectrum, apply_inverse_sqrt, build_identity,
-                              build_preconditioner)
-from .toeplitz import (ToeplitzCoeffs, ToeplitzOperator, _gohberg_semencul, _next_pow2,
-                       _quadratic_form)
-from .transforms import _circulant_power, _circulant_transform, _tau_transform, dst1
+from .krylov import BreakdownError, _generator_inverse
+from .preconditioners import (_SINE, PrecKind, _algebra_product, _frobenius_tau_spectrum,
+                              apply_inverse_sqrt, build_identity, build_preconditioner)
+from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2
+from .transforms import (_circulant_embedding, _circulant_power, _circulant_transform,
+                         _tau_transform, dst1)
 
 __all__ = [
     "SpectrumReport",
@@ -153,8 +153,8 @@ class RitzEnd:
     the steps of its Lanczos run, and bound the residual bound beta_k |s_k|
     of its Ritz value mu, at most 1e-10 mu unless the run took all n steps;
     an inverse run (`_inverse_end`) maps bound to the end as bound / mu^2,
-    and gives its shift and the `pcg` iterations of its generator solve as
-    shift and inner_steps, both None for an end of the plain run."""
+    and gives its shift and its generator's `pcg` iterations, refinement
+    included, as shift and inner_steps, both None for the plain run."""
 
     value: float
     steps: int
@@ -499,13 +499,15 @@ def _lanczos(apply, n, ends):
 def _rayleigh_quotients(c, P):
     """z -> z^T A z / z^T P z in long double, over A's coefficients and
     P's own double spectrum d, both widened once, so the quotient bounds an
-    end for the P that Lanczos, `pcg` and `count_below` use.  z^T P z is
-    summed in P's transform domain, sum_j d_j (Q z)_j^2 for a sine kind and
-    sum_j d_j |(F z)_j|^2 / n for a circulant, F the DFT, term by term: the
-    Toeplitz form of a circulant cancels by P's condition number along z
-    (1.5e-12 relative for Strang's at n = 2048)."""
+    end for the P that Lanczos, `pcg` and `count_below` use.  Both sides
+    are summed term by term over a transform domain: z^T A z as
+    sum_j s_j |(F z)_j|^2 / m, z padded to m >= 2n, s the spectrum of A's
+    order-m circulant embedding; z^T P z as sum_j d_j (Q z)_j^2 (sine kinds)
+    or sum_j d_j |(F z)_j|^2 / n (circulants).  A Toeplitz form over z's
+    autocorrelation cancels (1.4e-9 for A on the sine vector at n = 65536)."""
     a, d = c.a.astype(np.longdouble), P.spectrum.astype(np.longdouble)
-    n = c.n
+    n, m = c.n, _next_pow2(2 * c.n)
+    symbol = _circulant_transform(_circulant_embedding(a, m))
     if P.kind is PrecKind.IDENTITY:
         energy = lambda z: z @ z
     elif P.kind in _SINE:
@@ -516,7 +518,7 @@ def _rayleigh_quotients(c, P):
 
     def quotient(z):
         z = np.asarray(z, dtype=np.longdouble)
-        return float(_quadratic_form(a, z) / energy(z))
+        return float(symbol @ _circulant_power(np.pad(z, (0, m - n))) / m / energy(z))
 
     return quotient
 
@@ -546,13 +548,9 @@ def _laplacian_shift(a):
     max(_SHIFT_SAMPLES, 64 n) samples rounded up to a power of two, less
     the amount by which the grid of every other sample misses it, about
     three times the grid's own miss."""
-    n = len(a)
-    samples = max(_SHIFT_SAMPLES, _next_pow2(64 * n))
+    samples = max(_SHIFT_SAMPLES, _next_pow2(64 * len(a)))
     # the symbol at 2 pi j / samples is the cosine sum of a, mirrored
-    even = np.zeros(samples)
-    even[:n] = a
-    even[samples - n + 1 :] = a[:0:-1]
-    f = _circulant_transform(even)[1 : samples // 2 + 1]
+    f = _circulant_transform(_circulant_embedding(a, samples))[1 : samples // 2 + 1]
     theta = 2.0 * np.pi / samples * np.arange(1, samples // 2 + 1)
     ratio = f / (4.0 * np.sin(theta / 2) ** 2)
     least = ratio.min()
@@ -591,8 +589,8 @@ def _inverse_end(c, P, end, route):
     for a Toeplitz kind P (`_toeplitz_column`) by its route (shift, tau
     kind): with sigma = shift(a) below the end (above it), `_ritz` on
     P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
-    one `_gohberg_semencul` from x = S^(-1) e_1, which one `pcg` on S with
-    its tau of the route's kind finds before the run.
+    one `_generator_inverse` of S on its tau of the route's kind, built
+    before the run.
 
     Returns the RitzEnd of the top Ritz value mu, the end sigma +- 1/mu,
     or None when the build or the solve fails, x_0 is not positive and
@@ -603,18 +601,15 @@ def _inverse_end(c, P, end, route):
     shifted = c.a - sigma * _toeplitz_column(P)
     shifted = ToeplitzCoeffs(c.n, -shifted if end else shifted)
     try:
-        report = pcg(ToeplitzOperator(shifted), build_preconditioner(tau_kind, shifted),
-                     np.eye(1, c.n)[0], stop=_GENERATOR_STOP)
-    except (NotSPDError, BreakdownError):
+        solve, inner_steps = _generator_inverse(ToeplitzOperator(shifted),
+                                                build_preconditioner(tau_kind, shifted))
+    except (ValueError, BreakdownError):
         return None
-    x = report.solution
-    if not (report.converged and 0.0 < x[0] < np.inf):
-        return None
-    run = _ritz(c, P, _gohberg_semencul(x), 0.5, (-1,))
+    run = _ritz(c, P, solve, 0.5, (-1,))
     if run is None or not run[1] > 0.0:
         return None
     steps, _, [(mu, value, bound)] = run
-    return RitzEnd(value, steps, float(bound / mu**2), sigma, report.iterations)
+    return RitzEnd(value, steps, float(bound / mu**2), sigma, inner_steps)
 
 
 def lanczos_extremes(c, P):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import dist_order_symbol
-from .transforms import _circulant_transform
+from .transforms import _circulant_embedding, _circulant_transform
 
 __all__ = [
     "ToeplitzCoeffs",
@@ -145,14 +145,21 @@ def coeffs_via_fft(n):
 
 def coeff_oracle(n, k):
     """Independent k-th coefficient: (1/pi) * int_0^pi f(theta) cos(k theta) dtheta
-    by adaptive quadrature.  Slow; exists to cross-check coeffs_via_fft."""
+    by adaptive quadrature.  Slow; exists to cross-check coeffs_via_fft.
+    Panels break at 1/n, where the symbol's closed form meets its n-term
+    sum, and at theta_p = 8 pi j/k, from which each is integrated as
+    f(theta_p + t) cos(k t): at k theta a node's rounding alone moves the
+    integrand by k |f| eps, up to 4e-9, above any panel's tolerance."""
     from .quadrature import integrate_adaptive
 
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    res = integrate_adaptive(lambda th: dist_order_symbol(n, th) * np.cos(k * th),
-                             0.0, np.pi, tol=_ORACLE_TOL)
-    return res.value / np.pi
+    starts = np.arange(0.0, np.pi, 8.0 * np.pi / k if k else np.pi)
+    edges = np.unique(np.r_[starts, 1.0 / n, np.pi])
+    starts = starts[np.searchsorted(starts, edges[:-1], "right") - 1]
+    return sum(integrate_adaptive(lambda t: dist_order_symbol(n, p + t) * np.cos(k * t),
+                                  lo - p, hi - p, tol=_ORACLE_TOL * (hi - lo) / np.pi).value
+               for p, lo, hi in zip(starts, edges[:-1], edges[1:])) / np.pi
 
 
 def assemble_dense(c):
@@ -211,19 +218,6 @@ def _gohberg_semencul(x):
     return solve
 
 
-def _quadratic_form(a, z):
-    """z^T T z for the symmetric Toeplitz matrix T with first column a, in
-    the float type of a and z (long double for the Rayleigh quotients of
-    the spectral layer): a_0 r_0 + 2 sum_k a_k r_k over the autocorrelation
-    r_k = sum_i z_i z_(i+k), which is one rfft/irfft pair at the least
-    power of two >= 2n."""
-    n = len(z)
-    m = _next_pow2(2 * n)
-    f = np.fft.rfft(z, m)
-    r = np.fft.irfft(f.real**2 + f.imag**2, m)[:n]
-    return a[0] * r[0] + 2 * (a[1:] @ r[1:])
-
-
 def _series_reciprocal(a):
     """First len(a) coefficients of 1/a(z), a(z) = sum_k a_k z^k.
 
@@ -250,12 +244,7 @@ def _symmetric_product(a, hankel=None):
     """`_product` of the symmetric Toeplitz matrix with first column a
     (plus the Hankel term, if given): a embedded in a circulant of order
     m >= 2n, a power of two."""
-    n = len(a)
-    m = _next_pow2(2 * n)
-    col = np.zeros(m)
-    col[:n] = a
-    col[m - n + 1 :] = a[:0:-1]
-    return _product(col, n, hankel)
+    return _product(_circulant_embedding(a, _next_pow2(2 * len(a))), len(a), hankel)
 
 
 def _circulant_product(w):

@@ -9,9 +9,9 @@ algebra (tau spectra, sine kinds' inverse kernels, dst1) is one
 zero-padded rfft of length 2(n+1), `_tau_transform`; each cosine sum of
 the circulants (spectra, and at n other than a power of two the first
 columns of the inverse and inverse square root) is one rfft of length n,
-mirrored, `_circulant_transform`, and so are the squared moduli of a
-vector's DFT, against which the Rayleigh quotients weigh a circulant's
-spectrum, `_circulant_power`.
+mirrored by `_circulant_embedding`, `_circulant_transform`, and so are
+the squared moduli of a vector's DFT, against which the Rayleigh
+quotients weigh both sides, `_circulant_power`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,21 @@ def _tau_transform(w, n):
     return np.fft.rfft(np.r_[0.0, w], 2 * (n + 1))
 
 
+def _circulant_embedding(a, m):
+    """The even vector of length m >= 2 len(a) - 2 that starts with a, in
+    a's float type: from 2 len(a) - 1 on, the first column of the order-m
+    symmetric circulant whose leading block is the Toeplitz matrix of a."""
+    col = np.zeros(m, dtype=a.dtype)
+    col[: len(a)] = a
+    col[m - len(a) + 1 :] = a[:0:-1]
+    return col
+
+
 def _circulant_transform(w):
     """sum_k w_k cos(2 pi jk/n), j = 0..n-1, for a real w of length n:
     the DFT of a w even about 0 (w_k = w_{n-k}), and n times its inverse.
     The sum is even in j, so the rfft's real part is mirrored."""
-    h = np.fft.rfft(w).real
-    return np.r_[h, h[(len(w) - 1) // 2 : 0 : -1]]
+    return _circulant_embedding(np.fft.rfft(w).real, len(w))
 
 
 def _circulant_power(z):
@@ -41,8 +50,7 @@ def _circulant_power(z):
     n: the squared moduli of its DFT, even in j, so the rfft's are
     mirrored as in `_circulant_transform`."""
     h = np.fft.rfft(z)
-    h = h.real**2 + h.imag**2
-    return np.r_[h, h[(len(z) - 1) // 2 : 0 : -1]]
+    return _circulant_embedding(h.real**2 + h.imag**2, len(z))
 
 
 def dst1(x):

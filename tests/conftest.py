@@ -7,6 +7,7 @@ individual test modules and the acceptance suite both draw on it.
 
 import functools
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,6 +324,31 @@ def long_double_quotient(c, P, z):
     a = c.a.astype(LD)
     i = np.arange(c.n)
     return (z @ (a[np.abs(i[:, None] - i)] @ z)) / _long_double_energy(P, z)
+
+
+def exact_toeplitz_energy(a, z):
+    """z^T A z as an exact Fraction, A the symmetric Toeplitz matrix with
+    the double first column a, for a nonnegative long-double vector z.
+
+    Each z_i is N_i / 2^s with an integer N_i.  The autocorrelation
+    r_k = sum_i N_i N_(i+k) is read off one big-integer product by
+    Kronecker substitution: N packed into base-2^(8w) digits, once in
+    order and once reversed, with w bytes enough that no digit of the
+    product carries, and r_k is digit n - 1 + k.  Then
+    z^T A z = (a_0 r_0 + 2 sum_k a_k r_k) / 4^s, summed in Fractions.
+    Raises OverflowError for a negative entry."""
+    n = len(z)
+    ratios = [v.as_integer_ratio() for v in z]
+    s = max(den.bit_length() - 1 for _, den in ratios)
+    N = [num << (s - den.bit_length() + 1) for num, den in ratios]
+    w = (2 * max(N).bit_length() + n.bit_length() + 8) // 8
+    forward = int.from_bytes(b"".join(k.to_bytes(w, "little") for k in N), "little")
+    backward = int.from_bytes(b"".join(k.to_bytes(w, "little") for k in N[::-1]), "little")
+    digits = (forward * backward).to_bytes(2 * n * w, "little")
+    r = [int.from_bytes(digits[(n - 1 + k) * w : (n + k) * w], "little") for k in range(n)]
+    a = [Fraction(float(v)) for v in a]
+    total = a[0] * r[0] + 2 * sum(ak * rk for ak, rk in zip(a[1:], r[1:]))
+    return total / (1 << 2 * s)
 
 
 def rayleigh_oracle(c, P):

@@ -316,7 +316,7 @@ class TestErrorPaths:
         assert "error" in capsys.readouterr().err
 
     def test_mgm_inexact_coarse_solve_is_an_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(dofde.multigrid, "pcg", shared.one_step_pcg)
+        monkeypatch.setattr(dofde.krylov, "pcg", shared.one_step_pcg)
         assert main(["mgm", "--sizes", "7"]) == 2
         assert "error: PCG for T^-1 e_1" in capsys.readouterr().err
 

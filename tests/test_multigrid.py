@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import conftest as shared
+import dofde.krylov
 import dofde.multigrid
 from dofde import (
     MGM_CASES,
@@ -249,9 +252,25 @@ class TestExactSolve:
 
     def test_unconverged_first_column_raises(self, monkeypatch):
         # an inverse generated from an inexact T^{-1} e_1 is never used
-        monkeypatch.setattr(dofde.multigrid, "pcg", shared.one_step_pcg)
+        monkeypatch.setattr(dofde.krylov, "pcg", shared.one_step_pcg)
         c = shared.nonnegative_symbol_coeffs(7, np.random.default_rng(7))
         with pytest.raises(ValueError, match="T\\^-1 e_1"):
+            GridLevel(c).solve(np.ones(7))
+
+    def test_nonpositive_first_entry_raises(self, monkeypatch):
+        # x_0 = e_1^T T^{-1} e_1 is positive for an SPD T, and the inverse
+        # divides by it; a solve that hands back -x converges, and so does
+        # its refinement (negated too), but x_0 comes out negative, which
+        # the level refuses as the spectral layer does
+        pcg = dofde.krylov.pcg
+
+        def negated(*args, **kwargs):
+            report = pcg(*args, **kwargs)
+            return replace(report, solution=-report.solution)
+
+        monkeypatch.setattr(dofde.krylov, "pcg", negated)
+        c = shared.nonnegative_symbol_coeffs(7, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="converged True, x_0 = -"):
             GridLevel(c).solve(np.ones(7))
 
 

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestMinEigNormalized:
     def test_failed_run_gives_none(self, monkeypatch):
         # an unconverged generator solve settles nothing, and no other
         # route stands in for it
-        monkeypatch.setattr(dofde.spectral, "pcg", shared.one_step_pcg)
+        monkeypatch.setattr(dofde.krylov, "pcg", shared.one_step_pcg)
         assert min_eig_normalized(shared.coeffs(64)) is None
 
 
@@ -454,8 +455,8 @@ class TestLanczosExtremes:
         c = shared.scaled_coeffs(n)
         P = build_laplacian(n)
         solves = []
-        pcg = dofde.spectral.pcg
-        monkeypatch.setattr(dofde.spectral, "pcg",
+        pcg = dofde.krylov.pcg
+        monkeypatch.setattr(dofde.krylov, "pcg",
                             lambda *args, **kwargs: solves.append(pcg(*args, **kwargs))
                             or solves[-1])
         found = lanczos_extremes(c, P)
@@ -476,6 +477,29 @@ class TestLanczosExtremes:
         oracle = shared.rayleigh_oracle(c, P)
         assert found.lambda_max == pytest.approx(oracle[1], rel=1e-12, abs=0)
 
+    def test_generator_refines_from_its_true_residual(self, monkeypatch):
+        # pcg tests its recursive residual: on the Laplacian's shifted S at
+        # 2048 it passes tol 1e-13 while r = e_1 - S x does not, so one more
+        # solve takes S d = r, x + d has a true residual under tol, and
+        # inner_steps counts both solves
+        n = 2048
+        calls = []
+        pcg = dofde.krylov.pcg
+
+        def recorded(apply_A, P, b, stop=None):
+            calls.append((apply_A, b, pcg(apply_A, P, b, stop=stop)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(dofde.krylov, "pcg", recorded)
+        found = _inverse_end(shared.scaled_coeffs(n), build_laplacian(n), 0,
+                             dofde.spectral._ENDS[PrecKind.LAPLACIAN][0])
+        (S, e1, first), (_, r, second) = calls
+        assert np.array_equal(e1, np.eye(1, n)[0])
+        assert first.residual_history[-1] < 1e-13 <= np.linalg.norm(r)
+        assert np.array_equal(r, e1 - S(first.solution))
+        assert np.linalg.norm(e1 - S(first.solution + second.solution)) < 1e-13
+        assert found.inner_steps == first.iterations + second.iterations
+
     @pytest.mark.parametrize("run", [
         lambda c: lanczos_extremes(c, build_laplacian(c.n)),
         lambda c: min_eig_normalized(c),
@@ -484,8 +508,8 @@ class TestLanczosExtremes:
         # the run's products apply the Gohberg-Semencul inverse of one
         # generator solve; a solve per product would call pcg once a step
         calls = []
-        pcg = dofde.spectral.pcg
-        monkeypatch.setattr(dofde.spectral, "pcg",
+        pcg = dofde.krylov.pcg
+        monkeypatch.setattr(dofde.krylov, "pcg",
                             lambda *args, **kwargs: calls.append(1) or pcg(*args, **kwargs))
         assert run(shared.scaled_coeffs(512)) is not None
         assert len(calls) == 1
@@ -668,6 +692,29 @@ class TestRayleighQuotient:
         want = float(shared.long_double_quotient(c, P, z.astype(shared.LD)))
         got = dofde.spectral._rayleigh_quotients(c, P)(z)
         assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_exact_energy_matches_the_plain_rational_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        z = np.abs(rng.standard_normal(n)).astype(shared.LD) / 3
+        zf = [Fraction(*v.as_integer_ratio()) for v in z]
+        plain = sum(Fraction(a[abs(i - j)]) * zf[i] * zf[j] for i in range(n) for j in range(n))
+        assert shared.exact_toeplitz_energy(a, z) == plain
+
+    @pytest.mark.parametrize("n, rtol", [(2048, 5e-14), (8192, 2e-12)])
+    def test_toeplitz_energy_on_the_sine_vector(self, n, rtol):
+        # z^T A z summed over A's circulant embedding, against the exact
+        # rational value; the sine vector is A's extreme direction, along
+        # which the autocorrelation form a_0 r_0 + 2 sum a_k r_k cancels
+        # (2.4e-13 and 8.8e-12 relative here); with P the identity the
+        # quotient is z^T A z over the long-double z^T z
+        c = shared.coeffs(n)
+        z = np.sin(np.arange(1, n + 1).astype(shared.LD) * (shared.PI_LD / (n + 1)))
+        zf = [Fraction(*v.as_integer_ratio()) for v in z]
+        exact = shared.exact_toeplitz_energy(c.a, z) / sum(v * v for v in zf)
+        got = dofde.spectral._rayleigh_quotients(c, build_identity(n))(z)
+        assert abs(Fraction(got) - exact) <= rtol * exact
 
 
 class TestSpectrumReport:
