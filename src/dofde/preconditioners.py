@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .symbols import _check_order
 from .toeplitz import ToeplitzCoeffs, _circulant_product, _symmetric_product
 from .transforms import _circulant_embedding, _circulant_transform, _tau_transform
 
@@ -80,12 +81,13 @@ class Preconditioner:
 
     Circulant kinds diagonalize under the FFT, tau kinds and the
     Laplacian under DST-I; the Identity carries an empty spectrum.
-    Raises ValueError unless kind is a PrecKind or its name, n >= 1 and
-    the spectrum has n entries (none for the identity), then NotSPDError
-    unless every entry is positive, so a NaN entry is rejected too, and
-    then ValueError unless a circulant's spectrum is even
-    (s_j = s_(n-j)) and a Laplacian's is `_laplacian_spectrum(n)` bit
-    for bit, the facts its inverse is built on.
+    Raises ValueError unless kind is a PrecKind or its name, n is an
+    integer >= 1 (3.0 is kept as 3) and the spectrum has n entries (none
+    for the identity), then NotSPDError unless every entry is positive,
+    so a NaN entry is rejected too, and then ValueError unless a
+    circulant's spectrum is even (s_j = s_(n-j)) and a Laplacian's is
+    `_laplacian_spectrum(n)` bit for bit, the facts its inverse is built
+    on.
     """
 
     kind: PrecKind
@@ -95,8 +97,7 @@ class Preconditioner:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PrecKind(self.kind))
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", _check_order(self.n, 1))
         s = np.array(self.spectrum, dtype=float)
         length = 0 if self.kind is PrecKind.IDENTITY else self.n
         if s.shape != (length,):
@@ -212,6 +213,7 @@ def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
     diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
     formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
+    n = _check_order(n, 1)
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n))
 
 

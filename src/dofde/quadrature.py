@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import limit_symbol
+from .symbols import _check_order, limit_symbol
 
 __all__ = [
     "QuadResult",
@@ -101,6 +101,10 @@ def integrate_adaptive(f, a, b, tol=1e-10):
     shape, finite everywhere on (a, b).  Raises
     QuadratureConvergenceError when the interval budget (2^20) is
     exhausted before the error estimate falls under tol.
+
+    The estimate |K15 - G7| does not see rounding in the abscissae, so a
+    fast-oscillating integrand such as f(theta) cos(k theta) must be
+    integrated in a local variable on each panel (`coeff_oracle`).
     """
     a = float(a)
     b = float(b)
@@ -286,7 +290,7 @@ def norm_constant(n):
     |psi|^2 is even, so by Parseval its mean over [0, pi] is the sum of
     psi's squared coefficients, 4/((n+1)^3 sin^2 s) * sum_j sin^2(js)
     = 2/((n+1)^2 sin^2 s); hence c_n = (n+1) sin(s)/sqrt(2) exactly.
+    Raises ValueError unless n is an integer >= 2, as 3.0 is.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _check_order(n)
     return (n + 1) * np.sin(np.pi / (n + 1)) / np.sqrt(2.0)

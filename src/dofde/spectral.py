@@ -21,10 +21,11 @@ end.  None is the plain run on P^(-1/2) A P^(-1/2), each product one
 Toeplitz matvec between two P^(-1/2) convolutions; it serves both ends
 of the Strang circulant and the tau kinds, and the upper end of the
 Frobenius circulant and the Laplacian.  Any other route is a shift sigma
-from A's first column and the tau kind of a generator solve:
-`_inverse_end` runs on P^(1/2) S^(-1) P^(1/2), S = A - sigma P for a
-lower end, lambda_min = sigma + 1/mu_max, and S = sigma P - A for an
-upper end, lambda_max = sigma - 1/mu_max.  The shifts are:
+from A's first column, which fixes the pencil column a - sigma p, p the
+first column of the Toeplitz P: `_inverse_end` runs on
+P^(1/2) S^(-1) P^(1/2), S = A - sigma P for a lower end,
+lambda_min = sigma + 1/mu_max, and S = sigma P - A for an upper end,
+lambda_max = sigma - 1/mu_max.  The shifts are:
 
 - 0 for the lower end of the identity (`min_eig_normalized`) and of the
   Frobenius circulant, beyond the plain run's budget from n = 24576 on;
@@ -42,12 +43,10 @@ An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
 matrix S at tol 1e-13, refined once where its true residual misses
 (`krylov._generator_inverse`), then four triangular Toeplitz products
 each: S^(-1) = (L(x) L(x)^T - L(y) L(y)^T)/x_0 (Gohberg and Semencul,
-`toeplitz._gohberg_semencul`).  The solve is preconditioned by A's
-Frobenius tau for A^(-1), and otherwise by the natural tau of S, whose
-eigenvalues are the shifted symbol sampled on the sine grid:
-nonnegative by the choice of sigma, and small where the shifted symbol
-vanishes, which the Frobenius tau does not follow (17 to 22 iterations
-for the Laplacian's solve at n = 128..2048 against its 36 to 102).
+`toeplitz._gohberg_semencul`).  The solve is preconditioned by the
+natural tau of S, whose eigenvalues are the shifted symbol sampled on
+the sine grid: nonnegative by the choice of sigma, and small where the
+shifted symbol vanishes.
 
 The Ritz values carry the rounding of the double FFT products, which the
 roots and the inverses amplify.  So each extreme is reported as the
@@ -66,12 +65,13 @@ four, so each off-diagonal entry is a quotient of O(n) generators (Bini
 and Capovani, Linear Algebra Appl. 52/53, 1983), and the diagonal is the
 Frobenius-tau closed form.  A sine kind P = Q diag(d) Q shifts only the
 diagonal of B = Q A Q; the identity and the circulants are Toeplitz, so
-A - sigma P is too, with A's generators less sigma times P's.  A Schur
-step keeps the form (Gohberg, Kailath and Olshevsky, Math. Comp. 64,
-1995).  `count_below` takes 1x1 pivots on the largest remaining
-|diagonal|, in O(n^2) time and O(n) memory per count, with every row and
-parity block of a call in one batch of ceil(n/2) steps; a zero or
-non-finite pivot leaves a count unsettled.
+A - sigma P is too, and its generators are those of its first column,
+the pencil column of `_inverse_end`.  A Schur step keeps the form
+(Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1995).  `count_below`
+takes 1x1 pivots on the largest remaining |diagonal|, in O(n^2) time
+and O(n) memory per count, with every row and parity block of a call in
+one batch of ceil(n/2) steps; a zero or non-finite pivot leaves a count
+unsettled.
 
 The dense route, `preconditioned_spectrum`, computes every eigenvalue;
 it is the test oracle of the routes above, and no command calls it.
@@ -98,7 +98,7 @@ import numpy as np
 
 from .krylov import BreakdownError, _generator_inverse
 from .preconditioners import (_SINE, PrecKind, _algebra_product, _frobenius_tau_spectrum,
-                              apply_inverse_sqrt, build_identity, build_preconditioner)
+                              apply_inverse_sqrt, build_identity, build_natural_tau)
 from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2
 from .transforms import (_circulant_embedding, _circulant_power, _circulant_transform,
                          _tau_transform, dst1)
@@ -361,9 +361,9 @@ def count_below(c, rows):
     (ToeplitzCoeffs), as a list: by Sylvester's law, the negative pivots of
     the Cauchy-like parity blocks of Q (A - sigma P) Q (`_negative_pivots`),
     every row of one call eliminated at once; a Toeplitz kind's generators
-    are A's less sigma times those of its `_toeplitz_column`.  An entry is
-    None where the elimination met a zero or non-finite pivot, as it does
-    where sigma is an eigenvalue.
+    are those of the pencil column a - sigma p, p its `_toeplitz_column`.
+    An entry is None where the elimination met a zero or non-finite pivot,
+    as it does where sigma is an eigenvalue.
     Raises TypeError and ValueError as `preconditioned_spectrum` does.
     """
     rows = list(rows)
@@ -377,8 +377,7 @@ def count_below(c, rows):
         if P.kind in _SINE:
             x[r], delta[r] = u_hat, diag - sigma * P.spectrum
         else:
-            _, _, p_hat, p_diag = _sine_generators(_toeplitz_column(P))
-            x[r], delta[r] = u_hat - sigma * p_hat, diag - sigma * p_diag
+            _, _, x[r], delta[r] = _sine_generators(c.a - sigma * _toeplitz_column(P))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         negative, finite = _negative_pivots(half, q, x, delta)
     return [int(count) if ok else None for count, ok in zip(negative, finite)]
@@ -523,19 +522,17 @@ def _rayleigh_quotients(c, P):
     return quotient
 
 
-def _ritz(c, P, inner, power, ends):
-    """`_lanczos` on P^power M P^power, M the symmetric product inner,
-    for the ends in ends: its (steps, lowest, ritz) with each Ritz vector
-    replaced by the long-double Rayleigh quotient (`_rayleigh_quotients`)
-    of its image under P^(-1/2), or None.  P^(-1/2) is the one P keeps,
-    so only a power of 0.5 builds a product here."""
-    back = P._inverse_sqrt
-    root = back if power == -0.5 else _algebra_product(P.kind, P.spectrum ** power)
+def _ritz(c, P, inner, root, ends):
+    """`_lanczos` on R M R, M the symmetric product inner and R the root
+    product root, P^(-1/2) or P^(1/2), for the ends in ends: its
+    (steps, lowest, ritz) with each Ritz vector replaced by the
+    long-double Rayleigh quotient (`_rayleigh_quotients`) of its image
+    under P^(-1/2), or None."""
     run = _lanczos(lambda x: root(inner(root(x))), c.n, ends)
     if run is None:
         return None
     steps, lowest, ritz = run
-    quotient = _rayleigh_quotients(c, P)
+    quotient, back = _rayleigh_quotients(c, P), P._inverse_sqrt
     return steps, lowest, [(theta, quotient(back(y)), bound) for theta, y, bound in ritz]
 
 
@@ -557,18 +554,13 @@ def _laplacian_shift(a):
     return max(0.0, least - (ratio[1::2].min() - least))
 
 
-# each kind's (lower, upper) route: None for the plain run, else
-# `_inverse_end`'s (shift from A's first column, tau kind of the generator
-# solve); the route of A^(-1), shift 0 on A's Frobenius tau, serves two kinds
-_A_INVERSE = (lambda a: 0.0, PrecKind.FROBENIUS_TAU)
-_ENDS = {
-    PrecKind.IDENTITY: (_A_INVERSE, (lambda a: a[0] + 2.0 * np.abs(a[1:]).sum(),
-                                     PrecKind.NATURAL_TAU)),
-    PrecKind.STRANG_CIRCULANT: (None, None),
+# each kind's (lower, upper) route: None for the plain run, else the shift
+# of `_inverse_end` from A's first column; A^(-1)'s shift serves two kinds
+_A_INVERSE = lambda a: 0.0
+_ENDS = dict.fromkeys(PrecKind, (None, None)) | {
+    PrecKind.IDENTITY: (_A_INVERSE, lambda a: a[0] + 2.0 * np.abs(a[1:]).sum()),
     PrecKind.FROBENIUS_CIRCULANT: (_A_INVERSE, None),
-    PrecKind.NATURAL_TAU: (None, None),
-    PrecKind.FROBENIUS_TAU: (None, None),
-    PrecKind.LAPLACIAN: ((_laplacian_shift, PrecKind.NATURAL_TAU), None),
+    PrecKind.LAPLACIAN: (_laplacian_shift, None),
 }
 
 
@@ -584,28 +576,26 @@ def _toeplitz_column(P):
     return _circulant_transform(P.spectrum) / P.n
 
 
-def _inverse_end(c, P, end, route):
+def _inverse_end(c, P, end, shift):
     """The lower (end 0) or upper (end -1) end of the spectrum of P^(-1) A
-    for a Toeplitz kind P (`_toeplitz_column`) by its route (shift, tau
-    kind): with sigma = shift(a) below the end (above it), `_ritz` on
-    P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
-    one `_generator_inverse` of S on its tau of the route's kind, built
-    before the run.
+    for a Toeplitz kind P (`_toeplitz_column`): with sigma = shift(a)
+    below the end (above it), `_ritz` on P^(1/2) S^(-1) P^(1/2),
+    S = A - sigma P (sigma P - A), each product one `_generator_inverse`
+    of S on its natural tau, built before the run.
 
     Returns the RitzEnd of the top Ritz value mu, the end sigma +- 1/mu,
     or None when the build or the solve fails, x_0 is not positive and
     finite, the run does not certify, or a Ritz value is not positive, so
     sigma was not outside the spectrum."""
-    shift, tau_kind = route
     sigma = float(shift(c.a))
     shifted = c.a - sigma * _toeplitz_column(P)
     shifted = ToeplitzCoeffs(c.n, -shifted if end else shifted)
     try:
         solve, inner_steps = _generator_inverse(ToeplitzOperator(shifted),
-                                                build_preconditioner(tau_kind, shifted))
+                                                build_natural_tau(shifted))
     except (ValueError, BreakdownError):
         return None
-    run = _ritz(c, P, solve, 0.5, (-1,))
+    run = _ritz(c, P, solve, _algebra_product(P.kind, P.spectrum ** 0.5), (-1,))
     if run is None or not run[1] > 0.0:
         return None
     steps, _, [(mu, value, bound)] = run
@@ -625,7 +615,7 @@ def lanczos_extremes(c, P):
     plain = [end for end, route in routes.items() if route is None]
     found = {}
     if plain:
-        run = _ritz(c, P, ToeplitzOperator(c), -0.5, plain)
+        run = _ritz(c, P, ToeplitzOperator(c), P._inverse_sqrt, plain)
         if run is None:
             return None
         steps, _, ritz = run

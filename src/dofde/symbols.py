@@ -7,6 +7,8 @@ limit.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -27,9 +29,11 @@ def _check_angle(theta):
     return theta
 
 
-def _check_order(n):
-    if int(n) != n or n < 2:
-        raise ValueError(f"matrix order n must be an integer >= 2, got {n}")
+def _check_order(n, least=2):
+    """n as an int where it is an integral real number >= least, so 3.0 is
+    kept as 3; anything else, NaN included, raises ValueError."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= least):
+        raise ValueError(f"matrix order n must be an integer >= {least}, got {n}")
     return int(n)
 
 

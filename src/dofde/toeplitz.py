@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import dist_order_symbol
+from .symbols import _check_order, dist_order_symbol
 from .transforms import _circulant_embedding, _circulant_transform
 
 __all__ = [
@@ -48,16 +48,15 @@ class ToeplitzCoeffs:
 
     a[k] = (1/2pi) * int_{-pi}^{pi} f(theta) exp(-i k theta) dtheta,
     real because f is even.  Entry (i, j) of the induced symmetric
-    Toeplitz matrix is a[|i - j|].  Raises ValueError unless n >= 1 and
-    a holds n finite entries.
+    Toeplitz matrix is a[|i - j|].  Raises ValueError unless n is an
+    integral number >= 1, kept as an int, and a holds n finite entries.
     """
 
     n: int
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", _check_order(self.n, 1))
         a = np.array(self.a, dtype=float)
         if a.shape != (self.n,):
             raise ValueError("coefficient vector must have length n")
@@ -115,8 +114,7 @@ def coeffs_via_fft(n):
     Sampling starts at twice the next power of two >= max(4n, 2^16), so
     the first grid's tail already verifies stabilization.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _check_order(n, 1)
     m = 2 * max(_next_pow2(4 * n), _MIN_SAMPLES)
     beta = _corner_slope(n) / (2.0 * np.pi)
     k = np.arange(1, n)

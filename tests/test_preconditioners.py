@@ -342,8 +342,25 @@ class TestConstructionChecks:
 
     @pytest.mark.parametrize("build", [build_identity, build_laplacian])
     def test_order_must_be_positive(self, build):
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             build(0)
+
+    @pytest.mark.parametrize("build", [
+        build_identity,
+        build_laplacian,
+        lambda n: Preconditioner(PrecKind.NATURAL_TAU, n, np.ones(3)),
+    ], ids=["identity", "laplacian", "direct"])
+    @given(n=st.floats().filter(lambda n: not n.is_integer()))
+    def test_order_must_be_integral(self, build, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(n)
+
+    @given(n=st.integers(1, 64).map(float))
+    def test_integral_order_is_kept_as_int(self, n):
+        for P in (build_identity(n), build_laplacian(n)):
+            assert type(P.n) is int and P.n == n
+            x = np.ones(P.n)
+            assert apply_inverse(P, x).shape == apply_inverse_sqrt(P, x).shape == (P.n,)
 
 
 def dense_inverse(P, x):

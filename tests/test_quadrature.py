@@ -195,3 +195,8 @@ class TestNormConstant:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             norm_constant(1)
+
+    @given(n=st.floats().filter(lambda n: not n.is_integer()))
+    def test_order_must_be_integral(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            norm_constant(n)

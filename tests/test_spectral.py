@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import conftest as shared
+import dofde.preconditioners
 import dofde.spectral
 from dofde import (
     NotSPDError,
@@ -31,7 +32,6 @@ from dofde import (
     preconditioned_spectrum,
 )
 from dofde.cli import main
-from dofde.preconditioners import _SINE
 from dofde.spectral import _flip_block, _inverse_end, _sine_block, _sine_generators
 
 
@@ -154,7 +154,7 @@ class TestMinEigNormalized:
         cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
         for c in cases + ([shared.coeffs(n)] if n > 1 else []):
             identity = build_identity(n)
-            found = _inverse_end(c, identity, 0, (lambda a: 0.0, PrecKind.FROBENIUS_TAU))
+            found = _inverse_end(c, identity, 0, lambda a: 0.0)
             dense = preconditioned_spectrum(c, identity).lambda_min
             assert found is not None and found.value == pytest.approx(dense, rel=1e-9, abs=0), n
             assert min_eig_normalized(c) == n * found.value
@@ -543,19 +543,62 @@ class TestLanczosExtremes:
 
     def test_ends_table_routes_each_kind_once(self):
         # one (lower, upper) pair per kind; a route is the plain run (None)
-        # or a shift from A's first column and the sine kind of the
-        # generator solve; the identity and the Frobenius circulant share
-        # the lower route of A^(-1), and only the identity routes its upper
-        # end through an inverse run
+        # or one shift from A's first column; the identity and the
+        # Frobenius circulant share the lower shift of A^(-1), and only the
+        # identity routes its upper end through an inverse run
         ends = dofde.spectral._ENDS
         assert list(ends) == list(PrecKind)
         for kind, routes in ends.items():
             assert len(routes) == 2, kind
             for route in routes:
-                assert route is None or (len(route) == 2 and callable(route[0])
-                                         and route[1] in _SINE), kind
+                assert route is None or callable(route), kind
         assert ends[PrecKind.IDENTITY][0] is ends[PrecKind.FROBENIUS_CIRCULANT][0] is not None
+        assert ends[PrecKind.IDENTITY][0](shared.coeffs(16).a) == 0.0
         assert [kind for kind, (_, upper) in ends.items() if upper] == [PrecKind.IDENTITY]
+
+    @pytest.mark.parametrize("argv, inverse_ends", [
+        (["spectrum", "--precs", "all", "--sizes", "32..128"], 12),
+        (["mineig", "--sizes", "16..64"], 3),
+    ], ids=["spectrum", "mineig"])
+    def test_inverse_ends_solve_on_their_pencils_natural_tau(self, argv, inverse_ends,
+                                                             monkeypatch, capsys):
+        # every inverse end builds exactly one preconditioner, the natural
+        # tau of its pencil column +-(a - sigma p), and no Frobenius tau;
+        # the rows' own preconditioners, built outside, are not counted
+        builds = []
+        inside = []
+
+        def recording(kind, build):
+            def record(c):
+                if inside:
+                    builds[-1].append((kind, c.a.copy()))
+                return build(c)
+            return record
+
+        natural = recording("natural", dofde.preconditioners.build_natural_tau)
+        monkeypatch.setattr(dofde.preconditioners, "build_natural_tau", natural)
+        monkeypatch.setattr(dofde.spectral, "build_natural_tau", natural, raising=False)
+        monkeypatch.setattr(dofde.preconditioners, "build_frobenius_tau",
+                            recording("frobenius", build_frobenius_tau))
+        inverse_end = dofde.spectral._inverse_end
+
+        def traced(c, P, end, shift):
+            builds.append([])
+            inside.append(1)
+            try:
+                found = inverse_end(c, P, end, shift)
+            finally:
+                inside.pop()
+            assert found is not None
+            pencil = c.a - found.shift * dofde.spectral._toeplitz_column(P)
+            assert [kind for kind, _ in builds[-1]] == ["natural"], (P.kind, end)
+            np.testing.assert_array_equal(builds[-1][0][1], -pencil if end else pencil)
+            return found
+
+        monkeypatch.setattr(dofde.spectral, "_inverse_end", traced)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == inverse_ends
 
 
 class TestInertiaCounts:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import conftest as shared
 import dofde.toeplitz
@@ -17,9 +18,12 @@ from dofde import (
     assemble_dense,
     build_frobenius_tau,
     build_identity,
+    build_natural_tau,
     coeff_oracle,
     coeffs_via_fft,
+    count_below,
     dist_order_symbol,
+    lanczos_extremes,
 )
 
 
@@ -134,6 +138,19 @@ class TestCoeffs:
         n, k = nk
         assert abs(shared.coeffs(n).a[k] - coeff_oracle(n, k)) <= 1e-9
 
+    @pytest.mark.parametrize("k", [3996, 4095])
+    def test_oracle_matches_quadpack_cosine_weight(self, k):
+        # QUADPACK's QAWO takes cos(k theta) as its weight, so it never
+        # evaluates the oscillation at rounded abscissae; integrating the
+        # oracle's panels in absolute theta puts a_3996 3.8e-10 off, which
+        # the 1e-9 above cannot see
+        n = 4096
+        edges = [0.0, 1e-6, 1.0 / n, 0.1, np.pi]
+        reference = sum(quad(partial(dist_order_symbol, n), lo, hi, weight="cos", wvar=k,
+                             epsabs=1e-14, limit=200)[0]
+                        for lo, hi in zip(edges[:-1], edges[1:])) / np.pi
+        assert abs(coeff_oracle(n, k) - reference) <= 2e-12
+
     def test_leading_coefficient_positive(self):
         for n in (4, 32, 256):
             assert shared.coeffs(n).a[0] > 0
@@ -147,11 +164,27 @@ class TestCoeffs:
     def test_container_validation(self):
         with pytest.raises(ValueError):
             ToeplitzCoeffs(4, np.zeros(3))
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             ToeplitzCoeffs(0, np.empty(0))
         c = ToeplitzCoeffs(3, np.array([2.0, -1.0, 0.0]))
         with pytest.raises(ValueError):
             c.a[0] = 5.0
+
+    @given(n=st.floats().filter(lambda n: not n.is_integer()))
+    def test_order_must_be_integral(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ToeplitzCoeffs(n, np.ones(3))
+
+    @settings(deadline=None, max_examples=20)
+    @given(n=st.integers(2, 64).map(float))
+    def test_integral_order_is_kept_as_int(self, n):
+        # a float order that holds an integer serves every route an int does
+        c = ToeplitzCoeffs(n, shared.scaled_coeffs(int(n)).a)
+        assert type(c.n) is int and c.n == n
+        P = build_identity(c.n)
+        assert lanczos_extremes(c, P) is not None
+        assert count_below(c, [(P, 1.0)])[0] is not None
+        assert build_natural_tau(c).n == c.n
 
     def test_container_keeps_a_private_copy(self):
         a = np.array([2.0, -1.0, 0.0, 0.0])
