@@ -213,7 +213,7 @@ def build_laplacian(n):
     """Tridiagonal finite-difference Laplacian tridiag(-1, 2, -1),
     diagonal in the DST-I domain with eigenvalues 2 - 2 cos(j pi/(n+1)),
     formed as 4 sin^2(j pi/(2(n+1))) so small j do not cancel."""
-    n = _check_order(n, 1)
+    n = _check_order(n, 1)  # before n sizes the spectrum below
     return Preconditioner(kind=PrecKind.LAPLACIAN, n=n, spectrum=_laplacian_spectrum(n))
 
 

@@ -22,10 +22,10 @@ Toeplitz matvec between two P^(-1/2) convolutions; it serves both ends
 of the Strang circulant and the tau kinds, and the upper end of the
 Frobenius circulant and the Laplacian.  Any other route is a shift sigma
 from A's first column, which fixes the pencil column a - sigma p, p the
-first column of the Toeplitz P: `_inverse_end` runs on
-P^(1/2) S^(-1) P^(1/2), S = A - sigma P for a lower end,
-lambda_min = sigma + 1/mu_max, and S = sigma P - A for an upper end,
-lambda_max = sigma - 1/mu_max.  The shifts are:
+first column of the Toeplitz P, and the tau builder of a generator
+solve: `_inverse_end` runs on P^(1/2) S^(-1) P^(1/2), S = A - sigma P
+for a lower end, lambda_min = sigma + 1/mu_max, and S = sigma P - A for
+an upper end, lambda_max = sigma - 1/mu_max.  The shifts are:
 
 - 0 for the lower end of the identity (`min_eig_normalized`) and of the
   Frobenius circulant, beyond the plain run's budget from n = 24576 on;
@@ -43,10 +43,15 @@ An inverse run costs one `pcg` solve x = S^(-1) e_1 of its shifted
 matrix S at tol 1e-13, refined once where its true residual misses
 (`krylov._generator_inverse`), then four triangular Toeplitz products
 each: S^(-1) = (L(x) L(x)^T - L(y) L(y)^T)/x_0 (Gohberg and Semencul,
-`toeplitz._gohberg_semencul`).  The solve is preconditioned by the
-natural tau of S, whose eigenvalues are the shifted symbol sampled on
-the sine grid: nonnegative by the choice of sigma, and small where the
-shifted symbol vanishes.
+`toeplitz._gohberg_semencul`).  A shifted S is preconditioned by its
+natural tau, whose eigenvalues are the shifted symbol sampled on the
+sine grid: nonnegative by the choice of sigma, and small where the
+shifted symbol vanishes, which the Frobenius tau does not follow (17 to
+22 iterations for the Laplacian's solve at n = 128..2048 against its 36
+to 102).  A^(-1) has no such shift: A's natural tau samples its
+truncated symbol, which is negative for some positive definite A
+(a = (1, 0, 0.9)), so it runs on A's Frobenius tau, whose eigenvalues,
+the diagonal of Q A Q, are at least lambda_min(A).
 
 The Ritz values carry the rounding of the double FFT products, which the
 roots and the inverses amplify.  So each extreme is reported as the
@@ -98,7 +103,8 @@ import numpy as np
 
 from .krylov import BreakdownError, _generator_inverse
 from .preconditioners import (_SINE, PrecKind, _algebra_product, _frobenius_tau_spectrum,
-                              apply_inverse_sqrt, build_identity, build_natural_tau)
+                              apply_inverse_sqrt, build_frobenius_tau, build_identity,
+                              build_natural_tau)
 from .toeplitz import ToeplitzCoeffs, ToeplitzOperator, _next_pow2
 from .transforms import (_circulant_embedding, _circulant_power, _circulant_transform,
                          _tau_transform, dst1)
@@ -554,13 +560,15 @@ def _laplacian_shift(a):
     return max(0.0, least - (ratio[1::2].min() - least))
 
 
-# each kind's (lower, upper) route: None for the plain run, else the shift
-# of `_inverse_end` from A's first column; A^(-1)'s shift serves two kinds
-_A_INVERSE = lambda a: 0.0
+# each kind's (lower, upper) route: None for the plain run, else
+# `_inverse_end`'s (shift from A's first column, tau builder of the
+# generator solve); the route of A^(-1), on A's Frobenius tau, serves two kinds
+_A_INVERSE = (lambda a: 0.0, build_frobenius_tau)
 _ENDS = dict.fromkeys(PrecKind, (None, None)) | {
-    PrecKind.IDENTITY: (_A_INVERSE, lambda a: a[0] + 2.0 * np.abs(a[1:]).sum()),
+    PrecKind.IDENTITY: (_A_INVERSE, (lambda a: a[0] + 2.0 * np.abs(a[1:]).sum(),
+                                     build_natural_tau)),
     PrecKind.FROBENIUS_CIRCULANT: (_A_INVERSE, None),
-    PrecKind.LAPLACIAN: (_laplacian_shift, None),
+    PrecKind.LAPLACIAN: ((_laplacian_shift, build_natural_tau), None),
 }
 
 
@@ -576,23 +584,24 @@ def _toeplitz_column(P):
     return _circulant_transform(P.spectrum) / P.n
 
 
-def _inverse_end(c, P, end, shift):
+def _inverse_end(c, P, end, route):
     """The lower (end 0) or upper (end -1) end of the spectrum of P^(-1) A
-    for a Toeplitz kind P (`_toeplitz_column`): with sigma = shift(a)
-    below the end (above it), `_ritz` on P^(1/2) S^(-1) P^(1/2),
-    S = A - sigma P (sigma P - A), each product one `_generator_inverse`
-    of S on its natural tau, built before the run.
+    for a Toeplitz kind P (`_toeplitz_column`) by its route (shift, tau
+    builder): with sigma = shift(a) below the end (above it), `_ritz` on
+    P^(1/2) S^(-1) P^(1/2), S = A - sigma P (sigma P - A), each product
+    one `_generator_inverse` of S on the route's tau of S, built before
+    the run.
 
     Returns the RitzEnd of the top Ritz value mu, the end sigma +- 1/mu,
     or None when the build or the solve fails, x_0 is not positive and
     finite, the run does not certify, or a Ritz value is not positive, so
     sigma was not outside the spectrum."""
+    shift, tau = route
     sigma = float(shift(c.a))
     shifted = c.a - sigma * _toeplitz_column(P)
     shifted = ToeplitzCoeffs(c.n, -shifted if end else shifted)
     try:
-        solve, inner_steps = _generator_inverse(ToeplitzOperator(shifted),
-                                                build_natural_tau(shifted))
+        solve, inner_steps = _generator_inverse(ToeplitzOperator(shifted), tau(shifted))
     except (ValueError, BreakdownError):
         return None
     run = _ritz(c, P, solve, _algebra_product(P.kind, P.spectrum ** 0.5), (-1,))

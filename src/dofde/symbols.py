@@ -32,7 +32,9 @@ def _check_angle(theta):
 def _check_order(n, least=2):
     """n as an int where it is an integral real number >= least, so 3.0 is
     kept as 3; anything else, NaN included, raises ValueError."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= least):
+    integral = isinstance(n, numbers.Integral) or (isinstance(n, numbers.Real)
+                                                   and float(n).is_integer())
+    if not (integral and n >= least):
         raise ValueError(f"matrix order n must be an integer >= {least}, got {n}")
     return int(n)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import conftest as shared
-import dofde.preconditioners
 import dofde.spectral
 from dofde import (
     NotSPDError,
@@ -149,12 +148,18 @@ class TestMinEigNormalized:
     @example(n=4)
     @example(n=5)
     def test_inverse_routes_match_dense(self, n):
-        # A^(-1) for the package's and a random nonnegative symbol, and the
-        # Laplacian's shift-and-invert for the package's, each matrix-free
+        # A^(-1) for the package's and a random nonnegative symbol and for
+        # a = e_1 + 0.9 e_n, whose natural tau is indefinite from n = 3 on
+        # (but at 5), and the Laplacian's shift-and-invert for the
+        # package's, each matrix-free
         cases = [shared.nonnegative_symbol_coeffs(n, np.random.default_rng(n))]
-        for c in cases + ([shared.coeffs(n)] if n > 1 else []):
+        if n > 1:
+            cases.append(shared.coeffs(n))
+        if n > 2:
+            cases.append(ToeplitzCoeffs(n, np.eye(n)[0] + 0.9 * np.eye(n)[-1]))
+        for c in cases:
             identity = build_identity(n)
-            found = _inverse_end(c, identity, 0, lambda a: 0.0)
+            found = _inverse_end(c, identity, 0, dofde.spectral._A_INVERSE)
             dense = preconditioned_spectrum(c, identity).lambda_min
             assert found is not None and found.value == pytest.approx(dense, rel=1e-9, abs=0), n
             assert min_eig_normalized(c) == n * found.value
@@ -165,6 +170,16 @@ class TestMinEigNormalized:
             dense = preconditioned_spectrum(c, P)
             assert found is not None and found.lower.shift >= 0.0 and found.lower.steps >= 1
             assert found.lambda_min == pytest.approx(dense.lambda_min, rel=1e-9, abs=0), n
+
+    @pytest.mark.parametrize("n", [3, 4, 64])
+    def test_positive_definite_a_with_indefinite_natural_tau(self, n):
+        # A = I + 0.9 (e_1 e_n^T + e_n e_1^T) has eigenvalues 0.1, 1 and 1.9,
+        # but its natural tau samples 1 + 1.8 cos((n - 1) theta), negative
+        # on the sine grid; A^(-1) runs on A's Frobenius tau instead
+        c = ToeplitzCoeffs(n, np.eye(n)[0] + 0.9 * np.eye(n)[-1])
+        with pytest.raises(NotSPDError):
+            build_natural_tau(c)
+        assert min_eig_normalized(c) == pytest.approx(0.1 * n, rel=1e-12)
 
     def test_failed_run_gives_none(self, monkeypatch):
         # an unconverged generator solve settles nothing, and no other
@@ -543,55 +558,57 @@ class TestLanczosExtremes:
 
     def test_ends_table_routes_each_kind_once(self):
         # one (lower, upper) pair per kind; a route is the plain run (None)
-        # or one shift from A's first column; the identity and the
-        # Frobenius circulant share the lower shift of A^(-1), and only the
-        # identity routes its upper end through an inverse run
+        # or a shift from A's first column and the tau builder of the
+        # generator solve; the identity and the Frobenius circulant share
+        # the lower route of A^(-1), shift 0 on A's Frobenius tau, every
+        # shifted route solves on its natural tau, and only the identity
+        # routes its upper end through an inverse run
         ends = dofde.spectral._ENDS
         assert list(ends) == list(PrecKind)
         for kind, routes in ends.items():
             assert len(routes) == 2, kind
             for route in routes:
-                assert route is None or callable(route), kind
-        assert ends[PrecKind.IDENTITY][0] is ends[PrecKind.FROBENIUS_CIRCULANT][0] is not None
-        assert ends[PrecKind.IDENTITY][0](shared.coeffs(16).a) == 0.0
+                assert route is None or (len(route) == 2 and callable(route[0])), kind
+        a_inverse = ends[PrecKind.IDENTITY][0]
+        assert a_inverse is ends[PrecKind.FROBENIUS_CIRCULANT][0] is not None
+        assert a_inverse[0](shared.coeffs(16).a) == 0.0
+        assert a_inverse[1] is build_frobenius_tau
+        shifted = [route for routes in ends.values() for route in routes
+                   if route is not None and route is not a_inverse]
+        assert len(shifted) == 2 and all(tau is build_natural_tau for _, tau in shifted)
         assert [kind for kind, (_, upper) in ends.items() if upper] == [PrecKind.IDENTITY]
 
     @pytest.mark.parametrize("argv, inverse_ends", [
         (["spectrum", "--precs", "all", "--sizes", "32..128"], 12),
         (["mineig", "--sizes", "16..64"], 3),
     ], ids=["spectrum", "mineig"])
-    def test_inverse_ends_solve_on_their_pencils_natural_tau(self, argv, inverse_ends,
-                                                             monkeypatch, capsys):
-        # every inverse end builds exactly one preconditioner, the natural
-        # tau of its pencil column +-(a - sigma p), and no Frobenius tau;
-        # the rows' own preconditioners, built outside, are not counted
+    def test_inverse_ends_solve_on_their_routes_tau(self, argv, inverse_ends,
+                                                    monkeypatch, capsys):
+        # every inverse end builds exactly one preconditioner, its route's
+        # tau of its pencil column +-(a - sigma p): A's Frobenius tau for
+        # the lower end of the identity and the Frobenius circulant, the
+        # natural tau for every shifted end
         builds = []
-        inside = []
 
-        def recording(kind, build):
+        def recording(build):
             def record(c):
-                if inside:
-                    builds[-1].append((kind, c.a.copy()))
+                builds[-1].append((build, c.a.copy()))
                 return build(c)
             return record
 
-        natural = recording("natural", dofde.preconditioners.build_natural_tau)
-        monkeypatch.setattr(dofde.preconditioners, "build_natural_tau", natural)
-        monkeypatch.setattr(dofde.spectral, "build_natural_tau", natural, raising=False)
-        monkeypatch.setattr(dofde.preconditioners, "build_frobenius_tau",
-                            recording("frobenius", build_frobenius_tau))
+        ends = {kind: tuple(route and (route[0], recording(route[1])) for route in routes)
+                for kind, routes in dofde.spectral._ENDS.items()}
+        monkeypatch.setattr(dofde.spectral, "_ENDS", ends)
         inverse_end = dofde.spectral._inverse_end
 
-        def traced(c, P, end, shift):
+        def traced(c, P, end, route):
             builds.append([])
-            inside.append(1)
-            try:
-                found = inverse_end(c, P, end, shift)
-            finally:
-                inside.pop()
+            found = inverse_end(c, P, end, route)
             assert found is not None
             pencil = c.a - found.shift * dofde.spectral._toeplitz_column(P)
-            assert [kind for kind, _ in builds[-1]] == ["natural"], (P.kind, end)
+            a_inverse = end == 0 and P.kind in (PrecKind.IDENTITY, PrecKind.FROBENIUS_CIRCULANT)
+            assert [build for build, _ in builds[-1]] == [
+                build_frobenius_tau if a_inverse else build_natural_tau], (P.kind, end)
             np.testing.assert_array_equal(builds[-1][0][1], -pencil if end else pencil)
             return found
 

@@ -12,8 +12,9 @@ from conftest import (
     masked_dist_order_symbol,
     rescaled_remainder,
 )
-from dofde import build_laplacian, dist_order_symbol, limit_symbol
+from dofde import ToeplitzCoeffs, build_laplacian, dist_order_symbol, limit_symbol
 from dofde.quadrature import integrate_adaptive
+from dofde.symbols import _check_order
 
 
 def direct_sum(n, theta):
@@ -89,6 +90,15 @@ class TestDistOrderSymbol:
             dist_order_symbol(8, 3.5)
         with pytest.raises(ValueError):
             dist_order_symbol(1, 0.5)
+
+    def test_order_beyond_float_range(self):
+        # an int past float range is still an integer: kept when large
+        # enough, ValueError (not OverflowError) when it is not
+        assert _check_order(10**400) == 10**400
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            dist_order_symbol(-(10**400), 0.5)
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            ToeplitzCoeffs(-(10**400), np.ones(3))
 
 
 class TestLimitSymbol:
